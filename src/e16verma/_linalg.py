@@ -1,14 +1,13 @@
-"""Exact linear algebra over Q(i), plus modular screening helpers.
+"""Exact linear algebra over Q(i), plus the number theory of the screen.
 
 Rows are sparse maps ``{column key: GaussianRational}``.  Column keys may be
 any sortable hashable values (integers, tuples); the kernel routines take an
 explicit column universe so that completely unconstrained columns still show
 up as free directions.
 
-The modular tools work over F_p for a prime p = 1 mod 4 via the ring map
-a + b i  ->  a + r b  (mod p), where r^2 = -1 (mod p).  Ranks can only drop
-under this map, so a full-column-rank certificate mod p is a proof of full
-column rank (hence zero nullity) over Q(i).
+``is_probable_prime`` and ``sqrt_minus_one`` pick the prime p = 1 (mod 4)
+and the root r of -1 for the ring map a + b i -> a + r b (mod p) on which
+the modular screen in ``singular`` runs.
 """
 
 from __future__ import annotations
@@ -24,9 +23,6 @@ __all__ = [
     "rank",
     "is_probable_prime",
     "sqrt_minus_one",
-    "default_screening_prime",
-    "modp_residue",
-    "ModPEliminator",
 ]
 
 ColKey = Hashable
@@ -126,7 +122,7 @@ def rank(rows: Iterable[dict[ColKey, GaussianRational]]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# modular screening
+# primes for the modular screen
 # ---------------------------------------------------------------------------
 
 def is_probable_prime(n: int, rounds: int = 32) -> bool:
@@ -166,79 +162,3 @@ def sqrt_minus_one(p: int) -> int:
         if r * r % p == p - 1:
             return r
     raise ValueError("no fourth-power nonresidue found in range")
-
-
-def default_screening_prime() -> tuple[int, int]:
-    """A verified large prime p = 1 (mod 4) and a square root of -1 mod p."""
-    p = 2147483629
-    if not is_probable_prime(p):  # pragma: no cover - fixed constant
-        raise AssertionError("screening prime failed primality check")
-    return p, sqrt_minus_one(p)
-
-
-def modp_residue(x: GaussianRational, p: int, r: int) -> int:
-    """Image of a + b i under the reduction a + r b (mod p).
-
-    Raises ZeroDivisionError when a denominator is divisible by p; callers
-    must fall back to the exact path in that case.
-    """
-    a_num, a_den = x.re.numerator, x.re.denominator
-    b_num, b_den = x.im.numerator, x.im.denominator
-    if a_den % p == 0 or b_den % p == 0:
-        raise ZeroDivisionError("denominator divisible by screening prime")
-    val = a_num * pow(a_den, -1, p) + r * b_num * pow(b_den, -1, p)
-    return val % p
-
-
-class ModPEliminator:
-    """Incremental Gaussian elimination over F_p on sparse integer rows.
-
-    Maintains the same full-RREF invariant as ExactRREF.  ``add_row``
-    returns True when the rank increased; ``nullity(ncols)`` is the mod-p
-    nullity, an upper bound for the exact nullity (zero certifies exact
-    full column rank).
-    """
-
-    def __init__(self, p: int) -> None:
-        self.p = p
-        self.pivot_rows: dict[ColKey, dict[ColKey, int]] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_rows)
-
-    def add_row(self, row: dict[ColKey, int]) -> bool:
-        p = self.p
-        row = {c: v % p for c, v in row.items() if v % p}
-        for col in sorted(set(row) & set(self.pivot_rows)):
-            factor = row.pop(col, None)
-            if not factor:
-                continue
-            for c2, v2 in self.pivot_rows[col].items():
-                if c2 == col:
-                    continue
-                s = (row.get(c2, 0) - factor * v2) % p
-                if s:
-                    row[c2] = s
-                else:
-                    row.pop(c2, None)
-        if not row:
-            return False
-        pivot = min(row)
-        inv = pow(row[pivot], -1, p)
-        row = {c: v * inv % p for c, v in row.items()}
-        for prow in self.pivot_rows.values():
-            factor = prow.get(pivot)
-            if not factor:
-                continue
-            for c2, v2 in row.items():
-                s = (prow.get(c2, 0) - factor * v2) % p
-                if s:
-                    prow[c2] = s
-                else:
-                    prow.pop(c2, None)
-        self.pivot_rows[pivot] = row
-        return True
-
-    def nullity(self, ncols: int) -> int:
-        return ncols - self.rank

@@ -197,7 +197,7 @@ class DegreeBlock:
         "t_re",
         "t_im",
         "integral",
-        "_screen_cache",
+        "_screen",
     )
 
     def __init__(self, degree, columns, row_keys, entries, integral):
@@ -219,7 +219,7 @@ class DegreeBlock:
             self.t_re[pos] = tr
             self.t_im[pos] = ti
         self.integral = integral
-        self._screen_cache = None
+        self._screen = None
 
     @property
     def ncols(self) -> int:
@@ -368,8 +368,8 @@ def assemble_degree_block(
     return DegreeBlock(degree, tuple(columns), tuple(row_keys), entries, integral)
 
 
-# a < 2^21 prime congruent to 1 mod 4, small enough that the compressed
-# screening products stay far inside int64
+# a < 2^21 prime congruent to 1 mod 4, small enough that the screen's
+# int64 product sums stay far inside int64 (see _check_int64_sum)
 def _screening_prime() -> tuple[int, int]:
     p = (1 << 20) + 1
     while True:
@@ -380,66 +380,232 @@ def _screening_prime() -> tuple[int, int]:
 
 SCREEN_P, SCREEN_R = _screening_prime()
 
+# compressor entries drawn per chunk: 2^20 int64 values, 8 MB
+_COMPRESS_CHUNK = 1 << 20
 
-def _dense_rank_modp(mat: np.ndarray, p: int, need: int) -> int:
-    """Row-reduce a dense int64 matrix mod p; returns the rank, stopping
-    early once it cannot reach `need`."""
-    m = mat % p
-    nrows, ncols = m.shape
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        if ncols - col < need - rank:
-            return rank
-        piv = None
-        for rr in range(row, nrows):
-            if m[rr, col]:
-                piv = rr
-                break
-        if piv is None:
+# base points tried for the pencil when the block's first screened value was
+# not certified; fixed residues far from the small resonant t-values
+_PENCIL_BASE_POINTS = (0x5BD1E, 0x9E377)
+
+
+def _check_int64_sum(terms: int) -> None:
+    """Raise OverflowError unless a sum of ``terms`` products, each below
+    (SCREEN_P - 1)^2, is certain to fit in int64."""
+    if terms * (SCREEN_P - 1) ** 2 >= 1 << 63:
+        raise OverflowError(
+            f"a sum of {terms} products mod {SCREEN_P} can overflow int64"
+        )
+
+
+def _forward_eliminate(m: np.ndarray) -> int:
+    """Determinant mod SCREEN_P of the leading n x n part of the n-row
+    residue matrix ``m``, by forward elimination in place.
+
+    Each pivot step reduces only its pivot row and column and updates only
+    the trailing submatrix; the other entries accumulate unreduced products
+    (at most n of them, checked against int64).  Returns 0 at the first
+    column without a pivot.  Otherwise the upper triangle of the leading
+    part holds U, reduced, and any further columns of ``m`` carry the same
+    row operations, reduced too.
+    """
+    p = SCREEN_P
+    n = m.shape[0]
+    _check_int64_sum(n)
+    det = 1
+    for k in range(n):
+        col = m[k:, k] % p
+        nz = np.flatnonzero(col)
+        if not nz.size:
+            return 0
+        piv = int(nz[0])
+        if piv:
+            m[[k, k + piv], k:] = m[[k + piv, k], k:]
+            col[[0, piv]] = col[[piv, 0]]
+            det = -det
+        row = m[k, k:] % p
+        m[k, k:] = row
+        pivot = int(row[0])
+        det = det * pivot % p
+        if k + 1 < n:
+            mult = col[1:] * pow(pivot, p - 2, p) % p
+            m[k + 1:, k + 1:] -= np.multiply.outer(mult, row[1:])
+    return det
+
+
+def _back_substitute(m: np.ndarray) -> np.ndarray:
+    """U^{-1} C mod SCREEN_P for a matrix [U | C] that ``_forward_eliminate``
+    left with a nonzero determinant; C is overwritten and returned."""
+    p = SCREEN_P
+    n = m.shape[0]
+    _check_int64_sum(n)
+    x = m[:, n:]
+    for k in range(n - 1, -1, -1):
+        x[k] = x[k] % p * pow(int(m[k, k]), p - 2, p) % p
+        if k:
+            x[:k] -= np.multiply.outer(m[:k, k], x[k])
+    return x
+
+
+def _hessenberg(h: np.ndarray) -> np.ndarray:
+    """Upper Hessenberg form of the reduced square matrix ``h`` mod
+    SCREEN_P, by elementary similarity transforms in place."""
+    p = SCREEN_P
+    n = h.shape[0]
+    _check_int64_sum(n)
+    for k in range(n - 2):
+        nz = np.flatnonzero(h[k + 1:, k])
+        if not nz.size:
             continue
-        if piv != row:
-            m[[row, piv]] = m[[piv, row]]
-        inv = pow(int(m[row, col]), p - 2, p)
-        m[row] = (m[row] * inv) % p
-        nz = np.nonzero(m[:, col])[0]
-        nz = nz[nz != row]
-        if nz.size:
-            m[nz] = (m[nz] - np.outer(m[nz, col], m[row])) % p
-        rank += 1
-        row += 1
-        if rank == need or row == nrows:
+        i = k + 1 + int(nz[0])
+        if i != k + 1:
+            h[[k + 1, i]] = h[[i, k + 1]]
+            h[:, [k + 1, i]] = h[:, [i, k + 1]]
+        u = h[k + 2:, k] * pow(int(h[k + 1, k]), p - 2, p) % p
+        # rows j > k+1 lose u_j times row k+1; column k+1 gains u_j times
+        # column j, so the transform stays a similarity
+        h[k + 2:, k:] -= np.multiply.outer(u, h[k + 1, k:])
+        h[k + 2:, k:] %= p
+        h[:, k + 1] += h[:, k + 2:] @ u
+        h[:, k + 1] %= p
+    return h
+
+
+def _hessenberg_charpoly(h: np.ndarray) -> np.ndarray:
+    """Coefficients, constant term first, of det(x I - h) mod SCREEN_P for
+    an upper Hessenberg ``h`` (Cohen, *A Course in Computational Algebraic
+    Number Theory*, Algorithm 2.2.9)."""
+    p = SCREEN_P
+    n = h.shape[0]
+    _check_int64_sum(n)
+    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
+    polys[0, 0] = 1
+    chain = np.zeros(0, dtype=np.int64)
+    for m in range(1, n + 1):
+        # p_m = (x - h_mm) p_{m-1}
+        #       - sum_{i<m} h_im (prod_{i<j<=m} h_{j,j-1}) p_{i-1}
+        acc = np.zeros(m + 1, dtype=np.int64)
+        acc[1:] = polys[m - 1, :m]
+        acc[:m] -= h[m - 1, m - 1] * polys[m - 1, :m]
+        if m > 1:
+            chain = np.append(chain, 1) * h[m - 1, m - 2] % p
+            coef = h[:m - 1, m - 1] * chain % p
+            acc[:m - 1] -= coef @ polys[:m - 1, :m - 1]
+        polys[m, :m + 1] = acc % p
+    return polys[n]
+
+
+class _PencilDeterminant(NamedTuple):
+    """D(gamma) = det(B + gamma T) mod SCREEN_P, stored as its coefficients
+    in gamma - base (constant term first)."""
+
+    base: int
+    coeffs: tuple
+
+    def __call__(self, gamma: int) -> int:
+        p = SCREEN_P
+        mu = (gamma - self.base) % p
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = (acc * mu + c) % p
+        return acc
+
+
+def _pencil_determinant(B: np.ndarray, T: np.ndarray, base_points):
+    """det(B + gamma T) mod SCREEN_P as a polynomial in gamma, or None when
+    B + gamma T is singular at every base point (always so when the pencil
+    is identically singular).
+
+    At a regular base point g0, with M0 = B + g0 T and X = M0^{-1} T,
+    det(B + gamma T) = det(M0) det(I + mu X) for mu = gamma - g0, and
+    det(I + mu X) = sum_j a_{n-j} (-mu)^j for the characteristic
+    polynomial sum_k a_k x^k of X, taken through X's Hessenberg form.
+    """
+    p = SCREEN_P
+    n = B.shape[0]
+    for base in base_points:
+        aug = np.hstack(((B + base * T) % p, T))
+        det0 = _forward_eliminate(aug)
+        if det0:
             break
-    return rank
+    else:
+        return None
+    charpoly = _hessenberg_charpoly(_hessenberg(_back_substitute(aug)))
+    coeffs = tuple(
+        det0 * int(charpoly[n - j]) * (-1) ** j % p for j in range(n + 1)
+    )
+    return _PencilDeterminant(base, coeffs)
 
 
 def _block_screen_data(block: DegreeBlock):
-    """Compressed mod-p images S_b, S_t (complex pairs) with a deterministic
-    ncols x nrows compressor; cached on the block."""
-    if block._screen_cache is not None:
-        return block._screen_cache
-    from scipy.sparse import coo_matrix
+    """The block's compressed pencil (B, T) over F_p, p = SCREEN_P.
 
-    p = SCREEN_P
-    n, rcount = block.ncols, block.nrows
+    The block matrix at t-eigenvalue c is base + c t_part over Z[i]; under
+    i -> SCREEN_R its image is base_p + gamma t_part_p with gamma the image
+    of c.  B = R base_p and T = R t_part_p (both ncols x ncols) for one
+    deterministic random ncols x nrows compressor R, so B + gamma T is the
+    compressed image of the block at c.  R is drawn in row chunks of about
+    _COMPRESS_CHUNK entries from the seeded stream and never held whole.
+    """
+    from scipy.sparse import csc_matrix
+
+    p, r = SCREEN_P, SCREEN_R
+    n, nrows = block.ncols, block.nrows
+    vals = np.concatenate((
+        (block.b_re % p + r * (block.b_im % p)) % p,
+        (block.t_re % p + r * (block.t_im % p)) % p,
+    ))
+    rows = np.concatenate((block.r_idx, block.r_idx))
+    cols = np.concatenate((block.c_idx, block.c_idx + n))
+    keep = vals != 0
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    # each output entry sums one product per nonzero of its column
+    _check_int64_sum(int(np.bincount(cols, minlength=1).max()))
+    A_t = csc_matrix((vals, (cols, rows)), shape=(2 * n, nrows))
     rng = np.random.default_rng(0xE16 + 7919 * block.degree + n)
-    R = rng.integers(0, p, size=(n, rcount), dtype=np.int64)
+    step = max(1, _COMPRESS_CHUNK // nrows)
+    out = np.empty((n, 2 * n), dtype=np.int64)
+    for lo in range(0, n, step):
+        R = rng.integers(0, p, size=(min(step, n - lo), nrows), dtype=np.int64)
+        out[lo:lo + len(R)] = (A_t @ R.T).T
+    out %= p
+    return out[:, :n], out[:, n:]
 
-    def compress(vals):
-        A = coo_matrix(
-            ((vals % p).astype(np.int64), (block.r_idx, block.c_idx)),
-            shape=(rcount, n),
-        ).tocsr()
-        return np.asarray((A.T @ R.T).T % p, dtype=np.int64)
 
-    cache = (
-        compress(block.b_re),
-        compress(block.b_im),
-        compress(block.t_re),
-        compress(block.t_im),
-    )
-    block._screen_cache = cache
-    return cache
+class _BlockScreen:
+    """Mod-p screen state of one degree block.
+
+    The first screen eliminates B + gamma T at its gamma.  The second builds
+    the determinant polynomial D(gamma), after which every screen is one
+    evaluation and the images are dropped.  A block screened once never
+    pays for D.
+    """
+
+    __slots__ = ("images", "regular", "calls", "det")
+
+    def __init__(self, block: DegreeBlock):
+        self.images = _block_screen_data(block)
+        self.regular = None  # a gamma where B + gamma T was nonsingular
+        self.calls = 0
+        self.det = None
+
+    def certifies(self, gamma: int) -> bool:
+        """True when det(B + gamma T) is nonzero mod p."""
+        self.calls += 1
+        if self.calls == 2:
+            base_points = (
+                (self.regular,) if self.regular is not None
+                else (gamma,) + _PENCIL_BASE_POINTS
+            )
+            self.det = _pencil_determinant(*self.images, base_points)
+            if self.det is not None:
+                self.images = None
+        if self.det is not None:
+            return self.det(gamma) != 0
+        B, T = self.images
+        if _forward_eliminate((B + gamma * T) % SCREEN_P):
+            self.regular = gamma
+            return True
+        return False
 
 
 def _modp_scalar(x, p: int) -> int | None:
@@ -452,7 +618,18 @@ def _modp_scalar(x, p: int) -> int | None:
 
 def screen_block_zero_kernel(block: DegreeBlock, c: GaussianRational) -> bool:
     """True when the mod-p reduction certifies that the block's kernel at
-    t-eigenvalue c is zero.  False means "unknown" (exact path required)."""
+    t-eigenvalue c is zero.  False means "unknown" (exact path required).
+
+    Certificate: with gamma the image of c under i -> SCREEN_R, the
+    compressed pencil satisfies det(B + gamma T) != 0 mod p.  That is a
+    nonzero ncols x ncols minor of the reduced block, and rank only drops
+    under reduction mod p, so the block has full column rank over Q(i).
+    A c whose denominator is divisible by p has no image and goes to the
+    exact path; so does a block with fewer rows than columns.  The first
+    screen of a block eliminates at its c; the second builds D(gamma) =
+    det(B + gamma T) once, and every later c is one evaluation of D.  Both
+    give the same decision.
+    """
     if block.ncols == 0:
         return True
     if not block.integral or block.nrows < block.ncols:
@@ -462,11 +639,9 @@ def screen_block_zero_kernel(block: DegreeBlock, c: GaussianRational) -> bool:
     cim = _modp_scalar(c.im, p)
     if cre is None or cim is None:
         return False
-    sb_re, sb_im, st_re, st_im = _block_screen_data(block)
-    s_re = (sb_re + cre * st_re - cim * st_im) % p
-    s_im = (sb_im + cre * st_im + cim * st_re) % p
-    z = (s_re + SCREEN_R * s_im) % p
-    return _dense_rank_modp(z, p, block.ncols) == block.ncols
+    if block._screen is None:
+        block._screen = _BlockScreen(block)
+    return block._screen.certifies((cre + SCREEN_R * cim) % p)
 
 
 def exact_block_kernel(block: DegreeBlock, c: GaussianRational):

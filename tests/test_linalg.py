@@ -1,20 +1,19 @@
-"""Unit tests for the exact/modular linear algebra helpers."""
+"""Unit tests for the exact linear algebra and the modular eliminator."""
 
 import random
 
+import numpy as np
 import pytest
 
 from e16verma._linalg import (
     ExactRREF,
-    ModPEliminator,
-    default_screening_prime,
     is_probable_prime,
-    modp_residue,
     nullspace,
     rank,
     sqrt_minus_one,
 )
 from e16verma.exactnum import ONE, Q, QI, ZERO
+from e16verma.singular import SCREEN_P, SCREEN_R, _forward_eliminate, _modp_scalar
 
 
 def test_nullspace_simple_plane():
@@ -79,45 +78,43 @@ def test_primality_and_sqrt_minus_one():
     assert is_probable_prime(13)
     r = sqrt_minus_one(13)
     assert r * r % 13 == 12
-    p, r = default_screening_prime()
-    assert p % 4 == 1
-    assert r * r % p == p - 1
+    assert is_probable_prime(SCREEN_P)
+    assert SCREEN_P % 4 == 1
+    assert SCREEN_R * SCREEN_R % SCREEN_P == SCREEN_P - 1
 
 
-def test_modp_residue_and_eliminator_certificate():
-    p, r = default_screening_prime()
-    x = QI(3, -2)
-    res = modp_residue(x, p, r)
-    assert res == (3 - 2 * r) % p
-    # full-column-rank system: identity 3x3
-    elim = ModPEliminator(p)
-    for c in range(3):
-        assert elim.add_row({c: 1})
-    assert elim.nullity(3) == 0
-    # singular system keeps positive nullity
-    elim = ModPEliminator(p)
-    elim.add_row({0: 1, 1: 1})
-    elim.add_row({0: 2, 1: 2})
-    assert elim.nullity(2) == 1
+def _image(x):
+    """a + b i -> a + r b (mod p)."""
+    p = SCREEN_P
+    return (_modp_scalar(x.re, p) + SCREEN_R * _modp_scalar(x.im, p)) % p
 
 
 def test_modp_matches_exact_rank_generically():
-    p, r = default_screening_prime()
     rng = random.Random(7)
-    for _ in range(20):
-        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
-        rows = []
-        for _ in range(nrows):
-            row = {
+    singular = 0
+    for trial in range(40):
+        n = rng.randint(1, 5)
+        rows = [
+            {
                 c: QI(rng.randint(-4, 4), rng.randint(-4, 4))
-                for c in range(ncols)
+                for c in range(n)
                 if rng.random() < 0.7
             }
-            rows.append({c: v for c, v in row.items() if v})
+            for _ in range(n)
+        ]
+        if trial % 4 == 0 and n > 1:
+            # a dependent last row: a Q(i) multiple of the first
+            rows[-1] = {c: v * QI(2, -1) for c, v in rows[0].items()}
+        rows = [{c: v for c, v in row.items() if v} for row in rows]
         exact = rank(rows)
-        elim = ModPEliminator(p)
-        for row in rows:
-            elim.add_row({c: modp_residue(v, p, r) for c, v in row.items()})
-        assert elim.rank <= exact
-        # with entries this small, the screening prime never loses rank
-        assert elim.rank == exact
+        m = np.array(
+            [[_image(row.get(c, ZERO)) for c in range(n)] for row in rows],
+            dtype=np.int64,
+        )
+        full = _forward_eliminate(m) != 0
+        # a nonzero determinant mod p certifies full rank over Q(i) ...
+        assert not full or exact == n
+        # ... and with entries this small the screening prime never loses rank
+        assert full == (exact == n)
+        singular += exact < n
+    assert singular >= 10
