@@ -277,6 +277,16 @@ def _map_scan(jobs: list[tuple], workers: int) -> list:
         return pool.map(_scan_job, jobs)
 
 
+@contextlib.contextmanager
+def _overflow_is_input_error():
+    """A module whose entries overflow the int64 block format is an input
+    the assembler cannot take: report it as a usage error (exit 2)."""
+    try:
+        yield
+    except OverflowError as e:
+        raise UsageError(str(e)) from None
+
+
 def _vector_record(c_text: str, v: dict) -> dict:
     w = v["weight"]
     return {
@@ -426,7 +436,10 @@ def cmd_verify_bound(ns: argparse.Namespace) -> tuple[list[dict], bool]:
     records = [header_record("verify-bound", config)]
 
     if workers <= 1 or len(scan) <= 1:
-        report = verify_bound(spec0, k_max=ns.kmax, t_scan=scan, include_S0=ns.with_s0)
+        with _overflow_is_input_error():
+            report = verify_bound(
+                spec0, k_max=ns.kmax, t_scan=scan, include_S0=ns.with_s0
+            )
         per_c = report["per_c"]
         counterexamples = report["counterexamples"]
         ok = report["ok"]
@@ -436,7 +449,8 @@ def cmd_verify_bound(ns: argparse.Namespace) -> tuple[list[dict], bool]:
             ("verify-bound", source, scalar_to_text(c), ns.kmax, ns.with_s0)
             for c in scan
         ]
-        partials = _map_scan(jobs, workers)
+        with _overflow_is_input_error():
+            partials = _map_scan(jobs, workers)
         per_c = {}
         counterexamples = []
         ok = True
@@ -516,7 +530,8 @@ def cmd_find_singular(ns: argparse.Namespace) -> tuple[list[dict], bool]:
         ("find-singular", source, scalar_to_text(c), ns.kmax, ns.with_s0)
         for c in scan
     ]
-    results = _map_scan(jobs, workers)
+    with _overflow_is_input_error():
+        results = _map_scan(jobs, workers)
     total = 0
     for c, recs in zip(scan, results):
         records.extend(recs)

@@ -21,7 +21,7 @@ back to exact elimination over Q(i)).
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -45,6 +45,8 @@ from .grassmann import (
     word_of,
 )
 from .verma import (
+    OP_ID,
+    OP_T,
     ActionPolynomial,
     FORMAL,
     VermaVector,
@@ -62,11 +64,8 @@ from .verma import (
 
 __all__ = [
     "UnknownIndex",
-    "ConstraintSystem",
     "combined_action",
-    "assemble",
     "assemble_degree_block",
-    "kernel",
     "kernel_vector_to_verma",
     "exact_block_kernel",
     "screen_block_zero_kernel",
@@ -165,8 +164,9 @@ def _positive_root_pairs() -> list[tuple[int, list[tuple[int, int, GaussianRatio
         elt = rd.root_vectors[alpha]
         combo = []
         for (k, mask), coeff in sorted(elt.items()):
-            if k != 0 or popcount(mask) != 2:
-                raise AssertionError("root vector outside Lambda^2")
+            integral = coeff.re.denominator == coeff.im.denominator == 1
+            if k != 0 or popcount(mask) != 2 or not integral:
+                raise AssertionError("root vector outside Z[i] Lambda^2")
             a, b = word_of(mask)
             combo.append((a, b, coeff))
         out.append((idx, combo))
@@ -181,9 +181,10 @@ class DegreeBlock:
     """All condition rows whose unknowns live in one m-degree.
 
     Entries are affine in the t-eigenvalue c: value = base + c * t_part,
-    with both parts Gaussian integers when the module's matrices are
-    integral (the builtin modules are).  Stored as parallel COO arrays for
-    the modular screen and rebuilt exactly on demand.
+    with both parts Gaussian integers (the assembler clears the module's
+    denominators, which scales the block by one positive integer and leaves
+    its kernel unchanged).  Stored as parallel COO arrays, sorted by (row,
+    column), for the modular screen and rebuilt exactly on demand.
     """
 
     __slots__ = (
@@ -196,29 +197,20 @@ class DegreeBlock:
         "b_im",
         "t_re",
         "t_im",
-        "integral",
         "_screen",
     )
 
-    def __init__(self, degree, columns, row_keys, entries, integral):
+    def __init__(self, degree, columns, row_keys, r_idx, c_idx, b_re, b_im,
+                 t_re, t_im):
         self.degree = degree
         self.columns = columns
         self.row_keys = row_keys
-        n = len(entries)
-        self.r_idx = np.empty(n, dtype=np.int64)
-        self.c_idx = np.empty(n, dtype=np.int64)
-        self.b_re = np.empty(n, dtype=np.int64)
-        self.b_im = np.empty(n, dtype=np.int64)
-        self.t_re = np.empty(n, dtype=np.int64)
-        self.t_im = np.empty(n, dtype=np.int64)
-        for pos, (r, c, br, bi, tr, ti) in enumerate(entries):
-            self.r_idx[pos] = r
-            self.c_idx[pos] = c
-            self.b_re[pos] = br
-            self.b_im[pos] = bi
-            self.t_re[pos] = tr
-            self.t_im[pos] = ti
-        self.integral = integral
+        self.r_idx = np.asarray(r_idx, dtype=np.int64)
+        self.c_idx = np.asarray(c_idx, dtype=np.int64)
+        self.b_re = np.asarray(b_re, dtype=np.int64)
+        self.b_im = np.asarray(b_im, dtype=np.int64)
+        self.t_re = np.asarray(t_re, dtype=np.int64)
+        self.t_im = np.asarray(t_im, dtype=np.int64)
         self._screen = None
 
     @property
@@ -248,124 +240,179 @@ class DegreeBlock:
         return out
 
 
-def _xi_fanout(module: ModuleSpec):
-    """fan[(a, b, coord)] -> tuple of (out_coord, GaussianRational), for the
-    ordered action of xi_a xi_b on a unit coordinate."""
-    fan = {}
-    for a in range(1, N_INDICES + 1):
-        for b in range(1, N_INDICES + 1):
-            if a == b:
-                continue
-            for coord in range(module.dim):
-                out = module.act_xi_pair(a, b, {coord: ONE})
-                fan[(a, b, coord)] = tuple(sorted(out.items()))
-    return fan
+# the module enters a block only through these ops: the identity, t, and
+# the 30 ordered monomials xi_a xi_b
+_OPS = (OP_ID, OP_T) + tuple(
+    ("x", a, b)
+    for a in range(1, N_INDICES + 1)
+    for b in range(1, N_INDICES + 1)
+    if a != b
+)
+_OP_INDEX = {op: n for n, op in enumerate(_OPS)}
+_T_OP = _OP_INDEX[OP_T]
+
+# A row key (tag, l_size | root index, l_mask, j_total, out_k, out_mask,
+# out_coord) without its out_coord packs into one integer whose order is the
+# tuple order: bit fields at these shifts, tag highest.  j_total and out_k
+# stay below k_max + 5, far inside their 16 bits.
+_TAGS = ("S0", "S1", "S2", "S3")
+_TAG_INDEX = {tag: n for n, tag in enumerate(_TAGS)}
+_ROW_SHIFTS = (47, 44, 38, 22, 6, 0)
 
 
-def _module_is_integral(module: ModuleSpec) -> bool:
+def _row_code(*fields: int) -> int:
+    return sum(f << s for f, s in zip(fields, _ROW_SHIFTS))
+
+
+def _row_keys(codes: np.ndarray, out_coords: np.ndarray) -> tuple:
+    """The row-key tuples of packed row codes and their output coordinates."""
+    tops = (63,) + _ROW_SHIFTS[:-1]
+    fields = [
+        ((codes >> s) & ((1 << (top - s)) - 1)).tolist()
+        for s, top in zip(_ROW_SHIFTS, tops)
+    ]
+    fields[0] = [_TAGS[t] for t in fields[0]]
+    return tuple(zip(*fields, out_coords.tolist()))
+
+
+def _block_structure(monos, include_S0: bool):
+    """The module-free part of a block: one row per structural entry
+    (row code, monomial position, op index, re, im), as an int64 array.
+
+    An entry says that the condition row ``code`` receives re + i im times
+    the op's module matrix applied to the unknowns of monomial ``monos[m]``.
+    """
+    flat: list[int] = []
+    emit = flat.extend
+    j_shift, k_shift = _ROW_SHIFTS[3:5]
+    # per condition monomial L: |L| and the code prefix of each tag
+    cond = [
+        (l_mask, popcount(l_mask),
+         {tag: _row_code(n, popcount(l_mask), l_mask, 0, 0, 0)
+          for tag, n in _TAG_INDEX.items()})
+        for l_mask in CONDITION_MASKS
+    ]
+    root_pairs = _positive_root_pairs() if include_S0 else ()
+    for m, (k, i_mask) in enumerate(monos):
+        weights = [comb(k, r) for r in range(k + 1)]
+        for l_mask, l_size, prefix in cond:
+            for (j, dth, om, op, c_re, c_im) in _combined_terms(l_mask, i_mask):
+                o = _OP_INDEX[op]
+                for r, w in enumerate(weights):
+                    tag = _condition_tag(l_size, j + r)
+                    if tag is None:
+                        continue
+                    code = (prefix[tag] | (j + r) << j_shift
+                            | (dth + k - r) << k_shift | om)
+                    emit((code, m, o, c_re * w, c_im * w))
+        for idx, combo in root_pairs:
+            for a, b, coeff in combo:
+                ga, gi = int(coeff.re), int(coeff.im)
+                for (j, dth, om, op, c) in action_terms(mask_of((a, b)), i_mask):
+                    if j == 0:
+                        code = _row_code(0, idx, 0, 0, dth + k, om)
+                        emit((code, m, _OP_INDEX[op], ga * c, gi * c))
+    return np.array(flat, dtype=np.int64).reshape(-1, 5)
+
+
+def _op_matrices(module: ModuleSpec) -> list[list[tuple[int, int, int, int]]]:
+    """COO entries (out, in, re, im) of every op's module matrix, scaled by
+    the common denominator of the module's xi entries so that all are
+    Gaussian integers; the identity and t ops become that denominator."""
+    den = 1
     for mat in module.xi_action.values():
         for v in mat.values():
-            if v.re.denominator != 1 or v.im.denominator != 1:
-                return False
-    return True
+            den = lcm(den, v.re.denominator, v.im.denominator)
+    ident = [(n, n, den, 0) for n in range(module.dim)]
+    out = [ident, ident]
+    for _, a, b in _OPS[2:]:
+        sign = den if a < b else -den
+        mat = module.xi_action[(min(a, b), max(a, b))]
+        out.append([
+            (r, c, int(sign * v.re), int(sign * v.im))
+            for (r, c), v in mat.items()
+        ])
+    return out
 
 
 def assemble_degree_block(
     module: ModuleSpec, k_max: int, degree: int, include_S0: bool = False
 ) -> DegreeBlock:
     """Rows of S1-S3 (and optionally S0) restricted to unknowns of the given
-    m-degree.  Row keys are deterministic provenance tuples."""
-    columns = [
-        UnknownIndex(k, mask, coord)
+    m-degree.  Row keys are deterministic provenance tuples.
+
+    The block is sum_op S_op (x) M_op: S_op is a module-free integer matrix
+    from the row codes to the (k, I) monomials (``_block_structure``), M_op
+    the op's module matrix with denominators cleared (``_op_matrices``).
+    Every (row, unknown) cell that some term reaches is kept, so a row whose
+    terms cancel still counts in ``nrows``; cells that cancel are dropped.
+    Raises OverflowError when an entry could leave int64.
+    """
+    dim = module.dim
+    monos = sorted(
+        (k, mask)
         for k in range(k_max + 1)
         for mask in ALL_MASKS
         if mdeg(k, mask) == degree
-        for coord in range(module.dim)
-    ]
-    columns.sort()
-    col_pos = {u: n for n, u in enumerate(columns)}
-    fan = _xi_fanout(module)
-    integral = _module_is_integral(module)
-    root_pairs = _positive_root_pairs() if include_S0 else ()
+    )
+    columns = tuple(
+        UnknownIndex(k, mask, coord) for k, mask in monos for coord in range(dim)
+    )
+    ncols = len(columns)
+    code, mono, op, s_re, s_im = _block_structure(monos, include_S0).T
+    codes, code_rank = np.unique(code, return_inverse=True)
+    op_mats = _op_matrices(module)
 
-    rows_map: dict[tuple, dict[int, list[int]]] = {}
+    # a cell sums one term per structural entry sharing its (code, monomial)
+    pair = code_rank * len(monos) + mono
+    max_terms = int(np.unique(pair, return_counts=True)[1].max(initial=0))
+    max_s = int((np.abs(s_re) + np.abs(s_im)).max(initial=0))
+    max_m = max(abs(re) + abs(im) for mat in op_mats for *_, re, im in mat)
+    if max_s * max_m * max_terms >= 1 << 63:
+        raise OverflowError(
+            f"degree-{degree} block entries of module {module.name!r} "
+            "can overflow int64"
+        )
 
-    def scatter(row_key, cpos, c_re, c_im, channel):
-        cell = rows_map.setdefault(row_key, {}).setdefault(cpos, [0, 0, 0, 0])
-        if channel == 0:
-            cell[0] += c_re
-            cell[1] += c_im
-        else:
-            cell[2] += c_re
-            cell[3] += c_im
+    keys, vals_re, vals_im, is_t = [], [], [], []
+    for o, mat in enumerate(op_mats):
+        sel = np.flatnonzero(op == o)
+        if not (sel.size and mat):
+            continue
+        out_c, in_c, m_re, m_im = np.array(mat, dtype=np.int64).T
+        row = code_rank[sel, None] * dim + out_c
+        keys.append((row * ncols + mono[sel, None] * dim + in_c).ravel())
+        sr, si = s_re[sel, None], s_im[sel, None]
+        vals_re.append((sr * m_re - si * m_im).ravel())
+        vals_im.append((sr * m_im + si * m_re).ravel())
+        is_t.append(np.full(keys[-1].size, o == _T_OP))
+    if not keys:
+        empty = np.zeros(0, dtype=np.int64)
+        return DegreeBlock(degree, columns, (), *[empty] * 6)
 
-    for u in columns:
-        cpos = col_pos[u]
-        for l_mask in CONDITION_MASKS:
-            l_size = popcount(l_mask)
-            for (j, dth, om, op, c_re, c_im) in _combined_terms(l_mask, u.mask):
-                kind = op[0]
-                for r in range(u.k + 1):
-                    j_tot = j + r
-                    tag = _condition_tag(l_size, j_tot)
-                    if tag is None:
-                        continue
-                    w = comb(u.k, r)
-                    out_k = dth + u.k - r
-                    if kind == "id" or kind == "t":
-                        key = (tag, l_size, l_mask, j_tot, out_k, om, u.coord)
-                        scatter(key, cpos, c_re * w, c_im * w,
-                                0 if kind == "id" else 1)
-                    else:
-                        for out_coord, val in fan[(op[1], op[2], u.coord)]:
-                            if val.re.denominator != 1 or val.im.denominator != 1:
-                                raise AssertionError(
-                                    "non-integral module entries need the "
-                                    "exact-only path"
-                                )
-                            key = (tag, l_size, l_mask, j_tot, out_k, om, out_coord)
-                            scatter(
-                                key,
-                                cpos,
-                                int(val.re) * c_re * w - int(val.im) * c_im * w,
-                                int(val.re) * c_im * w + int(val.im) * c_re * w,
-                                0,
-                            )
-        if include_S0:
-            for idx, combo in root_pairs:
-                for a, b, coeff in combo:
-                    if coeff.re.denominator != 1 or coeff.im.denominator != 1:
-                        raise AssertionError("non-integral root coefficient")
-                    ga, gi = int(coeff.re), int(coeff.im)
-                    pair_mask = mask_of((a, b))
-                    for (j, dth, om, op, c) in action_terms(pair_mask, u.mask):
-                        if j != 0:
-                            continue
-                        kind = op[0]
-                        out_k = dth + u.k
-                        if kind == "id" or kind == "t":
-                            key = ("S0", idx, 0, 0, out_k, om, u.coord)
-                            scatter(key, cpos, ga * c, gi * c,
-                                    0 if kind == "id" else 1)
-                        else:
-                            for out_coord, val in fan[(op[1], op[2], u.coord)]:
-                                vr, vi = int(val.re), int(val.im)
-                                key = ("S0", idx, 0, 0, out_k, om, out_coord)
-                                scatter(
-                                    key,
-                                    cpos,
-                                    c * (ga * vr - gi * vi),
-                                    c * (ga * vi + gi * vr),
-                                    0,
-                                )
+    # sum the terms of each (row, column) cell, base and t-part apart
+    key = np.concatenate(keys)
+    order = np.argsort(key)
+    key = key[order]
+    is_t = np.concatenate(is_t)[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    parts = []
+    for vals in (vals_re, vals_im):
+        v = np.concatenate(vals)[order]
+        parts.append(np.add.reduceat(np.where(is_t, 0, v), starts))
+        parts.append(np.add.reduceat(np.where(is_t, v, 0), starts))
+    b_re, t_re, b_im, t_im = parts
 
-    row_keys = sorted(rows_map)
-    entries = []
-    for r, key in enumerate(row_keys):
-        for cpos, (br, bi, tr, ti) in sorted(rows_map[key].items()):
-            if br or bi or tr or ti:
-                entries.append((r, cpos, br, bi, tr, ti))
-    return DegreeBlock(degree, tuple(columns), tuple(row_keys), entries, integral)
+    cell_row, cell_col = np.divmod(key[starts], ncols)
+    new_row = np.diff(cell_row, prepend=-1) != 0
+    rows = cell_row[new_row]
+    r_idx = np.cumsum(new_row) - 1
+    row_keys = _row_keys(codes[rows // dim], rows % dim)
+    keep = (b_re != 0) | (b_im != 0) | (t_re != 0) | (t_im != 0)
+    return DegreeBlock(
+        degree, columns, row_keys, r_idx[keep], cell_col[keep],
+        b_re[keep], b_im[keep], t_re[keep], t_im[keep],
+    )
 
 
 # a < 2^21 prime congruent to 1 mod 4, small enough that the screen's
@@ -632,7 +679,7 @@ def screen_block_zero_kernel(block: DegreeBlock, c: GaussianRational) -> bool:
     """
     if block.ncols == 0:
         return True
-    if not block.integral or block.nrows < block.ncols:
+    if block.nrows < block.ncols:
         return False
     p = SCREEN_P
     cre = _modp_scalar(c.re, p)
@@ -662,71 +709,6 @@ def exact_block_kernel(block: DegreeBlock, c: GaussianRational):
                 raise AssertionError("kernel residual is nonzero")
         out.append({block.columns[cpos]: val for cpos, val in vec.items()})
     return out
-
-
-# ---------------------------------------------------------------------------
-# global system (spec-shaped API)
-# ---------------------------------------------------------------------------
-
-class ConstraintSystem:
-    """Global sparse system over Q(i): rows (provenance, {UnknownIndex:
-    value}) in deterministic order."""
-
-    __slots__ = ("module", "k_max", "include_S0", "columns", "rows")
-
-    def __init__(self, module, k_max, include_S0, columns, rows):
-        self.module = module
-        self.k_max = k_max
-        self.include_S0 = include_S0
-        self.columns = columns
-        self.rows = rows
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.columns)
-
-    def to_text(self) -> str:
-        lines = [f"columns {self.ncols} rows {self.nrows} kmax {self.k_max}"]
-        for key, row in self.rows:
-            body = " ".join(
-                f"{u.k}:{u.mask}:{u.coord}={scalar_to_text(v)}"
-                for u, v in sorted(row.items())
-            )
-            lines.append(f"{key} | {body}")
-        return "\n".join(lines) + "\n"
-
-
-def assemble(module: ModuleSpec, k_max: int, include_S0: bool = False) -> ConstraintSystem:
-    """The full S1-S3 (+S0) system for unknowns with Theta-exponent <= k_max."""
-    columns = []
-    rows = []
-    for degree in range(2 * k_max + N_INDICES + 1):
-        block = assemble_degree_block(module, k_max, degree, include_S0)
-        columns.extend(block.columns)
-        for key, row in block.exact_rows(module.t_scalar):
-            rows.append((key, {block.columns[cpos]: v for cpos, v in row.items()}))
-    rows.sort(key=lambda kr: kr[0])
-    columns.sort()
-    return ConstraintSystem(module, k_max, include_S0, tuple(columns), rows)
-
-
-def kernel(sys: ConstraintSystem):
-    """Exact kernel basis of a ConstraintSystem, back-verified."""
-    basis = nullspace([row for _, row in sys.rows], list(sys.columns))
-    for vec in basis:
-        for _, row in sys.rows:
-            acc = ZERO
-            for u, val in row.items():
-                x = vec.get(u)
-                if x is not None:
-                    acc = acc + val * x
-            if acc:
-                raise AssertionError("kernel residual is nonzero")
-    return basis
 
 
 def kernel_vector_to_verma(vec: dict, module: ModuleSpec) -> VermaVector:

@@ -1,0 +1,268 @@
+"""The degree-block assembler against the per-column loop it replaced (kept
+here as the reference), denominator clearing for non-integral modules, and
+the int64 overflow guard."""
+
+import json
+from math import comb
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from e16verma import cli
+from e16verma.exactnum import ONE, Q
+from e16verma.gmodule import (
+    ModuleSpec,
+    builtin,
+    module_from_text,
+    module_to_text,
+    validate,
+)
+from e16verma.grassmann import ALL_MASKS, N_INDICES, mask_of, popcount
+from e16verma.singular import (
+    CONDITION_MASKS,
+    UnknownIndex,
+    _combined_terms,
+    _condition_tag,
+    _positive_root_pairs,
+    assemble_degree_block,
+    verify_bound,
+)
+from e16verma.verma import action_terms, mdeg
+
+DATA = Path(__file__).parent / "data"
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-column loop assembler
+# ---------------------------------------------------------------------------
+
+def _xi_fanout(module: ModuleSpec):
+    """fan[(a, b, coord)] -> tuple of (out_coord, GaussianRational), for the
+    ordered action of xi_a xi_b on a unit coordinate."""
+    fan = {}
+    for a in range(1, N_INDICES + 1):
+        for b in range(1, N_INDICES + 1):
+            if a == b:
+                continue
+            for coord in range(module.dim):
+                out = module.act_xi_pair(a, b, {coord: ONE})
+                fan[(a, b, coord)] = tuple(sorted(out.items()))
+    return fan
+
+
+def _reference_block(module, k_max, degree, include_S0=False):
+    """Rows of S1-S3 (and optionally S0) restricted to unknowns of the given
+    m-degree, as (columns, row_keys, entries) with entries (r, c, b_re, b_im,
+    t_re, t_im) sorted by (r, c).  Integral modules only."""
+    columns = [
+        UnknownIndex(k, mask, coord)
+        for k in range(k_max + 1)
+        for mask in ALL_MASKS
+        if mdeg(k, mask) == degree
+        for coord in range(module.dim)
+    ]
+    columns.sort()
+    col_pos = {u: n for n, u in enumerate(columns)}
+    fan = _xi_fanout(module)
+    root_pairs = _positive_root_pairs() if include_S0 else ()
+
+    rows_map: dict[tuple, dict[int, list[int]]] = {}
+
+    def scatter(row_key, cpos, c_re, c_im, channel):
+        cell = rows_map.setdefault(row_key, {}).setdefault(cpos, [0, 0, 0, 0])
+        if channel == 0:
+            cell[0] += c_re
+            cell[1] += c_im
+        else:
+            cell[2] += c_re
+            cell[3] += c_im
+
+    for u in columns:
+        cpos = col_pos[u]
+        for l_mask in CONDITION_MASKS:
+            l_size = popcount(l_mask)
+            for (j, dth, om, op, c_re, c_im) in _combined_terms(l_mask, u.mask):
+                kind = op[0]
+                for r in range(u.k + 1):
+                    j_tot = j + r
+                    tag = _condition_tag(l_size, j_tot)
+                    if tag is None:
+                        continue
+                    w = comb(u.k, r)
+                    out_k = dth + u.k - r
+                    if kind == "id" or kind == "t":
+                        key = (tag, l_size, l_mask, j_tot, out_k, om, u.coord)
+                        scatter(key, cpos, c_re * w, c_im * w,
+                                0 if kind == "id" else 1)
+                    else:
+                        for out_coord, val in fan[(op[1], op[2], u.coord)]:
+                            if val.re.denominator != 1 or val.im.denominator != 1:
+                                raise AssertionError(
+                                    "non-integral module entries need the "
+                                    "exact-only path"
+                                )
+                            key = (tag, l_size, l_mask, j_tot, out_k, om, out_coord)
+                            scatter(
+                                key,
+                                cpos,
+                                int(val.re) * c_re * w - int(val.im) * c_im * w,
+                                int(val.re) * c_im * w + int(val.im) * c_re * w,
+                                0,
+                            )
+        if include_S0:
+            for idx, combo in root_pairs:
+                for a, b, coeff in combo:
+                    if coeff.re.denominator != 1 or coeff.im.denominator != 1:
+                        raise AssertionError("non-integral root coefficient")
+                    ga, gi = int(coeff.re), int(coeff.im)
+                    pair_mask = mask_of((a, b))
+                    for (j, dth, om, op, c) in action_terms(pair_mask, u.mask):
+                        if j != 0:
+                            continue
+                        kind = op[0]
+                        out_k = dth + u.k
+                        if kind == "id" or kind == "t":
+                            key = ("S0", idx, 0, 0, out_k, om, u.coord)
+                            scatter(key, cpos, ga * c, gi * c,
+                                    0 if kind == "id" else 1)
+                        else:
+                            for out_coord, val in fan[(op[1], op[2], u.coord)]:
+                                vr, vi = int(val.re), int(val.im)
+                                key = ("S0", idx, 0, 0, out_k, om, out_coord)
+                                scatter(
+                                    key,
+                                    cpos,
+                                    c * (ga * vr - gi * vi),
+                                    c * (ga * vi + gi * vr),
+                                    0,
+                                )
+
+    row_keys = sorted(rows_map)
+    entries = []
+    for r, key in enumerate(row_keys):
+        for cpos, (br, bi, tr, ti) in sorted(rows_map[key].items()):
+            if br or bi or tr or ti:
+                entries.append((r, cpos, br, bi, tr, ti))
+    return tuple(columns), tuple(row_keys), entries
+
+
+# ---------------------------------------------------------------------------
+# equality with the reference, field for field
+# ---------------------------------------------------------------------------
+
+def _assert_same_block(module, k_max, degree, include_S0):
+    block = assemble_degree_block(module, k_max, degree, include_S0)
+    columns, row_keys, entries = _reference_block(module, k_max, degree, include_S0)
+    where = (module.name, k_max, degree, include_S0)
+    assert block.degree == degree
+    assert block.columns == columns, where
+    assert block.row_keys == row_keys, where
+    assert all(type(x) is int for key in block.row_keys for x in key[1:]), where
+    fields = (block.r_idx, block.c_idx, block.b_re, block.b_im,
+              block.t_re, block.t_im)
+    for n, got in enumerate(fields):
+        assert got.dtype == np.int64, where
+        assert got.tolist() == [e[n] for e in entries], (where, n)
+
+
+@pytest.mark.parametrize("include_S0", [False, True], ids=["no-S0", "S0"])
+@pytest.mark.parametrize("name,k_max", [
+    ("trivial", 2), ("trivial", 3), ("vector", 2), ("vector", 3), ("adjoint", 2),
+])
+def test_blocks_equal_reference_assembler(name, k_max, include_S0):
+    module = builtin(name, Q(7, 3))
+    # degrees past 2 k_max + 6 give empty blocks
+    for degree in range(2 * k_max + N_INDICES + 2):
+        _assert_same_block(module, k_max, degree, include_S0)
+
+
+def test_adjoint_kmax3_blocks_equal_reference_assembler():
+    module = builtin("adjoint", Q(2))
+    for degree, include_S0 in ((0, True), (5, False), (9, True), (12, False)):
+        _assert_same_block(module, 3, degree, include_S0)
+
+
+# ---------------------------------------------------------------------------
+# non-integral modules and the overflow guard
+# ---------------------------------------------------------------------------
+
+def _conjugated_vector(scale):
+    """The vector module conjugated by diag(scale, 1, ..., 1)."""
+    vec = builtin("vector", Q(0))
+    action = {}
+    for pair, mat in vec.xi_action.items():
+        action[pair] = {
+            (r, c): v * (Q(scale) if r == 0 else ONE) / (Q(scale) if c == 0 else ONE)
+            for (r, c), v in mat.items()
+        }
+    return ModuleSpec(6, Q(0), action, name="vector_scaled")
+
+
+def test_scaled_vector_fixture_is_the_conjugated_module():
+    spec = module_from_text((DATA / "vector_scaled.json").read_text())
+    assert validate(spec)["ok"]
+    assert spec.xi_action == _conjugated_vector(2).xi_action
+    assert any(v.re.denominator == 2 for m in spec.xi_action.values()
+               for v in m.values())
+
+
+def test_scaled_vector_kernels_equal_vector_kernels():
+    spec = module_from_text((DATA / "vector_scaled.json").read_text())
+    scan = [Q(n) for n in range(-2, 7)]
+    got = verify_bound(spec, k_max=2, t_scan=scan, audit=False)
+    want = verify_bound(builtin("vector", Q(0)), k_max=2, t_scan=scan, audit=False)
+    assert got["ok"] and want["ok"]
+    for c in got["per_c"]:
+        dims = {d: info["kernel_dim"]
+                for d, info in got["per_c"][c]["degrees"].items()}
+        assert dims == {d: info["kernel_dim"]
+                        for d, info in want["per_c"][c]["degrees"].items()}, c
+    assert sum(e["kernel_total"] for e in got["per_c"].values()) > 0
+
+
+def test_scaled_vector_block_is_the_cleared_vector_block():
+    # a diagonal conjugation keeps the support of every module matrix, and
+    # t enters only through the identity, so clearing the denominator 2
+    # keeps the rows and doubles the t-part
+    spec = module_from_text((DATA / "vector_scaled.json").read_text())
+    got = assemble_degree_block(spec, 2, 3)
+    want = assemble_degree_block(builtin("vector", Q(0)), 2, 3)
+    assert got.row_keys == want.row_keys
+    assert got.t_re.tolist() == [2 * x for x in want.t_re.tolist()]
+
+
+def test_scaled_vector_cli_exits_0(capsys):
+    rc = cli.main(["verify-bound", "--module", str(DATA / "vector_scaled.json"),
+                   "--kmax", "1", "--t-scan", "0,5", "--format", "json-lines"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert recs[-1] == {"record": "summary", "ok": True, "exit": 0,
+                        "schema": "e16verma/1"}
+
+
+@pytest.mark.parametrize("scale", [1 << 31, 1 << 40])
+def test_oversized_module_entries_raise_overflow(scale):
+    # cleared by the denominator `scale`, the entries of row 0 reach scale^2:
+    # 2^62 still fits int64 but its products with the structure do not, and
+    # 2^80 does not fit at all
+    huge = _conjugated_vector(scale)
+    with pytest.raises(OverflowError, match="overflow int64"):
+        assemble_degree_block(huge, 1, 4)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("command", ["verify-bound", "find-singular"])
+def test_overflow_is_an_input_error_in_the_cli(command, workers, tmp_path,
+                                               capsys, monkeypatch):
+    monkeypatch.setenv("E16VERMA_WORKERS", workers)
+    path = tmp_path / "huge.json"
+    path.write_text(module_to_text(_conjugated_vector(1 << 40)))
+    rc = cli.main([command, "--module", str(path), "--kmax", "1",
+                   "--t-scan", "0,1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ")
+    assert "overflow int64" in captured.err
+    assert "Traceback" not in captured.err

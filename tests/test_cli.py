@@ -2,6 +2,7 @@
 formats, usage errors, the fault-injection hook, and worker determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from e16verma import cli, contact
 from e16verma.contact import ContactElement, contact_bracket
 from e16verma.exactnum import Q
 from e16verma.gmodule import builtin, module_to_text
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, argv):
@@ -243,6 +246,27 @@ def test_reports_are_deterministic(capsys):
     rc2, out2, _ = run_cli(capsys, argv)
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+# json-lines reports recorded before the vectorised block assembler; any
+# refactor of the assembly, screen or kernels must reproduce them byte for byte
+GOLDEN = {
+    "golden_verify_vector_kmax2.jsonl":
+        ["verify-bound", "--module", "vector", "--kmax", "2", "--t-scan=-2..6"],
+    "golden_verify_adjoint_kmax2_s0.jsonl":
+        ["verify-bound", "--module", "adjoint", "--kmax", "2", "--t-scan", "2",
+         "--with-s0"],
+    "golden_find_trivial.jsonl":
+        ["find-singular", "--module", "trivial", "--t-scan", "0,2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_reports_match_golden(name, capsys, monkeypatch):
+    monkeypatch.delenv("E16VERMA_WORKERS", raising=False)
+    rc, out, _ = run_cli(capsys, GOLDEN[name] + ["--format", "json-lines"])
+    assert rc == 0
+    assert out.encode() == (DATA / name).read_bytes()
 
 
 def test_missing_subcommand_exits_two(capsys):

@@ -93,7 +93,7 @@ def _reference_rank(mat, p, need):
 def _reference_screen(block, c, images):
     if block.ncols == 0:
         return True
-    if not block.integral or block.nrows < block.ncols:
+    if block.nrows < block.ncols:
         return False
     p = SCREEN_P
     cre = _modp_scalar(c.re, p)
@@ -217,7 +217,7 @@ def test_identically_singular_pencil_refuses_every_t():
         (2, 0, 2, 0, 0, 1),
         (3, 1, 0, 0, 3, 0),
     ]
-    block = DegreeBlock(0, columns, row_keys, entries, True)
+    block = DegreeBlock(0, columns, row_keys, *zip(*entries))
     B, T = _block_screen_data(block)
     assert _pencil_determinant(B, T, (0, 1, 2, 3)) is None
     for c in SCAN:

@@ -2,20 +2,18 @@
 
 import pytest
 
+from e16verma._linalg import nullspace
 from e16verma.exactnum import ONE, Q, QI, ZERO
 from e16verma.gmodule import builtin
-from e16verma.grassmann import FULL_MASK, MASKS_BY_SIZE, mask_of, popcount
+from e16verma.grassmann import FULL_MASK, MASKS_BY_SIZE, N_INDICES, mask_of, popcount
 from e16verma.singular import (
-    ConstraintSystem,
     SHAPE_SUPPORT,
     UnknownIndex,
-    assemble,
     assemble_degree_block,
     audit_technical_identities,
     combined_action,
     conditions_hold,
     exact_block_kernel,
-    kernel,
     kernel_vector_to_verma,
     reproduce_proof_steps,
     screen_block_zero_kernel,
@@ -29,24 +27,27 @@ from e16verma.verma import VermaVector, lambda_action_T, mdeg
 C = Q(7, 3)
 
 
-def _toy_system(rows):
-    cols = tuple(UnknownIndex(0, 0, n) for n in range(4))
-    sys_rows = [
-        (("toy", n), {cols[i]: v for i, v in row.items()})
-        for n, row in enumerate(rows)
+TOY_COLS = [UnknownIndex(0, 0, n) for n in range(4)]
+
+
+def _toy_rows(rows):
+    return [{TOY_COLS[i]: v for i, v in row.items()} for row in rows]
+
+
+def _blocks(module, k_max):
+    return [
+        assemble_degree_block(module, k_max, degree)
+        for degree in range(2 * k_max + N_INDICES + 1)
     ]
-    return ConstraintSystem(None, 0, False, cols, sys_rows)
 
 
 def test_kernel_zero_matrix_full_dim():
-    sys = _toy_system([])
-    basis = kernel(sys)
+    basis = nullspace([], TOY_COLS)
     assert len(basis) == 4
 
 
 def test_kernel_identity_trivial():
-    sys = _toy_system([{i: ONE} for i in range(4)])
-    assert kernel(sys) == []
+    assert nullspace(_toy_rows([{i: ONE} for i in range(4)]), TOY_COLS) == []
 
 
 def test_kernel_rank_two_three_rows():
@@ -54,8 +55,7 @@ def test_kernel_rank_two_three_rows():
     r1 = {0: ONE, 1: Q(2), 3: ONE}
     r2 = {1: ONE, 2: -ONE}
     r3 = {0: ONE, 1: Q(5), 2: Q(-3), 3: ONE}
-    sys = _toy_system([r1, r2, r3])
-    basis = kernel(sys)
+    basis = nullspace(_toy_rows([r1, r2, r3]), TOY_COLS)
     assert len(basis) == 2
     u = {UnknownIndex(0, 0, n): v for n, v in
          {0: Q(-2), 1: ONE, 2: ONE}.items()}
@@ -65,43 +65,52 @@ def test_kernel_rank_two_three_rows():
 
 def test_trivial_kmax0_documented_row():
     triv = builtin("trivial", C)
-    sys = assemble(triv, 0)
-    assert sys.ncols == 64
+    blocks = _blocks(triv, 0)
+    assert sum(block.ncols for block in blocks) == 64
     target = UnknownIndex(0, 0, 0)
+    block = blocks[mdeg(0, 0)]
     # the documented row: the eta_j coefficient of the L = (j) condition at
     # lambda^1 is +-(c - 5) v_{empty,0}
     hits = [
         (key, row)
-        for key, row in sys.rows
+        for key, row in block.exact_rows(C)
         if key[0] == "S2" and key[1] == 1 and key[3] == 1
         and key[4] == 0 and key[5] == key[2]
     ]
     assert len(hits) == 6
     for _, row in hits:
-        assert set(row) == {target}
-        assert row[target] in (C - Q(5), Q(5) - C)
+        assert [block.columns[cpos] for cpos in row] == [target]
+        assert row[block.columns.index(target)] in (C - Q(5), Q(5) - C)
 
 
 def test_every_row_nonzero_and_homogeneous():
     vec = builtin("vector", C)
-    sys = assemble(vec, 2)
-    assert sys.nrows > 0
-    for key, row in sys.rows:
-        assert row, f"empty row {key}"
-        degs = {mdeg(u.k, u.mask) for u in row}
-        assert len(degs) == 1, f"row {key} mixes m-degrees {degs}"
+    nrows = 0
+    for block in _blocks(vec, 2):
+        rows = block.exact_rows(C)
+        assert len(rows) == block.nrows
+        nrows += block.nrows
+        for key, row in rows:
+            assert row, f"empty row {key}"
+            degs = {mdeg(block.columns[cpos].k, block.columns[cpos].mask)
+                    for cpos in row}
+            assert degs == {block.degree}, f"row {key} mixes m-degrees {degs}"
+    assert nrows > 0
 
 
 def test_assemble_deterministic():
     triv = builtin("trivial", C)
-    a = assemble(triv, 1).to_text()
-    b = assemble(triv, 1).to_text()
-    assert a == b
+    for a, b in zip(_blocks(triv, 1), _blocks(triv, 1)):
+        assert a.columns == b.columns
+        assert a.row_keys == b.row_keys
+        for field in ("r_idx", "c_idx", "b_re", "b_im", "t_re", "t_im"):
+            assert getattr(a, field).tolist() == getattr(b, field).tolist()
 
 
 def test_trivial_kernel_is_vacuum():
     triv = builtin("trivial", C)
-    basis = kernel(assemble(triv, 0))
+    basis = [vec for block in _blocks(triv, 0)
+             for vec in exact_block_kernel(block, C)]
     assert len(basis) == 1
     (vec,) = basis
     assert set(vec) == {UnknownIndex(0, FULL_MASK, 0)}
