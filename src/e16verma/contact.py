@@ -868,10 +868,7 @@ def check_jacobi_closure(jacobi_degree: int = 4, closure_degree: int = 6) -> dic
                         acc_re = acc_re + re * scale
                         acc_im = acc_im + im * scale
                 report["triples_checked"] += n1 * n2 * n3
-                if acc_re is not None and (
-                    any(bool(v) for v in acc_re.flat)
-                    or any(bool(v) for v in acc_im.flat)
-                ):
+                if acc_re is not None and (np.any(acc_re) or np.any(acc_im)):
                     report["jacobi_ok"] = False
                     nz = [
                         idx

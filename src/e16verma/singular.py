@@ -21,7 +21,7 @@ back to exact elimination over Q(i)).
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -45,8 +45,8 @@ from .grassmann import (
     word_of,
 )
 from .verma import (
-    OP_ID,
     OP_T,
+    _OP_INDEX,
     ActionPolynomial,
     FORMAL,
     VermaVector,
@@ -60,6 +60,7 @@ from .verma import (
     mixed_cells,
     render_vermavector,
     t_inverse,
+    _op_matrices,
 )
 
 __all__ = [
@@ -184,13 +185,15 @@ class DegreeBlock:
     with both parts Gaussian integers (the assembler clears the module's
     denominators, which scales the block by one positive integer and leaves
     its kernel unchanged).  Stored as parallel COO arrays, sorted by (row,
-    column), for the modular screen and rebuilt exactly on demand.
+    column), for the modular screen and rebuilt exactly on demand; rows are
+    packed codes and output coordinates, decoded by ``row_keys``.
     """
 
     __slots__ = (
         "degree",
         "columns",
-        "row_keys",
+        "row_codes",
+        "row_coords",
         "r_idx",
         "c_idx",
         "b_re",
@@ -200,11 +203,12 @@ class DegreeBlock:
         "_screen",
     )
 
-    def __init__(self, degree, columns, row_keys, r_idx, c_idx, b_re, b_im,
-                 t_re, t_im):
+    def __init__(self, degree, columns, row_codes, row_coords, r_idx, c_idx,
+                 b_re, b_im, t_re, t_im):
         self.degree = degree
         self.columns = columns
-        self.row_keys = row_keys
+        self.row_codes = np.asarray(row_codes, dtype=np.int64)
+        self.row_coords = np.asarray(row_coords, dtype=np.int64)
         self.r_idx = np.asarray(r_idx, dtype=np.int64)
         self.c_idx = np.asarray(c_idx, dtype=np.int64)
         self.b_re = np.asarray(b_re, dtype=np.int64)
@@ -219,7 +223,12 @@ class DegreeBlock:
 
     @property
     def nrows(self) -> int:
-        return len(self.row_keys)
+        return len(self.row_codes)
+
+    @property
+    def row_keys(self) -> tuple:
+        """The rows' provenance tuples, decoded from their packed codes."""
+        return _row_keys(self.row_codes, self.row_coords)
 
     def exact_rows(self, c: GaussianRational):
         """[(row_key, {col_position: GaussianRational})], zero entries and
@@ -232,23 +241,10 @@ class DegreeBlock:
             if not val:
                 continue
             per_row.setdefault(int(self.r_idx[pos]), {})[int(self.c_idx[pos])] = val
-        out = []
-        for r in sorted(per_row):
-            row = per_row[r]
-            if row:
-                out.append((self.row_keys[r], row))
-        return out
+        keys = self.row_keys
+        return [(keys[r], per_row[r]) for r in sorted(per_row) if per_row[r]]
 
 
-# the module enters a block only through these ops: the identity, t, and
-# the 30 ordered monomials xi_a xi_b
-_OPS = (OP_ID, OP_T) + tuple(
-    ("x", a, b)
-    for a in range(1, N_INDICES + 1)
-    for b in range(1, N_INDICES + 1)
-    if a != b
-)
-_OP_INDEX = {op: n for n, op in enumerate(_OPS)}
 _T_OP = _OP_INDEX[OP_T]
 
 # A row key (tag, l_size | root index, l_mask, j_total, out_k, out_mask,
@@ -315,26 +311,6 @@ def _block_structure(monos, include_S0: bool):
     return np.array(flat, dtype=np.int64).reshape(-1, 5)
 
 
-def _op_matrices(module: ModuleSpec) -> list[list[tuple[int, int, int, int]]]:
-    """COO entries (out, in, re, im) of every op's module matrix, scaled by
-    the common denominator of the module's xi entries so that all are
-    Gaussian integers; the identity and t ops become that denominator."""
-    den = 1
-    for mat in module.xi_action.values():
-        for v in mat.values():
-            den = lcm(den, v.re.denominator, v.im.denominator)
-    ident = [(n, n, den, 0) for n in range(module.dim)]
-    out = [ident, ident]
-    for _, a, b in _OPS[2:]:
-        sign = den if a < b else -den
-        mat = module.xi_action[(min(a, b), max(a, b))]
-        out.append([
-            (r, c, int(sign * v.re), int(sign * v.im))
-            for (r, c), v in mat.items()
-        ])
-    return out
-
-
 def assemble_degree_block(
     module: ModuleSpec, k_max: int, degree: int, include_S0: bool = False
 ) -> DegreeBlock:
@@ -361,7 +337,7 @@ def assemble_degree_block(
     ncols = len(columns)
     code, mono, op, s_re, s_im = _block_structure(monos, include_S0).T
     codes, code_rank = np.unique(code, return_inverse=True)
-    op_mats = _op_matrices(module)
+    _, op_mats = _op_matrices(module)
 
     # a cell sums one term per structural entry sharing its (code, monomial)
     pair = code_rank * len(monos) + mono
@@ -388,7 +364,7 @@ def assemble_degree_block(
         is_t.append(np.full(keys[-1].size, o == _T_OP))
     if not keys:
         empty = np.zeros(0, dtype=np.int64)
-        return DegreeBlock(degree, columns, (), *[empty] * 6)
+        return DegreeBlock(degree, columns, *[empty] * 8)
 
     # sum the terms of each (row, column) cell, base and t-part apart
     key = np.concatenate(keys)
@@ -407,11 +383,10 @@ def assemble_degree_block(
     new_row = np.diff(cell_row, prepend=-1) != 0
     rows = cell_row[new_row]
     r_idx = np.cumsum(new_row) - 1
-    row_keys = _row_keys(codes[rows // dim], rows % dim)
     keep = (b_re != 0) | (b_im != 0) | (t_re != 0) | (t_im != 0)
     return DegreeBlock(
-        degree, columns, row_keys, r_idx[keep], cell_col[keep],
-        b_re[keep], b_im[keep], t_re[keep], t_im[keep],
+        degree, columns, codes[rows // dim], rows % dim, r_idx[keep],
+        cell_col[keep], b_re[keep], b_im[keep], t_re[keep], t_im[keep],
     )
 
 

@@ -39,13 +39,12 @@ Evaluating at lambda = 0 gives the action of the algebra element t^0 xi_L.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .exactnum import (
-    BiPoly,
     GaussianRational,
     ONE,
     Q,
@@ -280,6 +279,28 @@ def eta_normalize(word: Iterable[int], module=None) -> VermaVector:
 
 OP_ID = ("id",)
 OP_T = ("t",)
+
+# the module enters the action only through these ops: the identity, t, and
+# the 30 ordered monomials xi_a xi_b
+_OPS = (OP_ID, OP_T) + tuple(("x", a, b) for a in range(1, N_INDICES + 1)
+                             for b in range(1, N_INDICES + 1) if a != b)
+_OP_INDEX = {op: n for n, op in enumerate(_OPS)}
+
+
+def _op_matrices(module, t: GaussianRational = ONE) -> tuple[int, list[list[tuple]]]:
+    """(den, COO entries (out, in, re, im) of each op's module matrix times
+    den), den the common denominator of the xi entries and ``t``: the
+    identity becomes den, the t op den * t (degree blocks pass t = 1)."""
+    den = lcm(t.re.denominator, t.im.denominator, *(
+        x.denominator for mat in module.xi_action.values()
+        for v in mat.values() for x in (v.re, v.im)))
+    out = [[(n, n, den, 0) for n in range(module.dim)],
+           [(n, n, int(t.re * den), int(t.im * den)) for n in range(module.dim) if t]]
+    for _, a, b in _OPS[2:]:
+        sign = den if a < b else -den
+        out.append([(r, c, int(sign * v.re), int(sign * v.im))
+                    for (r, c), v in module.xi_action[min(a, b), max(a, b)].items()])
+    return den, out
 
 
 def _triangle_sign(l: int) -> int:
@@ -965,10 +986,10 @@ class ActionMatrixSlice:
     Ind(F) of m-degree <= max_mdeg, for a matrix-backed module F.
 
     Columns/rows are indexed by (monomial index, F-coordinate); matrices are
-    stored as (re, im) scipy CSR int64 pairs, scaled by ``den`` so that the
-    true matrix is (re + i im)/den.  Only columns whose outputs stay inside
-    the slice are trustworthy; ``safe_cols(d)`` gives the columns of
-    m-degree <= d, which never truncate as long as d + 2 <= max_mdeg.
+    (re, im) scipy CSR int64 pairs, scaled by ``den`` (which clears the xi
+    entries and t, see ``_op_matrices``): the true matrix is (re + i im)/den.
+    The columns of m-degree <= d (``columns_upto(d)``) never truncate as
+    long as d + 2 <= max_mdeg.
     """
 
     def __init__(self, module, max_mdeg: int = 8):
@@ -982,21 +1003,15 @@ class ActionMatrixSlice:
         self.fdim = module.dim
         self.dim = len(self.monomials) * self.fdim
         self._degrees = np.array([mdeg(k, mask) for (k, mask) in self.monomials])
-        # denominator clearing for t_scalar
-        t = module.t_scalar
-        den = t.re.denominator
-        den = den * t.im.denominator // np.gcd(den, t.im.denominator)
-        self.den = int(den)
-        tnum = t * Q(self.den)
-        if tnum.re.denominator != 1 or tnum.im.denominator != 1:
-            raise AssertionError("denominator clearing failed")
+        self.den, op_mats = _op_matrices(module, module.t_scalar)
+        self._op_ptr = np.cumsum([0] + [len(mat) for mat in op_mats])
+        self._op_entries = np.array([e for mat in op_mats for e in mat],
+                                    dtype=np.int64).reshape(-1, 4)
+        self._max_op = int(np.abs(self._op_entries[:, 2:]).sum(axis=1).max(initial=0))
         self._cache: dict[int, dict[int, tuple]] = {}
 
     def flat(self, n_mono: int, coord: int) -> int:
         return n_mono * self.fdim + coord
-
-    def col_degree(self, flat_idx: int) -> int:
-        return int(self._degrees[flat_idx // self.fdim])
 
     def columns_upto(self, d: int) -> np.ndarray:
         keep = np.repeat(self._degrees <= d, self.fdim)
@@ -1004,65 +1019,87 @@ class ActionMatrixSlice:
 
     def matrices(self, l_mask: int) -> dict[int, tuple]:
         """{lambda-power: (re_csr, im_csr)} of xi_L on the slice, scaled by
-        den (one power of den clears the single t application)."""
+        den; an all-zero part is an empty CSR.  Structure (x) module ops:
+        rows (lambda power, out monomial, in monomial, op, weight) from
+        ``action_terms``, each expanded by its op's module matrix.  Raises
+        OverflowError when an entry could leave int64."""
         got = self._cache.get(l_mask)
         if got is not None:
             return got
-        rows: dict[int, list[int]] = {}
-        cols: dict[int, list[int]] = {}
-        vals_re: dict[int, list[int]] = {}
-        vals_im: dict[int, list[int]] = {}
-        module = self.module
-        den = self.den
-        for n_mono, (k, i_mask) in enumerate(self.monomials):
-            for coord in range(self.fdim):
-                col = self.flat(n_mono, coord)
-                fvec = {coord: ONE}
-                for (j, dth, out_mask, op, c) in action_terms(l_mask, i_mask):
-                    w = _apply_op(module, op, fvec)
-                    if not w:
-                        continue
-                    for r in range(k + 1):
-                        jj = j + r
-                        key = (dth + k - r, out_mask)
-                        n_out = self.mono_index.get(key)
-                        if n_out is None:
-                            continue  # falls outside the slice
-                        weight = c * comb(k, r)
-                        for cc, v in w.items():
-                            scaled = v * Q(weight * den)
-                            if scaled.re.denominator != 1 or scaled.im.denominator != 1:
-                                raise AssertionError("non-integer matrix entry")
-                            rr = self.flat(n_out, cc)
-                            rows.setdefault(jj, []).append(rr)
-                            cols.setdefault(jj, []).append(col)
-                            vals_re.setdefault(jj, []).append(int(scaled.re))
-                            vals_im.setdefault(jj, []).append(int(scaled.im))
+        flat: list[int] = []
+        for n_in, (k, i_mask) in enumerate(self.monomials):
+            for (j, dth, out_mask, op, c) in action_terms(l_mask, i_mask):
+                for r in range(k + 1):
+                    n_out = self.mono_index.get((dth + k - r, out_mask))
+                    if n_out is not None:  # otherwise it falls outside the slice
+                        flat.extend((j + r, n_out, n_in, _OP_INDEX[op], c * comb(k, r)))
+        power, n_out, n_in, op, w = np.array(flat, dtype=np.int64).reshape(-1, 5).T
+        # a cell sums one term per structural row sharing (power, out, in)
+        n = len(self.monomials)
+        max_terms = np.unique((power * n + n_out) * n + n_in, return_counts=True)[1]
+        if (int(np.abs(w).max(initial=0)) * self._max_op
+                * int(max_terms.max(initial=0)) >= 1 << 63):
+            raise OverflowError(
+                f"action slice of module {self.module.name!r} can overflow int64")
+        # row s expands to the op entries ptr[op[s]] .. ptr[op[s] + 1] - 1
+        ptr = self._op_ptr
+        cnt = ptr[op + 1] - ptr[op]
+        src = np.repeat(np.arange(len(op)), cnt)
+        pos = np.arange(len(src)) + np.repeat(ptr[op] - np.cumsum(cnt) + cnt, cnt)
+        out_c, in_c, m_re, m_im = self._op_entries[pos].T
+        rows, cols = n_out[src] * self.fdim + out_c, n_in[src] * self.fdim + in_c
+        power, w = power[src], w[src]
         out = {}
-        for jj in rows:
-            re = self._csr(
-                (np.array(vals_re[jj], dtype=np.int64),
-                 (np.array(rows[jj]), np.array(cols[jj]))),
-                shape=(self.dim, self.dim),
-            )
-            im = self._csr(
-                (np.array(vals_im[jj], dtype=np.int64),
-                 (np.array(rows[jj]), np.array(cols[jj]))),
-                shape=(self.dim, self.dim),
-            )
-            re.sum_duplicates()
-            im.sum_duplicates()
-            out[jj] = (re, im)
+        for jj in np.unique(power).tolist():
+            sel = power == jj
+            out[jj] = tuple(self._csr((w[sel] * m[sel], (rows[sel], cols[sel])),
+                                      shape=(self.dim, self.dim)) for m in (m_re, m_im))
+            for part in out[jj]:
+                part.eliminate_zeros()  # construction summed the duplicates
         self._cache[l_mask] = out
         return out
 
 
-def _complex_matmul(A: tuple, B: tuple) -> tuple:
-    ar, ai = A
-    br, bi = B
-    re = ar @ br - ai @ bi
-    im = ar @ bi + ai @ br
-    return re, im
+# g-matrix entries stacked per batch of commutator_suite, bounding its memory
+_SUITE_BATCH = 12000
+
+
+def _rhs_weights(f_mask: int, g_mask: int, powers) -> Iterator[tuple]:
+    """(K mask, power n, a, b, weight): the lambda^a mu^b cell of the
+    right-hand side of the (f, g) identity sums weight * M_K^(n), from
+    [f_lambda g] = (r-2) d(f g) + (-1)^r sum_i (d_i f)(d_i g) + lambda (r+s-4)
+    f g with d = -(lambda+mu); ``powers(K)`` iterates the powers of M_K."""
+    r, s = popcount(f_mask), popcount(g_mask)
+    s_fg, k_mask = mono_product(f_mask, g_mask)
+    if s_fg:
+        for n in powers(k_mask):
+            for a in range(n + 1):
+                c = comb(n, a) * s_fg
+                # -(r-2) lambda + (r+s-4) lambda, and -(r-2) mu
+                yield k_mask, n, a + 1, n - a, (s - 2) * c
+                yield k_mask, n, a, n - a + 1, (2 - r) * c
+    for i in word_of(f_mask & g_mask):
+        (s1, fm), (s2, gm) = derive_mask(i, f_mask), derive_mask(i, g_mask)
+        s3, km = mono_product(fm, gm)
+        if s3:
+            for n in powers(km):
+                for a in range(n + 1):
+                    yield km, n, a, n - a, (-1) ** r * s1 * s2 * s3 * comb(n, a)
+
+
+def _complex_products(A: tuple, B: tuple) -> list[tuple]:
+    """A @ B for (re, im) pairs as sparse products (part, sign, product), part
+    0 real and 1 imaginary; a product with an all-zero factor is skipped."""
+    (ar, ai), (br, bi) = A, B
+    return [(part, sign, x @ y) for part, sign, x, y in (
+        (0, 1, ar, br), (0, -1, ai, bi), (1, 1, ar, bi), (1, 1, ai, br)
+    ) if x.nnz and y.nnz]
+
+
+def _entries(m, n_row: int, n_col: int) -> tuple:
+    """(row // n_row, row % n_row, col // n_col, col % n_col, value) of m."""
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    return (*np.divmod(rows, n_row), *np.divmod(m.indices, n_col), m.data)
 
 
 def commutator_suite(module, max_input_mdeg: int = 4, max_size: int = 3) -> dict:
@@ -1070,125 +1107,116 @@ def commutator_suite(module, max_input_mdeg: int = 4, max_size: int = 3) -> dict
     Phi_{[f_lambda g]}(lambda+mu) on all columns of Ind(F) of m-degree <=
     max_input_mdeg, for all ordered pairs of monomials f = xi_F, g = xi_G
     with |F|, |G| <= max_size, via integer matrices on the m-degree <=
-    (max_input_mdeg + 4) slice.
+    (max_input_mdeg + 4) slice.  The action raises the m-degree by at most
+    2, so every term stays inside the slice: the computation is exact.
 
-    Each application of the action raises the m-degree by at most 2, so on
-    input columns of m-degree <= max_input_mdeg every intermediate and final
-    term stays inside the slice: the matrix computation is exact.
-    """
-    slice_deg = max_input_mdeg + 4
-    sl = ActionMatrixSlice(module, max_mdeg=slice_deg)
+    Per f and batch of g's, three products give every M_f^(a) M_g^(b),
+    every M_g^(b) M_f^(a) and every right-hand side (the restricted slice
+    matrices times kron(C_f, I), C_f the ``_rhs_weights``), scattered into
+    one difference matrix with a column block per (g, a, b): an ordered pair
+    fails iff one of its blocks is nonzero.  Raises OverflowError when an
+    int64 sum could wrap."""
+    from scipy.sparse import csr_matrix, hstack, vstack
+
+    sl = ActionMatrixSlice(module, max_mdeg=max_input_mdeg + 4)
     in_cols = sl.columns_upto(max_input_mdeg)
+    n_in, dim, den = len(in_cols), sl.dim, sl.den
     masks = [m for size in range(max_size + 1) for m in MASKS_BY_SIZE[size]]
-    report = {
-        "ok": True,
-        "pairs_checked": 0,
-        "failures": [],
-        "input_columns": int(len(in_cols)),
-        "slice_dim": sl.dim,
-    }
+    # per f, rows (g, K mask, power n, a, b, weight) of its right-hand sides
+    weights = [np.array([(g_idx, *term) for g_idx, g in enumerate(masks)
+                         for term in _rhs_weights(f, g, sl.matrices)],
+                        dtype=np.int64).reshape(-1, 6) for f in masks]
+    k_masks = set(np.concatenate([x[:, 1] for x in weights]).tolist()) - set(masks)
+    mats = {m: sl.matrices(m) for m in masks + sorted(k_masks)}
+    # one block per (mask, power), the f/g masks' first and in mask order
+    blocks = [(m, n, mats[m][n]) for m in mats for n in sorted(mats[m])]
+    starts = np.cumsum([0] + [len(mats[m]) for m in masks])
+    block_power = np.array([n for _, n, _ in blocks], dtype=np.int64)
+    n_ab = int(block_power.max()) + 2  # cell powers a, b < n_ab
+    block_of = np.zeros((FULL_MASK + 1, n_ab), dtype=np.int64)
+    block_of[[m for m, *_ in blocks], block_power] = np.arange(len(blocks))
 
-    restricted_cache: dict[int, dict[int, tuple]] = {}
+    # |entry| <= max_m, a product entry sums at most max_row terms, and a
+    # difference entry two products and right-hand-side weights <= max_w
+    max_m = max(sum(int(abs(x.data).max(initial=0)) for x in xy)
+                for *_, xy in blocks)
+    max_row = max(sum(int(np.diff(x.indptr).max()) for x in xy)
+                  for *_, xy in blocks[:starts[-1]])
+    max_w = 0
+    for g, _, _, a, b, w in (x.T for x in weights):
+        cell_of = np.unique((g * n_ab + a) * n_ab + b, return_inverse=True)[1]
+        max_w = max(max_w, den * int(np.bincount(cell_of, abs(w)).max(initial=0)))
+    if 2 * max_row * max_m**2 + max_w * max_m >= 1 << 63:
+        raise OverflowError(
+            f"commutator suite sums of module {module.name!r} can overflow int64")
 
-    def restricted(mask: int) -> dict[int, tuple]:
-        got = restricted_cache.get(mask)
-        if got is None:
-            got = {
-                j: (re.tocsc()[:, in_cols].tocsr(), im.tocsc()[:, in_cols].tocsr())
-                for j, (re, im) in sl.matrices(mask).items()
-            }
-            restricted_cache[mask] = got
-        return got
+    # batches of consecutive g's holding at most _SUITE_BATCH entries: their
+    # full matrices on top of each other, their restricted ones side by side
+    cuts, size = [0], 0
+    for g_idx, m in enumerate(masks):
+        nnz = sum(x.nnz + y.nnz for x, y in mats[m].values())
+        if g_idx > cuts[-1] and size + nnz > _SUITE_BATCH:
+            cuts, size = cuts + [g_idx], 0
+        size += nnz
+    batches = []
+    for lo, hi in zip(cuts, cuts[1:] + [len(masks)]):
+        own = [xy for *_, xy in blocks[starts[lo]:starts[hi]]]
+        batches.append((
+            lo, hi, [vstack([xy[p] for xy in own], format="csr") for p in (0, 1)],
+            [hstack([xy[p][:, in_cols] for xy in own], format="csr") for p in (0, 1)]))
+    # each restricted matrix flattened into a row: [restricted matrices side
+    # by side] @ kron(C, I) is C^T @ flat_rest, rows and columns exchanged
+    flat_rest = []
+    for p in (0, 1):
+        side = hstack([xy[p][:, in_cols] for *_, xy in blocks], format="csr")
+        _, row, blk, i, v = _entries(side, dim, n_in)
+        flat_rest.append(csr_matrix((v, (blk, row * n_in + i)),
+                                    shape=(len(blocks), dim * n_in)))
+    del sl, mats, blocks  # the stacks are now the only copies
 
-    for idx_f, f_mask in enumerate(masks):
-        f_full = sl.matrices(f_mask)
-        f_rest = restricted(f_mask)
-        for g_mask in masks[idx_f:]:
-            g_full = sl.matrices(g_mask)
-            g_rest = restricted(g_mask)
-            # products keyed (left power, right power), columns restricted
-            prod_fg = {
-                (a, b): _complex_matmul(Af, Bg)
-                for a, Af in f_full.items()
-                for b, Bg in g_rest.items()
-            }
-            prod_gf = {
-                (b, a): _complex_matmul(Bg, Af)
-                for b, Bg in g_full.items()
-                for a, Af in f_rest.items()
-            }
-            orientations = [(f_mask, g_mask, prod_fg, prod_gf)]
-            if f_mask != g_mask:
-                orientations.append((g_mask, f_mask, prod_gf, prod_fg))
-            for fm, gm, pf, pg in orientations:
-                ok = _check_one_commutator(sl, restricted, fm, gm, pf, pg)
-                report["pairs_checked"] += 1
-                if not ok:
-                    report["ok"] = False
-                    report["failures"].append((word_of(fm), word_of(gm)))
-    return report
+    cell = n_ab * n_ab * n_in  # difference columns (g, a, b, input column)
+    block_g = np.repeat(np.arange(len(masks)), np.diff(starts))
+    block_odd = np.array([popcount(masks[g]) & 1 for g in block_g], dtype=bool)
+    fails = np.zeros((len(masks), len(masks)), dtype=bool)
+    for f_idx, f_mask in enumerate(masks):
+        f_lo, f_hi = starts[f_idx], starts[f_idx + 1]
+        lo, _, g_full, g_rest = next(b for b in batches if b[0] <= f_idx < b[1])
+        o_lo, o_hi = f_lo - starts[lo], f_hi - starts[lo]
+        f_full = [x[o_lo * dim:o_hi * dim] for x in g_full]
+        f_rest = [x[:, o_lo * n_in:o_hi * n_in] for x in g_rest]
+        f_shift = block_power[f_lo:f_hi] * n_ab * n_in
+        for lo, hi, g_full, g_rest in batches:
+            b_lo, b_hi = starts[lo], starts[hi]
+            base = (block_g[b_lo:b_hi] - lo) * cell + block_power[b_lo:b_hi] * n_in
+            # -(-1)^{p(f)p(g)}, the sign of M_g^(b) M_f^(a)
+            sign_gf = np.where(block_odd[b_lo:b_hi] & bool(popcount(f_mask) & 1),
+                               1, -1)
+            g, k_mask, n, a, b, w = weights[f_idx][
+                (weights[f_idx][:, 0] >= lo) & (weights[f_idx][:, 0] < hi)].T
+            c = csr_matrix(
+                (w * den, (((g - lo) * n_ab + a) * n_ab + b, block_of[k_mask, n])),
+                shape=((hi - lo) * n_ab * n_ab, flat_rest[0].shape[0]))
+            terms = ([], [])  # per part: (rows, difference columns, values)
+            for part, sign, p in _complex_products(f_full, g_rest):
+                a, row, blk, i, v = _entries(p, dim, n_in)
+                terms[part].append((row, base[blk] + f_shift[a] + i, sign * v))
+            for part, sign, p in _complex_products(g_full, f_rest):
+                blk, row, a, i, v = _entries(p, dim, n_in)
+                terms[part].append((row, base[blk] + f_shift[a] + i,
+                                    sign * sign_gf[blk] * v))
+            for part, sign, p in _complex_products(
+                    (c, csr_matrix(c.shape, dtype=np.int64)), flat_rest):
+                _, cells, row, i, v = _entries(p, c.shape[0], n_in)
+                terms[part].append((row, cells * n_in + i, -sign * v))
+            for got in filter(None, terms):
+                row, col, v = map(np.concatenate, zip(*got))
+                diff = csr_matrix((v, (row, col)), shape=(dim, (hi - lo) * cell))
+                diff.eliminate_zeros()  # construction summed the duplicates
+                fails[f_idx, lo + diff.indices // cell] = True
 
-
-def _acc_mat(store: dict, key: tuple[int, int], mats: tuple, weight: int) -> None:
-    if weight == 0:
-        return
-    re = mats[0] * weight if weight != 1 else mats[0]
-    im = mats[1] * weight if weight != 1 else mats[1]
-    if key in store:
-        ore, oim = store[key]
-        store[key] = (ore + re, oim + im)
-    else:
-        store[key] = (re, im)
-
-
-def _check_one_commutator(sl, restricted, f_mask, g_mask, prod_fg, prod_gf) -> bool:
-    """Verify one ordered identity.  prod_fg[(a, b)] = M_f^(a) M_g^(b) and
-    prod_gf[(b, a)] = M_g^(b) M_f^(a), both keyed (left factor power, right
-    factor power); the lambda variable belongs to f, mu to g."""
-    den = sl.den
-    r, s = popcount(f_mask), popcount(g_mask)
-    sgn = -1 if (r & 1) and (s & 1) else 1
-
-    lhs: dict[tuple[int, int], tuple] = {}
-    for (a, b), mats in prod_fg.items():
-        _acc_mat(lhs, (a, b), mats, 1)
-    for (b, a), mats in prod_gf.items():
-        _acc_mat(lhs, (a, b), mats, -sgn)
-
-    rhs: dict[tuple[int, int], tuple] = {}
-    s_fg, k_mask = mono_product(f_mask, g_mask)
-    if s_fg:
-        for n, mats in restricted(k_mask).items():
-            for a in range(n + 1):
-                c = comb(n, a) * s_fg * den
-                # (r-2) * ( -(lambda+mu) ) * (lambda+mu)^n
-                _acc_mat(rhs, (a + 1, n - a), mats, -(r - 2) * c)
-                _acc_mat(rhs, (a, n - a + 1), mats, -(r - 2) * c)
-                # lambda (r+s-4) (lambda+mu)^n
-                _acc_mat(rhs, (a + 1, n - a), mats, (r + s - 4) * c)
-    for i in word_of(f_mask & g_mask):
-        s1, fm = derive_mask(i, f_mask)
-        s2, gm = derive_mask(i, g_mask)
-        s3, km = mono_product(fm, gm)
-        if not s3:
-            continue
-        c0 = (-1 if r & 1 else 1) * s1 * s2 * s3 * den
-        for n, mats in restricted(km).items():
-            for a in range(n + 1):
-                _acc_mat(rhs, (a, n - a), mats, comb(n, a) * c0)
-
-    for key in set(lhs) | set(rhs):
-        le = lhs.get(key)
-        ri = rhs.get(key)
-        for side in (0, 1):
-            lm = le[side] if le is not None else None
-            rm = ri[side] if ri is not None else None
-            if lm is None:
-                d = rm
-            elif rm is None:
-                d = lm
-            else:
-                d = lm - rm
-            if d.nnz and np.any(d.data):
-                return False
-    return True
+    n = len(masks)
+    order = [p for f in range(n) for g in range(f, n)
+             for p in dict.fromkeys([(f, g), (g, f)])]
+    failures = [(word_of(masks[x]), word_of(masks[y])) for x, y in order if fails[x, y]]
+    return {"ok": not failures, "pairs_checked": len(order), "failures": failures,
+            "input_columns": int(n_in), "slice_dim": dim}

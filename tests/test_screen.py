@@ -210,14 +210,13 @@ def test_pencil_of_trivial_degree_one_has_irregular_zero():
 def test_identically_singular_pencil_refuses_every_t():
     # column 2 is never touched, so the kernel is nonzero at every t
     columns = tuple(UnknownIndex(0, 0, n) for n in range(3))
-    row_keys = tuple(("toy", n) for n in range(4))
     entries = [
         (0, 0, 1, 0, 0, 0),
         (1, 1, 0, 1, 1, 0),
         (2, 0, 2, 0, 0, 1),
         (3, 1, 0, 0, 3, 0),
     ]
-    block = DegreeBlock(0, columns, row_keys, *zip(*entries))
+    block = DegreeBlock(0, columns, [0] * 4, range(4), *zip(*entries))
     B, T = _block_screen_data(block)
     assert _pencil_determinant(B, T, (0, 1, 2, 3)) is None
     for c in SCAN:
