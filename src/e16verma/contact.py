@@ -649,8 +649,7 @@ def _scaled_int_tensor(table: list[list[dict[int, GaussianRational]]], n_out: in
     for row in table:
         for cell in row:
             for coef in cell.values():
-                den = _lcm(den, coef.re.denominator)
-                den = _lcm(den, coef.im.denominator)
+                den = _lcm(den, coef.triple[2])
     n1 = len(table)
     n2 = len(table[0]) if n1 else 0
     re = np.zeros((n1, n2, n_out), dtype=np.int64)
@@ -660,8 +659,8 @@ def _scaled_int_tensor(table: list[list[dict[int, GaussianRational]]], n_out: in
     for x, row in enumerate(table):
         for y, cell in enumerate(row):
             for e, coef in cell.items():
-                rnum = coef.re.numerator * (den // coef.re.denominator)
-                inum = coef.im.numerator * (den // coef.im.denominator)
+                a, b, d = coef.triple
+                rnum, inum = a * (den // d), b * (den // d)
                 entries.append((x, y, e, rnum, inum))
                 common = math.gcd(common, math.gcd(rnum, inum))
     if common > 1 and den % common == 0:
@@ -734,19 +733,41 @@ class _StructureTables:
 def _compose_tables(left, right, order: str):
     """Contract two (re, im, den) integer tensors as complex products.
 
-    Falls back to exact Python-integer (object dtype) arrays whenever the
-    int64 product bound could be exceeded.
+    ``order`` is einsum notation with the left's last axis contracted.  The
+    contraction is one matrix product of the left as [re | im], (p*q, 2e),
+    and the right as [[re, im], [-im, re]], (2e, 2*s*f); the (p, q, s, f)
+    axes of each half are then put in output order.  The tables are sparse,
+    so only the rows, columns and contracted indices that hold a nonzero
+    enter the product.  Falls back to exact Python-integer (object dtype)
+    arrays whenever the int64 product bound could be exceeded: each entry
+    sums 2e terms below lmax * rmax.
     """
     lre, lim, lden = left
     rre, rim, rden = right
     lmax = max(int(np.abs(lre).max(initial=0)), int(np.abs(lim).max(initial=0)))
     rmax = max(int(np.abs(rre).max(initial=0)), int(np.abs(rim).max(initial=0)))
     contracted = max(lre.shape[-1], 1)
+    inputs, output = order.split("->")
+    lsub, rsub = inputs.split(",")
+    e_axis = rsub.index(lsub[2])
+    kept = lsub[:2] + rsub.replace(lsub[2], "")
+    perm = [kept.index(ch) for ch in output]
+    p, q, ne = lre.shape
+    s, nf = rre.shape[1 - e_axis], rre.shape[2]
+    if e_axis:
+        rre, rim = rre.transpose(1, 0, 2), rim.transpose(1, 0, 2)
+    rre, rim = rre.reshape(ne, s * nf), rim.reshape(ne, s * nf)
+    lhs = np.hstack([lre.reshape(p * q, ne), lim.reshape(p * q, ne)])
+    rhs = np.block([[rre, rim], [-rim, rre]])
+    rows = np.flatnonzero(lhs.any(axis=1))
+    cols = np.flatnonzero(rhs.any(axis=0))
+    mid = np.flatnonzero(lhs.any(axis=0) & rhs.any(axis=1))
     if lmax * rmax * contracted >= 2**62:
-        lre, lim = lre.astype(object), lim.astype(object)
-        rre, rim = rre.astype(object), rim.astype(object)
-    re = np.einsum(order, lre, rre) - np.einsum(order, lim, rim)
-    im = np.einsum(order, lre, rim) + np.einsum(order, lim, rre)
+        lhs, rhs = lhs.astype(object), rhs.astype(object)
+    flat = np.zeros((p * q, 2 * s * nf), dtype=lhs.dtype)
+    flat[np.ix_(rows, cols)] = lhs[np.ix_(rows, mid)] @ rhs[np.ix_(mid, cols)]
+    re, im = (half.reshape(p, q, s, nf).transpose(perm)
+              for half in (flat[:, :s * nf], flat[:, s * nf:]))
     return re, im, lden * rden
 
 

@@ -1,24 +1,25 @@
-"""Exact arithmetic over the Gaussian rationals Q(i) and sparse bivariate
-polynomials in two commuting formal variables.
+"""Exact arithmetic over the Gaussian rationals Q(i), and the change of basis
+on sparse exponent maps in two commuting formal variables.
 
 Conventions
 -----------
-* A ``GaussianRational`` stores real and imaginary parts as
-  :class:`fractions.Fraction`, i.e. always in lowest terms with positive
-  denominator.  There is no floating-point mode anywhere in this package.
-* A ``BiPoly`` is a sparse polynomial in the pair of central formal
-  variables ``(lam, theta)``; zero coefficients are never stored.
-* ``bipoly_rebase`` rewrites a polynomial from the ``(lam, theta)`` basis to
-  the ``(lam, mu)`` basis where ``mu = lam + theta`` (substitute
-  ``theta = mu - lam``); ``bipoly_rebase_inverse`` undoes it.
+* A ``GaussianRational`` stores one integer triple (a, b, d) for the value
+  (a + b*i)/d, with d > 0 and gcd(a, b, d) = 1.  That form is canonical:
+  equal values have equal fields.  Arithmetic runs on Python integers;
+  ``.re`` and ``.im`` give the parts as :class:`fractions.Fraction` in lowest
+  terms, and ``.triple`` gives (a, b, d) for code that clears denominators.
+  There is no floating-point mode anywhere in this package.
+* ``rebase_cells`` rewrites an exponent map from the ``(lam, theta)`` basis
+  to the ``(lam, mu)`` basis where ``mu = lam + theta`` (substitute
+  ``theta = mu - lam``), or back.
 """
 
 from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from math import comb
-from typing import Callable, Iterable, Iterator, TypeVar
+from math import comb, gcd
+from typing import Callable, TypeVar
 
 __all__ = [
     "GaussianRational",
@@ -27,56 +28,96 @@ __all__ = [
     "ZERO",
     "ONE",
     "IUNIT",
-    "gr_add",
-    "gr_mul",
-    "gr_inv",
     "scalar_to_text",
     "scalar_from_text",
-    "BiPoly",
-    "bipoly_rebase",
-    "bipoly_rebase_inverse",
     "rebase_cells",
 ]
 
 
-class GaussianRational:
-    """An element a + b*i of Q(i) with exact rational components."""
+def _ratio(x) -> tuple[int, int]:
+    """Numerator and positive denominator of a rational in lowest terms."""
+    if type(x) is int:
+        return x, 1
+    f = Fraction(x)
+    return f.numerator, f.denominator
 
-    __slots__ = ("re", "im")
+
+class GaussianRational:
+    """An element (a + b*i)/d of Q(i), kept as a canonical integer triple."""
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
         if isinstance(re, GaussianRational):
             if im:
                 raise ValueError("cannot combine a GaussianRational with an imaginary part")
-            object.__setattr__(self, "re", re.re)
-            object.__setattr__(self, "im", re.im)
-            return
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+            a, b, d = re._a, re._b, re._d
+        else:
+            # p/q and r/s in lowest terms: over d = lcm(q, s) the triple has
+            # gcd 1, since a prime dividing d divides q or s to its full power
+            p, q = _ratio(re)
+            r, s = _ratio(im)
+            d = q * s // gcd(q, s)
+            a, b = p * (d // q), r * (d // s)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
-    # The two fields are morally immutable: nothing in this package mutates
-    # them after construction, which makes values safe to share across
-    # worker processes.
+    # The fields are immutable, which makes values safe to share across
+    # worker processes and to use as dict keys.
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("GaussianRational is immutable")
+
+    def __reduce__(self):
+        return (_make, (self._a, self._b, self._d))
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    @property
+    def triple(self) -> tuple[int, int, int]:
+        """(a, b, d) with self == (a + b*i)/d, d > 0 and gcd(a, b, d) = 1."""
+        return self._a, self._b, self._d
+
     # -- ring structure -------------------------------------------------
     def __add__(self, other) -> "GaussianRational":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is GaussianRational:
+            c, e, f = other._a, other._b, other._d
+        else:
+            other = _triple(other)
+            if other is None:
+                return NotImplemented
+            c, e, f = other
+        d = self._d
+        if d == f:
+            return _make(self._a + c, self._b + e, d)
+        return _make(self._a * f + c * d, self._b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __sub__(self, other) -> "GaussianRational":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is GaussianRational:
+            c, e, f = other._a, other._b, other._d
+        else:
+            other = _triple(other)
+            if other is None:
+                return NotImplemented
+            c, e, f = other
+        d = self._d
+        if d == f:
+            return _make(self._a - c, self._b - e, d)
+        return _make(self._a * f - c * d, self._b * f - e * d, d * f)
 
     def __rsub__(self, other) -> "GaussianRational":
         other = _coerce(other)
@@ -85,19 +126,25 @@ class GaussianRational:
         return other - self
 
     def __mul__(self, other) -> "GaussianRational":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return GaussianRational(a * c - b * d, a * d + b * c)
+        if type(other) is GaussianRational:
+            c, e, f = other._a, other._b, other._d
+        else:
+            other = _triple(other)
+            if other is None:
+                return NotImplemented
+            c, e, f = other
+        a, b = self._a, self._b
+        return _make(a * c - b * e, a * e + b * c, self._d * f)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussianRational":
-        n = self.re * self.re + self.im * self.im
+        """d (a - b*i) / (a^2 + b^2)."""
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("inversion of zero in Q(i)")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _make(d * a, -d * b, n)
 
     def __truediv__(self, other) -> "GaussianRational":
         other = _coerce(other)
@@ -124,28 +171,65 @@ class GaussianRational:
         return out
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     # -- predicates ------------------------------------------------------
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
+        if type(other) is GaussianRational:
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        other = _triple(other)
+        if other is None:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return (self._a, self._b, self._d) == other
 
     def __hash__(self) -> int:
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        # a real value hashes like the equal int or Fraction
+        if self._b:
+            return hash((self._a, self._b, self._d))
+        if self._d == 1:
+            return hash(self._a)
+        return hash(Fraction(self._a, self._d))
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self) -> str:
         return scalar_to_text(self)
+
+
+_new = object.__new__
+_set_a = GaussianRational._a.__set__
+_set_b = GaussianRational._b.__set__
+_set_d = GaussianRational._d.__set__
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """The value (a + b*i)/d of integers with d > 0, in canonical form."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    x = _new(GaussianRational)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
+
+
+def _triple(x) -> tuple[int, int, int] | None:
+    """The canonical triple of a GaussianRational, int or Fraction."""
+    if isinstance(x, GaussianRational):
+        return x._a, x._b, x._d
+    if isinstance(x, int):
+        return x, 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    return None
 
 
 def _coerce(x) -> "GaussianRational":
@@ -158,12 +242,14 @@ def _coerce(x) -> "GaussianRational":
 
 def Q(num, den: int = 1) -> GaussianRational:
     """Rational shortcut: Q(2, 3) == 2/3 as a GaussianRational."""
+    if type(num) is int and type(den) is int and den > 0:
+        return _make(num, 0, den)
     return GaussianRational(Fraction(num, den))
 
 
 def QI(re=0, im=0) -> GaussianRational:
     """Gaussian shortcut: QI(1, -1) == 1 - i."""
-    return GaussianRational(Fraction(re), Fraction(im))
+    return GaussianRational(re, im)
 
 
 ZERO = GaussianRational(0)
@@ -171,41 +257,24 @@ ONE = GaussianRational(1)
 IUNIT = GaussianRational(0, 1)
 
 
-def gr_add(x: GaussianRational, y: GaussianRational) -> GaussianRational:
-    return _coerce(x) + _coerce(y)
-
-
-def gr_mul(x: GaussianRational, y: GaussianRational) -> GaussianRational:
-    return _coerce(x) * _coerce(y)
-
-
-def gr_inv(x: GaussianRational) -> GaussianRational:
-    return _coerce(x).inverse()
-
-
 # ---------------------------------------------------------------------------
 # text form: "a/b" or "a/b+c/d*i" (spaces optional, lowercase i)
 # ---------------------------------------------------------------------------
 
-def _frac_to_text(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+def _ratio_text(n: int, d: int) -> str:
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def scalar_to_text(x: GaussianRational) -> str:
-    x = _coerce(x)
-    if not x.im:
-        return _frac_to_text(x.re)
-    if x.im == 1:
-        im = "i"
-    elif x.im == -1:
-        im = "-i"
-    else:
-        im = f"{_frac_to_text(x.im)}*i"
-    if not x.re:
-        return im
-    sign = "+" if x.im > 0 else "-"
-    mag = im.lstrip("-") if im in ("i", "-i") else f"{_frac_to_text(abs(x.im))}*i"
-    return f"{_frac_to_text(x.re)}{sign}{mag}"
+    a, b, d = _coerce(x).triple
+    if not b:
+        return _ratio_text(a, d)
+    mag = "i" if abs(b) == d else f"{_ratio_text(abs(b), d)}*i"
+    if not a:
+        return mag if b > 0 else "-" + mag
+    return f"{_ratio_text(a, d)}{'+' if b > 0 else '-'}{mag}"
 
 
 _TERM_RE = _re.compile(
@@ -251,7 +320,7 @@ def scalar_from_text(text: str) -> GaussianRational:
 
 
 # ---------------------------------------------------------------------------
-# sparse bivariate polynomials
+# change of basis on sparse exponent maps
 # ---------------------------------------------------------------------------
 
 V = TypeVar("V")
@@ -288,149 +357,3 @@ def rebase_cells(
             else:
                 out[key] = piece
     return out
-
-
-class BiPoly:
-    """Sparse polynomial in two commuting variables over Q(i).
-
-    The exponent pair is ``(lam-exponent, theta-exponent)``; after a rebase
-    the second slot is read as a ``mu = lam + theta`` exponent instead.  No
-    zero coefficient is ever stored.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict[tuple[int, int], GaussianRational] | None = None):
-        data: dict[tuple[int, int], GaussianRational] = {}
-        if coeffs:
-            for (a, t), v in coeffs.items():
-                if a < 0 or t < 0:
-                    raise ValueError("exponents must be non-negative")
-                v = _coerce(v)
-                if v:
-                    data[(a, t)] = v
-        self.coeffs = data
-
-    @classmethod
-    def term(cls, a: int, t: int, coef=ONE) -> "BiPoly":
-        return cls({(a, t): _coerce(coef)})
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        out = dict(self.coeffs)
-        for key, v in other.coeffs.items():
-            s = out.get(key, ZERO) + v
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        res = BiPoly.__new__(BiPoly)
-        res.coeffs = out
-        return res
-
-    def __neg__(self) -> "BiPoly":
-        res = BiPoly.__new__(BiPoly)
-        res.coeffs = {k: -v for k, v in self.coeffs.items()}
-        return res
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "BiPoly":
-        if isinstance(other, BiPoly):
-            out: dict[tuple[int, int], GaussianRational] = {}
-            for (a1, t1), v1 in self.coeffs.items():
-                for (a2, t2), v2 in other.coeffs.items():
-                    key = (a1 + a2, t1 + t2)
-                    s = out.get(key, ZERO) + v1 * v2
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-            res = BiPoly.__new__(BiPoly)
-            res.coeffs = out
-            return res
-        c = _coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        if not c:
-            return BiPoly()
-        res = BiPoly.__new__(BiPoly)
-        res.coeffs = {k: v * c for k, v in self.coeffs.items()}
-        return res
-
-    __rmul__ = __mul__
-
-    def degrees(self) -> tuple[int, int]:
-        """Componentwise degree (max exponent in each variable); (-1,-1) for 0."""
-        if not self.coeffs:
-            return (-1, -1)
-        return (
-            max(a for a, _ in self.coeffs),
-            max(t for _, t in self.coeffs),
-        )
-
-    def coefficient(self, a: int, t: int) -> GaussianRational:
-        return self.coeffs.get((a, t), ZERO)
-
-    def evaluate(self, lam, second) -> GaussianRational:
-        """Evaluate at exact scalar values (second = theta or mu)."""
-        lam = _coerce(lam)
-        second = _coerce(second)
-        total = ZERO
-        for (a, t), v in sorted(self.coeffs.items()):
-            term = v
-            for _ in range(a):
-                term = term * lam
-            for _ in range(t):
-                term = term * second
-            total = total + term
-        return total
-
-    def items(self) -> Iterator[tuple[tuple[int, int], GaussianRational]]:
-        return iter(sorted(self.coeffs.items()))
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "BiPoly(0)"
-        parts = [
-            f"({scalar_to_text(v)})*lam^{a}*th^{t}"
-            for (a, t), v in sorted(self.coeffs.items())
-        ]
-        return "BiPoly(" + " + ".join(parts) + ")"
-
-
-def bipoly_rebase(p: BiPoly) -> BiPoly:
-    """Rewrite from the (lam, theta) basis to (lam, mu), mu = lam + theta."""
-    res = BiPoly.__new__(BiPoly)
-    res.coeffs = rebase_cells(
-        p.coeffs,
-        vadd=lambda x, y: x + y,
-        vscale=lambda c, v: v * Q(c),
-        is_zero=lambda v: not v,
-        inverse=False,
-    )
-    return res
-
-
-def bipoly_rebase_inverse(p: BiPoly) -> BiPoly:
-    """Rewrite from the (lam, mu) basis back to (lam, theta)."""
-    res = BiPoly.__new__(BiPoly)
-    res.coeffs = rebase_cells(
-        p.coeffs,
-        vadd=lambda x, y: x + y,
-        vscale=lambda c, v: v * Q(c),
-        is_zero=lambda v: not v,
-        inverse=True,
-    )
-    return res

@@ -98,6 +98,9 @@ class ModuleSpec:
     def __setattr__(self, *_):
         raise AttributeError("ModuleSpec is immutable")
 
+    def __reduce__(self):
+        return (ModuleSpec, (self.dim, self.t_scalar, self.xi_action, self.name))
+
     # -- linear action -----------------------------------------------------
 
     def act_xi_pair(self, a: int, b: int, vec: Vec) -> Vec:

@@ -165,7 +165,7 @@ def _positive_root_pairs() -> list[tuple[int, list[tuple[int, int, GaussianRatio
         elt = rd.root_vectors[alpha]
         combo = []
         for (k, mask), coeff in sorted(elt.items()):
-            integral = coeff.re.denominator == coeff.im.denominator == 1
+            integral = coeff.triple[2] == 1
             if k != 0 or popcount(mask) != 2 or not integral:
                 raise AssertionError("root vector outside Z[i] Lambda^2")
             a, b = word_of(mask)
@@ -303,7 +303,7 @@ def _block_structure(monos, include_S0: bool):
                     emit((code, m, o, c_re * w, c_im * w))
         for idx, combo in root_pairs:
             for a, b, coeff in combo:
-                ga, gi = int(coeff.re), int(coeff.im)
+                ga, gi, _ = coeff.triple
                 for (j, dth, om, op, c) in action_terms(mask_of((a, b)), i_mask):
                     if j == 0:
                         code = _row_code(0, idx, 0, 0, dth + k, om)
@@ -630,12 +630,14 @@ class _BlockScreen:
         return False
 
 
-def _modp_scalar(x, p: int) -> int | None:
-    num = x.numerator % p
-    den = x.denominator % p
-    if den == 0:
+def _modp_image(c: GaussianRational) -> int | None:
+    """Image of c in F_p (p = SCREEN_P) under i -> SCREEN_R; None when p
+    divides its denominator."""
+    a, b, d = c.triple
+    p = SCREEN_P
+    if d % p == 0:
         return None
-    return (num * pow(den, p - 2, p)) % p
+    return (a + SCREEN_R * b) * pow(d, p - 2, p) % p
 
 
 def screen_block_zero_kernel(block: DegreeBlock, c: GaussianRational) -> bool:
@@ -656,14 +658,12 @@ def screen_block_zero_kernel(block: DegreeBlock, c: GaussianRational) -> bool:
         return True
     if block.nrows < block.ncols:
         return False
-    p = SCREEN_P
-    cre = _modp_scalar(c.re, p)
-    cim = _modp_scalar(c.im, p)
-    if cre is None or cim is None:
+    gamma = _modp_image(c)
+    if gamma is None:
         return False
     if block._screen is None:
         block._screen = _BlockScreen(block)
-    return block._screen.certifies((cre + SCREEN_R * cim) % p)
+    return block._screen.certifies(gamma)
 
 
 def exact_block_kernel(block: DegreeBlock, c: GaussianRational):

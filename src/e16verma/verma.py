@@ -291,14 +291,18 @@ def _op_matrices(module, t: GaussianRational = ONE) -> tuple[int, list[list[tupl
     """(den, COO entries (out, in, re, im) of each op's module matrix times
     den), den the common denominator of the xi entries and ``t``: the
     identity becomes den, the t op den * t (degree blocks pass t = 1)."""
-    den = lcm(t.re.denominator, t.im.denominator, *(
-        x.denominator for mat in module.xi_action.values()
-        for v in mat.values() for x in (v.re, v.im)))
+    den = lcm(t.triple[2], *(
+        v.triple[2] for mat in module.xi_action.values() for v in mat.values()))
+
+    def cleared(v, sign=1):
+        a, b, d = v.triple
+        return sign * a * (den // d), sign * b * (den // d)
+
     out = [[(n, n, den, 0) for n in range(module.dim)],
-           [(n, n, int(t.re * den), int(t.im * den)) for n in range(module.dim) if t]]
+           [(n, n, *cleared(t)) for n in range(module.dim) if t]]
     for _, a, b in _OPS[2:]:
-        sign = den if a < b else -den
-        out.append([(r, c, int(sign * v.re), int(sign * v.im))
+        sign = 1 if a < b else -1
+        out.append([(r, c, *cleared(v, sign))
                     for (r, c), v in module.xi_action[min(a, b), max(a, b)].items()])
     return den, out
 

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from e16verma.contact import (
@@ -18,6 +19,7 @@ from e16verma.contact import (
     op_A,
     root_datum,
     _basis_generators,
+    _compose_tables,
 )
 from e16verma.exactnum import IUNIT, ONE, Q, QI
 from e16verma.grassmann import MASKS_BY_SIZE, mask_of, popcount
@@ -178,3 +180,51 @@ def test_single_root_eigen_relation():
 def test_root_system_report():
     report = check_root_system()
     assert report["ok"], report["failures"]
+
+
+# ---------------------------------------------------------------------------
+# Jacobi tensor contraction
+# ---------------------------------------------------------------------------
+
+def _einsum_compose(left, right, order):
+    """The four-einsum contraction the matrix product replaced (reference)."""
+    lre, lim, lden = left
+    rre, rim, rden = right
+    lmax = max(int(np.abs(lre).max(initial=0)), int(np.abs(lim).max(initial=0)))
+    rmax = max(int(np.abs(rre).max(initial=0)), int(np.abs(rim).max(initial=0)))
+    contracted = max(lre.shape[-1], 1)
+    if lmax * rmax * contracted >= 2**62:
+        lre, lim = lre.astype(object), lim.astype(object)
+        rre, rim = rre.astype(object), rim.astype(object)
+    re = np.einsum(order, lre, rre) - np.einsum(order, lim, rim)
+    im = np.einsum(order, lre, rim) + np.einsum(order, lim, rre)
+    return re, im, lden * rden
+
+
+@pytest.mark.parametrize("scale", [1, 2**29])
+def test_compose_tables_matches_einsum_reference(scale):
+    rng = np.random.default_rng(6)
+
+    def table(shape):
+        re, im = (rng.integers(-40, 40, shape) * (rng.random(shape) < 0.3) * scale
+                  for _ in range(2))
+        return re, im, int(rng.integers(1, 9))
+
+    cases = [
+        ("yze,xef->xyzf", (3, 4, 5), (6, 5, 7)),
+        ("xye,ezf->xyzf", (3, 4, 5), (5, 6, 7)),
+        ("xze,yef->xyzf", (3, 4, 5), (6, 5, 7)),
+        ("xye,ezf->xyzf", (3, 4, 0), (0, 6, 7)),
+        ("xze,yef->xyzf", (0, 4, 5), (6, 5, 7)),
+        ("yze,xef->xyzf", (16, 16, 16), (16, 16, 16)),
+    ]
+    for order, lshape, rshape in cases:
+        left, right = table(lshape), table(rshape)
+        got = _compose_tables(left, right, order)
+        want = _einsum_compose(left, right, order)
+        assert got[2] == want[2]
+        for g, w in zip(got[:2], want[:2]):
+            assert g.shape == w.shape and g.dtype == w.dtype, order
+            assert np.array_equal(g, w), order
+    # the large scale drives the 16^3 case onto exact Python integers
+    assert (got[0].dtype == object) == (scale > 1)

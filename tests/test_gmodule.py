@@ -1,5 +1,7 @@
 """Unit tests for g0-module data: matrices, validation, built-ins, file IO."""
 
+import pickle
+
 import pytest
 
 from e16verma.exactnum import ONE, Q, QI
@@ -88,6 +90,17 @@ def test_file_round_trip():
         assert back.dim == spec.dim
         assert back.t_scalar == spec.t_scalar
         assert back.xi_action == spec.xi_action
+
+
+def test_pickle_round_trip():
+    for name, t in (("trivial", ONE), ("vector", Q(7, 3)), ("adjoint", QI(1, 2))):
+        spec = builtin(name, t)
+        back = pickle.loads(pickle.dumps(spec))
+        assert (back.name, back.dim) == (spec.name, spec.dim)
+        assert back.t_scalar == spec.t_scalar
+        assert back.xi_action == spec.xi_action
+        with pytest.raises(AttributeError):
+            back.dim = 1
 
 
 def test_file_parser_rejects_bad_documents():

@@ -13,7 +13,7 @@ from e16verma._linalg import (
     sqrt_minus_one,
 )
 from e16verma.exactnum import ONE, Q, QI, ZERO
-from e16verma.singular import SCREEN_P, SCREEN_R, _forward_eliminate, _modp_scalar
+from e16verma.singular import SCREEN_P, SCREEN_R, _forward_eliminate, _modp_image
 
 
 def test_nullspace_simple_plane():
@@ -83,12 +83,6 @@ def test_primality_and_sqrt_minus_one():
     assert SCREEN_R * SCREEN_R % SCREEN_P == SCREEN_P - 1
 
 
-def _image(x):
-    """a + b i -> a + r b (mod p)."""
-    p = SCREEN_P
-    return (_modp_scalar(x.re, p) + SCREEN_R * _modp_scalar(x.im, p)) % p
-
-
 def test_modp_matches_exact_rank_generically():
     rng = random.Random(7)
     singular = 0
@@ -108,7 +102,7 @@ def test_modp_matches_exact_rank_generically():
         rows = [{c: v for c, v in row.items() if v} for row in rows]
         exact = rank(rows)
         m = np.array(
-            [[_image(row.get(c, ZERO)) for c in range(n)] for row in rows],
+            [[_modp_image(row.get(c, ZERO)) for c in range(n)] for row in rows],
             dtype=np.int64,
         )
         full = _forward_eliminate(m) != 0

@@ -4,6 +4,7 @@ rank that the screen replaced (kept here as the reference), against sympy
 determinants, and by counting eliminations."""
 
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from e16verma.singular import (
     UnknownIndex,
     _block_screen_data,
     _check_int64_sum,
-    _modp_scalar,
+    _modp_image,
     _pencil_determinant,
     assemble_degree_block,
     exact_block_kernel,
@@ -90,6 +91,15 @@ def _reference_rank(mat, p, need):
     return rank
 
 
+def _modp_scalar(x, p: int) -> int | None:
+    """A Fraction mod p, the way the screen reduced scalars before."""
+    num = x.numerator % p
+    den = x.denominator % p
+    if den == 0:
+        return None
+    return (num * pow(den, p - 2, p)) % p
+
+
 def _reference_screen(block, c, images):
     if block.ncols == 0:
         return True
@@ -115,6 +125,15 @@ def _blocks(name, k_max):
 def _gamma(c):
     p = SCREEN_P
     return (_modp_scalar(c.re, p) + SCREEN_R * _modp_scalar(c.im, p)) % p
+
+
+def test_modp_image_matches_componentwise_reduction():
+    p = SCREEN_P
+    for c in SCAN + [QI(Fraction(1, p), 3), QI(5, Fraction(2, 3 * p)),
+                     QI(Fraction(-4, 9), Fraction(5, 6))]:
+        cre, cim = _modp_scalar(c.re, p), _modp_scalar(c.im, p)
+        want = None if cre is None or cim is None else (cre + SCREEN_R * cim) % p
+        assert _modp_image(c) == want, c
 
 
 def _sympy_det(B, T, gamma):

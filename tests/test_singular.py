@@ -1,5 +1,7 @@
 """Constraint assembly, kernels, the degree bound, and proof-step checks."""
 
+import pickle
+
 import pytest
 
 from e16verma._linalg import nullspace
@@ -223,6 +225,8 @@ def test_singular_vectors_trivial_c0_weights():
     vac = [v for v in vs if v["degree"] == 0]
     assert len(vac) == 1
     assert vac[0]["weight"] == (ZERO, ZERO, ZERO)
+    # the raw output crosses a process boundary unchanged
+    assert pickle.loads(pickle.dumps(vs)) == vs
 
 
 def test_s0_shrinks_kernel():
