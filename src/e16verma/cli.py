@@ -15,9 +15,6 @@ reproduce-proof  exact reproduction of the extraction steps behind the
 
 Exit codes: 0 every check passed, 1 at least one check failed, 2 usage or
 input-format error.  Reports are deterministic for a fixed configuration.
-``E16VERMA_WORKERS`` (default 1) sizes a fork-based worker pool over the
-t-scan for verify-bound and find-singular; partial results are merged in
-scan order, so the report never depends on the worker count.
 """
 
 from __future__ import annotations
@@ -25,8 +22,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import multiprocessing
-import os
 import sys
 from pathlib import Path
 
@@ -99,13 +94,12 @@ def parse_t_scan(text: str) -> list[GaussianRational]:
     return values
 
 
-ModuleSource = tuple[str, str, str]  # (kind, payload, name)
-
-
-def load_module_source(spec_text: str) -> ModuleSource:
-    """Resolve --module: a builtin name, or a path to a module file."""
+def load_module(spec_text: str) -> ModuleSpec:
+    """Resolve --module: a builtin name, or a path to a module file, whose
+    commutators are validated before any assembly.  The module's t is 0;
+    the scan supplies each t-eigenvalue."""
     if spec_text in BUILTIN_NAMES:
-        return ("builtin", spec_text, spec_text)
+        return builtin(spec_text, Q(0))
     path = Path(spec_text)
     if not path.exists():
         raise UsageError(
@@ -116,36 +110,17 @@ def load_module_source(spec_text: str) -> ModuleSource:
         text = path.read_text()
     except OSError as e:
         raise UsageError(f"cannot read module file {spec_text!r}: {e}") from None
-    return ("file", text, path.stem)
-
-
-def materialize_module(
-    source: ModuleSource, t_scalar: GaussianRational, validated: bool
-) -> ModuleSpec:
-    kind, payload, name = source
-    if kind == "builtin":
-        return builtin(payload, t_scalar)
     try:
-        spec = module_from_text(payload, name=name)
+        spec = module_from_text(text, name=path.stem)
     except ModuleFormatError as e:
-        raise UsageError(f"module file {name!r}: {e}") from None
-    if not validated:
-        rep = validate(spec)
-        if not rep["ok"]:
-            raise UsageError(
-                "module validation failed before assembly: "
-                f"first failing commutator {rep['first_failure']}"
-            )
-    return ModuleSpec(spec.dim, t_scalar, spec.xi_action, name=spec.name)
-
-
-def worker_count() -> int:
-    raw = os.environ.get("E16VERMA_WORKERS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"E16VERMA_WORKERS must be an integer, got {raw!r}") from None
-    return max(1, n)
+        raise UsageError(f"module file {path.stem!r}: {e}") from None
+    rep = validate(spec)
+    if not rep["ok"]:
+        raise UsageError(
+            "module validation failed before assembly: "
+            f"first failing commutator {rep['first_failure']}"
+        )
+    return ModuleSpec(spec.dim, Q(0), spec.xi_action, name=spec.name)
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +133,18 @@ def header_record(command: str, config: dict) -> dict:
         "command": command,
         "defaults": dict(DEFAULTS),
         "config": config,
+    }
+
+
+def _scan_config(ns: argparse.Namespace, module: ModuleSpec) -> dict:
+    # "workers" is always 1; the field stays for the stability of the schema
+    return {
+        "module": module.name,
+        "kmax": ns.kmax,
+        "t-scan": ns.t_scan,
+        "with-s0": "yes" if ns.with_s0 else "no",
+        "workers": 1,
+        "format": ns.format,
     }
 
 
@@ -250,31 +237,6 @@ def emit(records: list[dict], ns: argparse.Namespace, ok: bool) -> int:
     else:
         sys.stdout.write(text)
     return 0 if ok else 1
-
-
-# ---------------------------------------------------------------------------
-# worker pool over the t-scan
-# ---------------------------------------------------------------------------
-
-def _scan_job(args: tuple) -> object:
-    command, source, c_text, kmax, with_s0 = args
-    c = scalar_from_text(c_text)
-    spec = materialize_module(source, c, validated=True)
-    if command == "verify-bound":
-        return verify_bound(spec, k_max=kmax, t_scan=[c], include_S0=with_s0)
-    vectors = singular_vectors(spec, k_max=kmax, include_S0=with_s0)
-    return [_vector_record(c_text, v) for v in vectors]
-
-
-def _map_scan(jobs: list[tuple], workers: int) -> list:
-    if workers <= 1 or len(jobs) <= 1:
-        return [_scan_job(j) for j in jobs]
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # platform without fork: stay sequential
-        return [_scan_job(j) for j in jobs]
-    with ctx.Pool(min(workers, len(jobs))) as pool:
-        return pool.map(_scan_job, jobs)
 
 
 @contextlib.contextmanager
@@ -421,47 +383,15 @@ def cmd_check_algebra(ns: argparse.Namespace) -> tuple[list[dict], bool]:
 # ---------------------------------------------------------------------------
 
 def cmd_verify_bound(ns: argparse.Namespace) -> tuple[list[dict], bool]:
-    source = load_module_source(ns.module)
-    spec0 = materialize_module(source, Q(0), validated=False)  # validates files
+    module = load_module(ns.module)
     scan = parse_t_scan(ns.t_scan)
-    workers = worker_count()
-    config = {
-        "module": source[2],
-        "kmax": ns.kmax,
-        "t-scan": ns.t_scan,
-        "with-s0": "yes" if ns.with_s0 else "no",
-        "workers": workers,
-        "format": ns.format,
-    }
-    records = [header_record("verify-bound", config)]
-
-    if workers <= 1 or len(scan) <= 1:
-        with _overflow_is_input_error():
-            report = verify_bound(
-                spec0, k_max=ns.kmax, t_scan=scan, include_S0=ns.with_s0
-            )
-        per_c = report["per_c"]
-        counterexamples = report["counterexamples"]
-        ok = report["ok"]
-        scan_texts = report["t_scan"]
-    else:
-        jobs = [
-            ("verify-bound", source, scalar_to_text(c), ns.kmax, ns.with_s0)
-            for c in scan
-        ]
-        with _overflow_is_input_error():
-            partials = _map_scan(jobs, workers)
-        per_c = {}
-        counterexamples = []
-        ok = True
-        scan_texts = [scalar_to_text(c) for c in scan]
-        for part in partials:
-            per_c.update(part["per_c"])
-            counterexamples.extend(part["counterexamples"])
-            ok = ok and part["ok"]
-
-    for c_text in scan_texts:
-        entry = per_c[c_text]
+    records = [header_record("verify-bound", _scan_config(ns, module))]
+    with _overflow_is_input_error():
+        report = verify_bound(
+            module, k_max=ns.kmax, t_scan=scan, include_S0=ns.with_s0
+        )
+    for c_text in report["t_scan"]:
+        entry = report["per_c"][c_text]
         dims = {}
         for d in sorted(entry["degrees"]):
             info = entry["degrees"][d]
@@ -487,7 +417,7 @@ def cmd_verify_bound(ns: argparse.Namespace) -> tuple[list[dict], bool]:
                 "kernel_dims": dims,
             }
         )
-    for ce in counterexamples:
+    for ce in report["counterexamples"]:
         rec = {"record": "counterexample"}
         rec.update(
             {
@@ -504,8 +434,8 @@ def cmd_verify_bound(ns: argparse.Namespace) -> tuple[list[dict], bool]:
         )
         rec["audit_failures"] = [str(f) for f in ce["audit_failures"]]
         records.append(rec)
-    records.append(summary_record(ok))
-    return records, ok
+    records.append(summary_record(report["ok"]))
+    return records, report["ok"]
 
 
 # ---------------------------------------------------------------------------
@@ -513,29 +443,17 @@ def cmd_verify_bound(ns: argparse.Namespace) -> tuple[list[dict], bool]:
 # ---------------------------------------------------------------------------
 
 def cmd_find_singular(ns: argparse.Namespace) -> tuple[list[dict], bool]:
-    source = load_module_source(ns.module)
-    materialize_module(source, Q(0), validated=False)  # validates file modules
+    module = load_module(ns.module)
     scan = parse_t_scan(ns.t_scan)
-    workers = worker_count()
-    config = {
-        "module": source[2],
-        "kmax": ns.kmax,
-        "t-scan": ns.t_scan,
-        "with-s0": "yes" if ns.with_s0 else "no",
-        "workers": workers,
-        "format": ns.format,
-    }
-    records = [header_record("find-singular", config)]
-    jobs = [
-        ("find-singular", source, scalar_to_text(c), ns.kmax, ns.with_s0)
-        for c in scan
-    ]
+    records = [header_record("find-singular", _scan_config(ns, module))]
     with _overflow_is_input_error():
-        results = _map_scan(jobs, workers)
-    total = 0
-    for c, recs in zip(scan, results):
+        per_t = singular_vectors(
+            module, k_max=ns.kmax, t_scan=scan, include_S0=ns.with_s0
+        )
+    for c, vectors in zip(scan, per_t):
+        c_text = scalar_to_text(c)
+        recs = [_vector_record(c_text, v) for v in vectors]
         records.extend(recs)
-        total += len(recs)
         dims: dict[str, int] = {}
         for rec in recs:
             key = str(rec["degree"])
@@ -543,7 +461,7 @@ def cmd_find_singular(ns: argparse.Namespace) -> tuple[list[dict], bool]:
         records.append(
             {
                 "record": "scan",
-                "t_scalar": scalar_to_text(c),
+                "t_scalar": c_text,
                 "kernel_total": len(recs),
                 "kernel_dims": dims,
             }

@@ -40,6 +40,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from ._linalg import ExactRREF
 from .exactnum import GaussianRational, IUNIT, ONE, Q, QI, ZERO, scalar_to_text
 from .grassmann import (
     ALL_MASKS,
@@ -51,7 +52,6 @@ from .grassmann import (
     mask_of,
     mono_product,
     monomial_to_text,
-    popcount,
     word_of,
 )
 
@@ -76,7 +76,7 @@ __all__ = [
 
 
 def monomial_degree(k: int, mask: int) -> int:
-    return 2 * k + popcount(mask) - 2
+    return 2 * k + mask.bit_count() - 2
 
 
 class ContactElement:
@@ -158,7 +158,7 @@ class ContactElement:
 
     def parity(self) -> int | None:
         """0/1 for homogeneous-parity elements, None for mixed, 0 for zero."""
-        ps = {popcount(mask) & 1 for (_, mask) in self.data}
+        ps = {mask.bit_count() & 1 for (_, mask) in self.data}
         if not ps:
             return 0
         if len(ps) > 1:
@@ -197,9 +197,9 @@ def contact_bracket(f: ContactElement, g: ContactElement) -> ContactElement:
             out.pop(key, None)
 
     for (m, i_mask), cf in f.data.items():
-        size_i = popcount(i_mask)
+        size_i = i_mask.bit_count()
         for (n, j_mask), cg in g.data.items():
-            size_j = popcount(j_mask)
+            size_j = j_mask.bit_count()
             coef = cf * cg
             # first part: ((2-|I|) n - m (2-|J|)) t^(m+n-1) xi_I xi_J
             factor = (2 - size_i) * n - m * (2 - size_j)
@@ -240,7 +240,7 @@ def op_A(x: ContactElement) -> ContactElement:
     """
     out = ContactElement()
     for (k, mask), coef in x.data.items():
-        size = popcount(mask)
+        size = mask.bit_count()
         hsign, comp = hodge_modified(mask)
         power = 3 - size
         c = Fraction(1)
@@ -435,37 +435,21 @@ def check_L1_L2_L3(max_degree: int) -> dict:
     for i in range(0, max_degree + 1):
         target_dim = len(_basis_generators(i - 2))
         images = [contact_bracket(THETA, b) for b in _basis_elements_at_degree(i)]
-        rows: list[dict[int, GaussianRational]] = []
-        rank = 0
+        rref = ExactRREF()
         for img in images:
             res = e16_membership(img, max_degree)
             if not res.ok:
                 report["theta_ok"] = False
                 report["failures"].append(("theta_image_outside", i))
                 continue
-            row = dict(res.coords.get(i - 2, {}))
             for key, coef in list(res.coords.items()):
                 if key != i - 2 and coef:
                     report["theta_ok"] = False
                     report["failures"].append(("theta_image_wrong_degree", i))
-            for prow in rows:
-                if not row:
-                    break
-                p = min(prow)
-                if p in row:
-                    factor = row[p] / prow[p]
-                    for col, val in prow.items():
-                        s = row.get(col, ZERO) - factor * val
-                        if s:
-                            row[col] = s
-                        else:
-                            row.pop(col, None)
-            if row:
-                rows.append(row)
-                rank += 1
-        if rank != target_dim:
+            rref.add_row(res.coords.get(i - 2, {}))
+        if rref.rank != target_dim:
             report["theta_ok"] = False
-            report["failures"].append(("theta_rank", i, rank, target_dim))
+            report["failures"].append(("theta_rank", i, rref.rank, target_dim))
     report["ok"] = report["grading_ok"] and report["theta_ok"]
     return report
 

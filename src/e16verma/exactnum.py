@@ -63,8 +63,8 @@ class GaussianRational:
         _set_b(self, b)
         _set_d(self, d)
 
-    # The fields are immutable, which makes values safe to share across
-    # worker processes and to use as dict keys.
+    # The fields are immutable, which makes values safe to share and to use
+    # as dict keys.
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 

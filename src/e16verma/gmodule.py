@@ -34,7 +34,7 @@ from .exactnum import (
     scalar_from_text,
     scalar_to_text,
 )
-from .grassmann import N_INDICES, mask_of, popcount, word_of
+from .grassmann import N_INDICES, mask_of, word_of
 
 __all__ = [
     "ModuleSpec",
@@ -146,7 +146,7 @@ class ModuleSpec:
         for (k, mask), coef in x.data.items():
             if k == 1 and mask == 0:
                 accumulate(self.act_t(vec), coef)
-            elif k == 0 and popcount(mask) == 2:
+            elif k == 0 and mask.bit_count() == 2:
                 a, b = word_of(mask)
                 accumulate(self.act_xi_pair(a, b, vec), coef)
             else:
@@ -166,7 +166,7 @@ class ModuleSpec:
                             out[key] = s
                         else:
                             out.pop(key, None)
-            elif k == 0 and popcount(mask) == 2:
+            elif k == 0 and mask.bit_count() == 2:
                 a, b = word_of(mask)
                 for key, v in self.xi_action[(a, b)].items():
                     s = out.get(key, ZERO) + coef * v
@@ -280,7 +280,7 @@ def builtin(name: str, t_scalar) -> ModuleSpec:
             for (a, b) in basis:
                 out = contact_bracket(x, ContactElement.monomial(0, (a, b)))
                 for (k, mask), coef in out.data.items():
-                    if k != 0 or popcount(mask) != 2:
+                    if k != 0 or mask.bit_count() != 2:
                         raise AssertionError("so(6) bracket left the xi-pair span")
                     pair = word_of(mask)
                     mat[(index[pair], index[(a, b)])] = coef

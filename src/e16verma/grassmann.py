@@ -33,7 +33,6 @@ __all__ = [
     "normalize",
     "mask_of",
     "word_of",
-    "popcount",
     "merge_sign",
     "mono_product",
     "derive_mask",
@@ -64,12 +63,8 @@ IndexWord = tuple[int, ...]
 ALL_MASKS: tuple[int, ...] = tuple(range(FULL_MASK + 1))
 
 
-def popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 MASKS_BY_SIZE: tuple[tuple[int, ...], ...] = tuple(
-    tuple(m for m in ALL_MASKS if popcount(m) == s) for s in range(N_INDICES + 1)
+    tuple(m for m in ALL_MASKS if m.bit_count() == s) for s in range(N_INDICES + 1)
 )
 
 
@@ -114,7 +109,7 @@ def _cross_inversions(a: int, b: int) -> int:
     inv = 0
     for bit in range(N_INDICES):
         if b >> bit & 1:
-            inv += popcount(a & ~((1 << (bit + 1)) - 1))
+            inv += (a & ~((1 << (bit + 1)) - 1)).bit_count()
     return inv
 
 
@@ -141,7 +136,7 @@ def derive_mask(i: int, mask: int) -> tuple[int, int]:
     bit = 1 << (i - 1)
     if not mask & bit:
         return 0, 0
-    sign = 1 - 2 * (popcount(mask & (bit - 1)) & 1)
+    sign = 1 - 2 * ((mask & (bit - 1)).bit_count() & 1)
     return sign, mask & ~bit
 
 
@@ -292,7 +287,7 @@ def eta_bar(mask_or_word) -> tuple[int, int]:
     """bar(eta_I) = (-1)^|I| eta*_I: (sign, complement mask)."""
     mask = mask_or_word if isinstance(mask_or_word, int) else mask_of(mask_or_word)
     sign, comp = hodge_modified(mask)
-    if popcount(mask) & 1:
+    if mask.bit_count() & 1:
         sign = -sign
     return sign, comp
 

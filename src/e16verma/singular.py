@@ -13,9 +13,11 @@ is subjected to the conditions
 
 Unknowns are the F-coordinates of the v_{I,k}.  Every condition row is
 homogeneous in the m-degree 2k + 6 - |I|, so the system splits into blocks
-per degree; ``verify_bound`` exploits this with a sound modular screening
-(a nonsingular reduction mod p certifies a zero kernel; anything else falls
-back to exact elimination over Q(i)).
+per degree.  ``verify_bound`` and ``singular_vectors`` share one scan loop,
+``_scan_kernels``: it assembles each block once and runs every t of the
+scan against it with a sound modular screening (a nonsingular reduction
+mod p certifies a zero kernel; anything else falls back to exact
+elimination over Q(i)).
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .grassmann import (
     merge_sign,
     mono_product,
     normalize,
-    popcount,
     word_of,
 )
 from .verma import (
@@ -136,7 +137,7 @@ def _combined_terms(l_mask: int, i_mask: int) -> tuple:
     """Term list of the combined condition object on eta_I (x) v (k = 0):
     rows (lambda_power, theta_power, out_mask, op, re, im) with Gaussian
     integer coefficients re + i im."""
-    l = popcount(l_mask)
+    l = l_mask.bit_count()
     d_sign, d_mask = hodge_modified(l_mask)
     # -i (-1)^(l(l+1)/2) * (dual sign): purely imaginary integer
     dual_im = -_triangle_sign(l) * d_sign
@@ -166,7 +167,7 @@ def _positive_root_pairs() -> list[tuple[int, list[tuple[int, int, GaussianRatio
         combo = []
         for (k, mask), coeff in sorted(elt.items()):
             integral = coeff.triple[2] == 1
-            if k != 0 or popcount(mask) != 2 or not integral:
+            if k != 0 or mask.bit_count() != 2 or not integral:
                 raise AssertionError("root vector outside Z[i] Lambda^2")
             a, b = word_of(mask)
             combo.append((a, b, coeff))
@@ -283,8 +284,8 @@ def _block_structure(monos, include_S0: bool):
     j_shift, k_shift = _ROW_SHIFTS[3:5]
     # per condition monomial L: |L| and the code prefix of each tag
     cond = [
-        (l_mask, popcount(l_mask),
-         {tag: _row_code(n, popcount(l_mask), l_mask, 0, 0, 0)
+        (l_mask, l_mask.bit_count(),
+         {tag: _row_code(n, l_mask.bit_count(), l_mask, 0, 0, 0)
           for tag, n in _TAG_INDEX.items()})
         for l_mask in CONDITION_MASKS
     ]
@@ -701,7 +702,7 @@ def conditions_hold(vv: VermaVector, include_S0: bool = False) -> bool:
     """Direct re-verification of S1-S3 (and optionally S0) through the
     object-level action, independent of the assembled matrices."""
     for l_mask in CONDITION_MASKS:
-        l_size = popcount(l_mask)
+        l_size = l_mask.bit_count()
         P = combined_action(word_of(l_mask), vv)
         for j, coeff in P.coeffs.items():
             tag = _condition_tag(l_size, j)
@@ -729,7 +730,7 @@ def shape_compliant(vv: VermaVector) -> tuple[bool, bool]:
     shape_ok = True
     item_ok = True
     for (k, mask) in vv.data:
-        size = popcount(mask)
+        size = mask.bit_count()
         d = mdeg(k, mask)
         if (k, size) not in SHAPE_SUPPORT.get(d, frozenset()):
             shape_ok = False
@@ -881,132 +882,135 @@ def weight_of(vv: VermaVector) -> tuple | None:
 # the main verification entry point
 # ---------------------------------------------------------------------------
 
+def _scan_kernels(module: ModuleSpec, k_max: int, t_scan: list, include_S0: bool):
+    """The one scan loop behind ``verify_bound`` and ``singular_vectors``.
+
+    Degree-outer: each block is assembled once, meets every t of the scan
+    in scan order (so its screen eliminates at the first t and evaluates
+    the pencil from the second on), and is dropped before the next block
+    is assembled.  Yields (t position, degree, screened, vectors); the
+    vectors are the exact kernel basis, each re-checked against the
+    conditions through the object-level action.
+    """
+    specs = [
+        ModuleSpec(module.dim, c, module.xi_action, name=module.name)
+        for c in t_scan
+    ]
+    for degree in range(2 * k_max + N_INDICES + 1):
+        block = assemble_degree_block(module, k_max, degree, include_S0=include_S0)
+        for pos, (c, spec) in enumerate(zip(t_scan, specs)):
+            if screen_block_zero_kernel(block, c):
+                yield pos, degree, True, []
+                continue
+            vectors = []
+            for vec in exact_block_kernel(block, c):
+                vv = kernel_vector_to_verma(vec, spec)
+                if not conditions_hold(vv, include_S0=include_S0):
+                    raise AssertionError(
+                        "assembled kernel fails direct condition re-check"
+                    )
+                vectors.append(vv)
+            yield pos, degree, False, vectors
+        del block  # one block alive at a time
+
+
+def _as_scan(t_scan) -> list[GaussianRational]:
+    return [Q(n) for n in range(-10, 11)] if t_scan is None else list(t_scan)
+
+
 def verify_bound(
     module: ModuleSpec,
     k_max: int = 5,
     t_scan: Iterable[GaussianRational] | None = None,
     audit: bool = True,
-    collect_vectors: bool = False,
-    progress=None,
     include_S0: bool = False,
 ) -> dict:
-    """For each t-eigenvalue in the scan, compute the kernel of the S1-S3
-    system per m-degree and check each kernel basis vector against the
-    structural constraints and degree shapes of the main bound.
+    """For each t-eigenvalue in the scan (default -10..10), compute the
+    kernel of the S1-S3 system per m-degree and check each kernel basis
+    vector against the structural constraints and degree shapes of the
+    main bound.
 
     Returns a report; report["ok"] is True iff every homogeneous kernel
     component complies and (when audit) all coefficient identities hold.
+    Counterexamples are listed t by t in scan order, degrees ascending.
     With ``include_S0`` the highest-weight rows are added as well, which can
     only shrink each kernel.
     """
-    if t_scan is None:
-        t_scan = [Q(n) for n in range(-10, 11)]
-    t_scan = list(t_scan)
-    max_degree = 2 * k_max + N_INDICES
-    blocks = []
-    for degree in range(max_degree + 1):
-        blocks.append(
-            assemble_degree_block(module, k_max, degree, include_S0=include_S0)
-        )
-        if progress:
-            progress(f"assembled degree {degree}: "
-                     f"{blocks[-1].nrows} rows x {blocks[-1].ncols} cols")
-    report = {
+    t_scan = _as_scan(t_scan)
+    texts = [scalar_to_text(c) for c in t_scan]
+    entries = [{"degrees": {}, "kernel_total": 0} for _ in t_scan]
+    found = []  # (t position, degree, counterexample)
+    for pos, d, screened, vectors in _scan_kernels(module, k_max, t_scan, include_S0):
+        if screened:
+            entries[pos]["degrees"][d] = {"kernel_dim": 0, "screened": True}
+            continue
+        info = {
+            "kernel_dim": len(vectors),
+            "screened": False,
+            "shape_ok": True,
+            "constraints_ok": True,
+            "audit_ok": True,
+        }
+        for vv in vectors:
+            shape_ok, item_ok = shape_compliant(vv)
+            ok_here = shape_ok and item_ok
+            audit_rep = None
+            if audit and ok_here:
+                audit_rep = audit_technical_identities(vv)
+                if not audit_rep["ok"]:
+                    ok_here = False
+                    info["audit_ok"] = False
+            if not shape_ok:
+                info["shape_ok"] = False
+            if not item_ok:
+                info["constraints_ok"] = False
+            if not ok_here:
+                found.append((pos, d, {
+                    "module": module.name,
+                    "t_scalar": texts[pos],
+                    "degree": d,
+                    "shape_ok": shape_ok,
+                    "constraints_ok": item_ok,
+                    "audit_failures": audit_rep["failures"] if audit_rep else [],
+                    "vector_T": render_vermavector(vv),
+                    "vector_m": render_vermavector(t_inverse(vv)),
+                }))
+        entries[pos]["degrees"][d] = info
+        entries[pos]["kernel_total"] += len(vectors)
+    found.sort(key=lambda f: f[:2])  # stable: basis order within a block
+    return {
         "module": module.name,
         "k_max": k_max,
-        "t_scan": [scalar_to_text(c) for c in t_scan],
-        "per_c": {},
-        "counterexamples": [],
-        "ok": True,
+        "t_scan": texts,
+        "per_c": dict(zip(texts, entries)),
+        "counterexamples": [ce for _, _, ce in found],
+        "ok": not found,
     }
-    for c in t_scan:
-        mod_c = ModuleSpec(
-            dim=module.dim, t_scalar=c, xi_action=module.xi_action, name=module.name
-        )
-        entry = {"degrees": {}, "kernel_total": 0}
-        for block in blocks:
-            d = block.degree
-            if screen_block_zero_kernel(block, c):
-                entry["degrees"][d] = {"kernel_dim": 0, "screened": True}
-                continue
-            basis = exact_block_kernel(block, c)
-            info = {
-                "kernel_dim": len(basis),
-                "screened": False,
-                "shape_ok": True,
-                "constraints_ok": True,
-                "audit_ok": True,
-            }
-            if collect_vectors:
-                info["vectors"] = []
-            for vec in basis:
-                vv = kernel_vector_to_verma(vec, mod_c)
-                if not conditions_hold(vv, include_S0=include_S0):
-                    raise AssertionError(
-                        "assembled kernel fails direct condition re-check"
-                    )
-                shape_ok, item_ok = shape_compliant(vv)
-                ok_here = shape_ok and item_ok
-                audit_rep = None
-                if audit and ok_here:
-                    audit_rep = audit_technical_identities(vv)
-                    if not audit_rep["ok"]:
-                        ok_here = False
-                        info["audit_ok"] = False
-                if not shape_ok:
-                    info["shape_ok"] = False
-                if not item_ok:
-                    info["constraints_ok"] = False
-                if not ok_here:
-                    report["ok"] = False
-                    report["counterexamples"].append(
-                        {
-                            "module": module.name,
-                            "t_scalar": scalar_to_text(c),
-                            "degree": d,
-                            "shape_ok": shape_ok,
-                            "constraints_ok": item_ok,
-                            "audit_failures": (
-                                audit_rep["failures"] if audit_rep else []
-                            ),
-                            "vector_T": render_vermavector(vv),
-                            "vector_m": render_vermavector(t_inverse(vv)),
-                        }
-                    )
-                if collect_vectors:
-                    info["vectors"].append(vv)
-            entry["degrees"][d] = info
-            entry["kernel_total"] += len(basis)
-        report["per_c"][scalar_to_text(c)] = entry
-        if progress:
-            progress(f"t = {scalar_to_text(c)}: kernel total {entry['kernel_total']}")
-    return report
 
 
 def singular_vectors(
-    module: ModuleSpec, k_max: int = 5, include_S0: bool = True
-) -> list[dict]:
-    """Explicit kernel vectors of the full system (with S0 by default),
-    with degrees, weights, and both coordinate renderings."""
-    out = []
-    max_degree = 2 * k_max + N_INDICES
-    for degree in range(max_degree + 1):
-        block = assemble_degree_block(module, k_max, degree, include_S0)
-        if screen_block_zero_kernel(block, module.t_scalar):
-            continue
-        for vec in exact_block_kernel(block, module.t_scalar):
-            vv = kernel_vector_to_verma(vec, module)
-            if not conditions_hold(vv, include_S0=include_S0):
-                raise AssertionError("kernel fails direct condition re-check")
-            out.append(
-                {
-                    "degree": degree,
-                    "weight": weight_of(vv),
-                    "vector": vv,
-                    "vector_T": render_vermavector(vv),
-                    "vector_m": render_vermavector(t_inverse(vv)),
-                }
-            )
+    module: ModuleSpec,
+    k_max: int = 5,
+    t_scan: Iterable[GaussianRational] | None = None,
+    include_S0: bool = True,
+) -> list[list[dict]]:
+    """Explicit kernel vectors of the full system (with S0 by default) at
+    each t of the scan (default -10..10), with degrees, weights, and both
+    coordinate renderings: one list per t, in scan order, degrees
+    ascending within each list."""
+    t_scan = _as_scan(t_scan)
+    out: list[list[dict]] = [[] for _ in t_scan]
+    for pos, degree, _, vectors in _scan_kernels(module, k_max, t_scan, include_S0):
+        out[pos].extend(
+            {
+                "degree": degree,
+                "weight": weight_of(vv),
+                "vector": vv,
+                "vector_T": render_vermavector(vv),
+                "vector_m": render_vermavector(t_inverse(vv)),
+            }
+            for vv in vectors
+        )
     return out
 
 
@@ -1056,7 +1060,7 @@ def _alfa(s: int):
     out: dict = {}
     k = s + 2
     for i_mask in ALL_MASKS:
-        sg = _sign_1_plus_I(popcount(i_mask))
+        sg = _sign_1_plus_I(i_mask.bit_count())
         star, u = mono_product(_D1_MASK, i_mask)
         if star:
             _flat_put(out, u, _sym_v(k, i_mask), Q(-3 * sg * star))
@@ -1090,7 +1094,7 @@ def _beta(s: int):
     k = s + 2
     iu = QI(0, 1)
     for i_mask in ALL_MASKS:
-        sg = Q(_sign_1_plus_I(popcount(i_mask)))
+        sg = Q(_sign_1_plus_I(i_mask.bit_count()))
         for l in range(2, N_INDICES + 1):
             for j in range(l + 1, N_INDICES + 1):
                 lm = mask_of((1, l, j))
@@ -1132,7 +1136,7 @@ def _gamma(s: int):
     k = s + 2
     one_mask = 1
     for i_mask in ALL_MASKS:
-        sg = _sign_1_plus_I(popcount(i_mask))
+        sg = _sign_1_plus_I(i_mask.bit_count())
         star, u = mono_product(one_mask, i_mask)
         if star:
             _flat_put(out, u, _sym_v(k, i_mask), Q(sg * star))
@@ -1159,7 +1163,7 @@ def _delta(s: int):
     - d_1 eta_I (x) v_{I,s+2} ]"""
     out: dict = {}
     for i_mask in ALL_MASKS:
-        sg = _sign_1_plus_I(popcount(i_mask))
+        sg = _sign_1_plus_I(i_mask.bit_count())
         star, u = mono_product(1, i_mask)
         if star:
             _flat_put(out, u, _sym_v(s + 1, i_mask), Q(sg * star))

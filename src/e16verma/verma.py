@@ -65,7 +65,6 @@ from .grassmann import (
     merge_sign,
     mono_product,
     normalize,
-    popcount,
     word_of,
 )
 
@@ -76,7 +75,6 @@ __all__ = [
     "FormalModule",
     "UnsupportedDegreeError",
     "eta_word_normalize",
-    "eta_normalize",
     "mdeg",
     "ind_monomials",
     "lambda_action_T",
@@ -85,7 +83,6 @@ __all__ = [
     "coefficient_functionals",
     "reconstruct_from_functionals",
     "FUNCTIONAL_FAMILIES",
-    "mixed_coefficient",
     "action_cells",
     "flat_add",
     "flat_scale",
@@ -121,7 +118,7 @@ def fvec_scale(a: Fvec, c: GaussianRational) -> Fvec:
 
 def mdeg(k: int, mask: int) -> int:
     """m-degree of the T-coordinate monomial Theta^k eta_I."""
-    return 2 * k + N_INDICES - popcount(mask)
+    return 2 * k + N_INDICES - mask.bit_count()
 
 
 def ind_monomials(max_mdeg: int, kmax: int | None = None) -> list[tuple[int, int]]:
@@ -256,7 +253,7 @@ def eta_word_normalize(word: Iterable[int]) -> tuple[int, int, int]:
             raise ValueError(f"eta index out of range: {x}")
         bit = 1 << (x - 1)
         greater = mask & ~((bit << 1) - 1)
-        if popcount(greater) & 1:
+        if greater.bit_count() & 1:
             sign = -sign
         if mask & bit:
             mask &= ~bit
@@ -264,13 +261,6 @@ def eta_word_normalize(word: Iterable[int]) -> tuple[int, int, int]:
         else:
             mask |= bit
     return sign, theta, mask
-
-
-def eta_normalize(word: Iterable[int], module=None) -> VermaVector:
-    """Spec-shaped wrapper: the normalized word as a VermaVector with a
-    single scalar coordinate 0."""
-    sign, theta, mask = eta_word_normalize(word)
-    return VermaVector(module, {(theta, mask): {0: Q(sign)}})
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +309,8 @@ def action_terms(l_mask: int, i_mask: int) -> tuple[tuple[int, int, int, tuple, 
     scalar), where op is OP_ID, OP_T, or ('x', a, b) meaning the ordered
     module action of xi_a xi_b.
     """
-    l = popcount(l_mask)
-    size_i = popcount(i_mask)
+    l = l_mask.bit_count()
+    size_i = i_mask.bit_count()
     g_sign = _triangle_sign(l) * (-1 if (l * size_i) & 1 else 1)
     minus_l = -1 if l & 1 else 1  # (-1)^l
     terms: list[tuple[int, int, int, tuple, int]] = []
@@ -600,7 +590,7 @@ def commutator_oracle(f: Iterable[int], g: Iterable[int], m: VermaVector) -> dic
     if sf == 0 or sg == 0:
         raise ValueError("repeated indices in a monomial word")
     f_mask, g_mask = mask_of(fw), mask_of(gw)
-    r, s = popcount(f_mask), popcount(g_mask)
+    r, s = f_mask.bit_count(), g_mask.bit_count()
     module = m.module
 
     # LHS cells {(a, b): VermaVector}
@@ -712,7 +702,7 @@ def flat_scale(x: FlatElement, c: GaussianRational) -> FlatElement:
 def _functionals_for_mask(l_mask: int, m: VermaVector, p: int) -> dict[str, FlatElement]:
     """The four families a, b, B, C of xi_L at Theta-level p, literal sums."""
     module = m.module
-    l = popcount(l_mask)
+    l = l_mask.bit_count()
     minus_l = -1 if l & 1 else 1
     out = {"a": {}, "b": {}, "B": {}, "C": {}}
 
@@ -733,7 +723,7 @@ def _functionals_for_mask(l_mask: int, m: VermaVector, p: int) -> dict[str, Flat
         v = m.data.get((p, i_mask))
         if not v:
             continue
-        size_i = popcount(i_mask)
+        size_i = i_mask.bit_count()
         g_sign = _triangle_sign(l) * (-1 if (l * size_i) & 1 else 1)
         disjoint = not l_mask & i_mask
         union = l_mask | i_mask
@@ -895,11 +885,6 @@ def action_cells(P: ActionPolynomial) -> dict[tuple[int, int], FlatElement]:
             if fv:
                 cells.setdefault((j, k), {})[mask] = dict(fv)
     return cells
-
-
-def mixed_coefficient(P: ActionPolynomial, a: int, s: int) -> FlatElement:
-    """Coefficient of lambda^a mu^s after rewriting Theta = mu - lambda."""
-    return mixed_cells(P).get((a, s), {})
 
 
 def mixed_cells(P: ActionPolynomial) -> dict[tuple[int, int], FlatElement]:
@@ -1073,7 +1058,7 @@ def _rhs_weights(f_mask: int, g_mask: int, powers) -> Iterator[tuple]:
     right-hand side of the (f, g) identity sums weight * M_K^(n), from
     [f_lambda g] = (r-2) d(f g) + (-1)^r sum_i (d_i f)(d_i g) + lambda (r+s-4)
     f g with d = -(lambda+mu); ``powers(K)`` iterates the powers of M_K."""
-    r, s = popcount(f_mask), popcount(g_mask)
+    r, s = f_mask.bit_count(), g_mask.bit_count()
     s_fg, k_mask = mono_product(f_mask, g_mask)
     if s_fg:
         for n in powers(k_mask):
@@ -1180,7 +1165,7 @@ def commutator_suite(module, max_input_mdeg: int = 4, max_size: int = 3) -> dict
 
     cell = n_ab * n_ab * n_in  # difference columns (g, a, b, input column)
     block_g = np.repeat(np.arange(len(masks)), np.diff(starts))
-    block_odd = np.array([popcount(masks[g]) & 1 for g in block_g], dtype=bool)
+    block_odd = np.array([masks[g].bit_count() & 1 for g in block_g], dtype=bool)
     fails = np.zeros((len(masks), len(masks)), dtype=bool)
     for f_idx, f_mask in enumerate(masks):
         f_lo, f_hi = starts[f_idx], starts[f_idx + 1]
@@ -1193,7 +1178,7 @@ def commutator_suite(module, max_input_mdeg: int = 4, max_size: int = 3) -> dict
             b_lo, b_hi = starts[lo], starts[hi]
             base = (block_g[b_lo:b_hi] - lo) * cell + block_power[b_lo:b_hi] * n_in
             # -(-1)^{p(f)p(g)}, the sign of M_g^(b) M_f^(a)
-            sign_gf = np.where(block_odd[b_lo:b_hi] & bool(popcount(f_mask) & 1),
+            sign_gf = np.where(block_odd[b_lo:b_hi] & bool(f_mask.bit_count() & 1),
                                1, -1)
             g, k_mask, n, a, b, w = weights[f_idx][
                 (weights[f_idx][:, 0] >= lo) & (weights[f_idx][:, 0] < hi)].T

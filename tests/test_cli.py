@@ -1,12 +1,12 @@
 """End-to-end tests of the command-line interface: exit codes, report
-formats, usage errors, the fault-injection hook, and worker determinism."""
+formats, usage errors, the fault-injection hook, and the scan loop."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from e16verma import cli, contact
+from e16verma import cli, contact, singular
 from e16verma.contact import ContactElement, contact_bracket
 from e16verma.exactnum import Q
 from e16verma.gmodule import builtin, module_to_text
@@ -211,17 +211,21 @@ def test_descending_range_is_usage_error(capsys):
     assert "descending range" in err
 
 
-def test_find_singular_worker_pool_is_deterministic(capsys, monkeypatch):
-    argv = ["find-singular", "--module", "trivial", "--t-scan", "0,2",
-            "--kmax", "1", "--format", "json-lines"]
-    monkeypatch.delenv("E16VERMA_WORKERS", raising=False)
-    rc1, out1, _ = run_cli(capsys, argv)
-    monkeypatch.setenv("E16VERMA_WORKERS", "2")
-    rc2, out2, _ = run_cli(capsys, argv)
-    assert rc1 == rc2 == 0
-    body1 = [r for r in json_records(out1) if r["record"] != "header"]
-    body2 = [r for r in json_records(out2) if r["record"] != "header"]
-    assert body1 == body2 and any(r["record"] == "vector" for r in body1)
+def test_find_singular_assembles_each_block_once(capsys, monkeypatch):
+    calls = []
+    assemble = singular.assemble_degree_block
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(singular, "assemble_degree_block", counted)
+    rc, out, _ = run_cli(capsys, ["find-singular", "--module", "trivial",
+                                  "--kmax", "1", "--t-scan", "0,2,5"])
+    assert rc == 0
+    assert "vector t=" in out
+    # m-degrees 0 .. 2*kmax + 6, one assembly each for the whole scan
+    assert calls == list(range(2 * 1 + 7))
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +252,9 @@ def test_reports_are_deterministic(capsys):
     assert out1 == out2
 
 
-# json-lines reports recorded before the vectorised block assembler; any
-# refactor of the assembly, screen or kernels must reproduce them byte for byte
+# json-lines reports recorded before the vectorised block assembler (the
+# vector find-singular one before the shared scan loop); any refactor of the
+# assembly, screen, kernels or scan must reproduce them byte for byte
 GOLDEN = {
     "golden_verify_vector_kmax2.jsonl":
         ["verify-bound", "--module", "vector", "--kmax", "2", "--t-scan=-2..6"],
@@ -258,12 +263,13 @@ GOLDEN = {
          "--with-s0"],
     "golden_find_trivial.jsonl":
         ["find-singular", "--module", "trivial", "--t-scan", "0,2"],
+    "golden_find_vector_kmax2.jsonl":
+        ["find-singular", "--module", "vector", "--kmax", "2", "--t-scan=-2..6"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_reports_match_golden(name, capsys, monkeypatch):
-    monkeypatch.delenv("E16VERMA_WORKERS", raising=False)
+def test_reports_match_golden(name, capsys):
     rc, out, _ = run_cli(capsys, GOLDEN[name] + ["--format", "json-lines"])
     assert rc == 0
     assert out.encode() == (DATA / name).read_bytes()

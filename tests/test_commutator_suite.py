@@ -18,7 +18,6 @@ from e16verma.grassmann import (
     derive_mask,
     mask_of,
     mono_product,
-    popcount,
     word_of,
 )
 from e16verma.verma import ActionMatrixSlice, commutator_suite, ind_monomials, mdeg
@@ -201,7 +200,7 @@ def _check_one_commutator(sl, restricted, f_mask, g_mask, prod_fg, prod_gf) -> b
     prod_gf[(b, a)] = M_g^(b) M_f^(a), both keyed (left factor power, right
     factor power); the lambda variable belongs to f, mu to g."""
     den = sl.den
-    r, s = popcount(f_mask), popcount(g_mask)
+    r, s = f_mask.bit_count(), g_mask.bit_count()
     sgn = -1 if (r & 1) and (s & 1) else 1
 
     lhs: dict[tuple[int, int], tuple] = {}

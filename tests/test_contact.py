@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from e16verma import contact
 from e16verma.contact import (
     ContactElement,
     GRADING_T,
@@ -18,11 +19,12 @@ from e16verma.contact import (
     monomial_degree,
     op_A,
     root_datum,
+    _basis_elements_at_degree,
     _basis_generators,
     _compose_tables,
 )
 from e16verma.exactnum import IUNIT, ONE, Q, QI
-from e16verma.grassmann import MASKS_BY_SIZE, mask_of, popcount
+from e16verma.grassmann import MASKS_BY_SIZE, mask_of
 
 C = ContactElement.monomial
 
@@ -68,9 +70,9 @@ def test_bracket_super_skew_on_monomials():
         C(0, (1, 2, 3)), C(0, (2, 4, 6)), C(1, (1, 5, 6)),
     ]
     for x in monos:
-        px = popcount(next(iter(x.data))[1]) & 1
+        px = next(iter(x.data))[1].bit_count() & 1
         for y in monos:
-            py = popcount(next(iter(y.data))[1]) & 1
+            py = next(iter(y.data))[1].bit_count() & 1
             sgn = -1 if px and py else 1
             assert contact_bracket(x, y) == contact_bracket(y, x).scale(Q(-sgn))
 
@@ -153,6 +155,22 @@ def test_basis_brackets_stay_inside():
 def test_theta_is_lowering_element():
     report = check_L1_L2_L3(4)
     assert report["ok"], report["failures"]
+
+
+def test_theta_rank_check_catches_a_repeated_image(monkeypatch):
+    # [Theta, b1] := [Theta, b0] on the degree-2 basis: the 16 images span
+    # only 15 dimensions of g_0, which an eliminator must see
+    b0, b1 = _basis_elements_at_degree(2)[:2]
+    orig = contact.contact_bracket
+
+    def repeated(x, y):
+        return orig(x, b0 if x == THETA and y == b1 else y)
+
+    monkeypatch.setattr(contact, "contact_bracket", repeated)
+    report = check_L1_L2_L3(4)
+    assert report["grading_ok"]
+    assert not report["theta_ok"]
+    assert report["failures"] == [("theta_rank", 2, 15, 16)]
 
 
 # ---------------------------------------------------------------------------

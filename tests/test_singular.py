@@ -4,10 +4,11 @@ import pickle
 
 import pytest
 
+from e16verma import singular
 from e16verma._linalg import nullspace
 from e16verma.exactnum import ONE, Q, QI, ZERO
 from e16verma.gmodule import builtin
-from e16verma.grassmann import FULL_MASK, MASKS_BY_SIZE, N_INDICES, mask_of, popcount
+from e16verma.grassmann import FULL_MASK, MASKS_BY_SIZE, N_INDICES, mask_of
 from e16verma.singular import (
     SHAPE_SUPPORT,
     UnknownIndex,
@@ -177,6 +178,24 @@ def test_verify_bound_vector_known_kernels():
         assert rep["per_c"][c]["degrees"][0]["kernel_dim"] == 6
 
 
+def test_verify_bound_lists_counterexamples_in_scan_order(monkeypatch):
+    # the scan runs degree-outer; the report still lists t by t in scan
+    # order, degrees ascending within each t
+    monkeypatch.setattr(singular, "shape_compliant", lambda vv: (False, False))
+    rep = verify_bound(builtin("vector", Q(0)), k_max=1, t_scan=[Q(5), Q(-1)])
+    assert not rep["ok"]
+    got = [(ce["t_scalar"], ce["degree"]) for ce in rep["counterexamples"]]
+    want = [
+        (t, d)
+        for t in ("5", "-1")
+        for d, info in sorted(rep["per_c"][t]["degrees"].items())
+        for _ in range(info["kernel_dim"])
+    ]
+    assert got == want
+    assert {t for t, _ in got} == {"5", "-1"}
+    assert len({d for _, d in got}) > 1
+
+
 def test_kernel_vectors_reverified_through_action():
     vec = builtin("vector", Q(5))
     block = assemble_degree_block(vec, 3, 1)
@@ -210,12 +229,12 @@ def test_shape_support_table_consistency():
     for d, pairs in SHAPE_SUPPORT.items():
         for (k, size) in pairs:
             assert 2 * k + 6 - size == d
-            assert any(popcount(m) == size for m in MASKS_BY_SIZE[size])
+            assert any(m.bit_count() == size for m in MASKS_BY_SIZE[size])
 
 
 def test_singular_vectors_trivial_c0_weights():
     triv = builtin("trivial", Q(0))
-    vs = singular_vectors(triv, k_max=2, include_S0=True)
+    vs = singular_vectors(triv, k_max=2, t_scan=[Q(0)], include_S0=True)[0]
     assert vs, "expected at least the vacuum"
     degrees = sorted(v["degree"] for v in vs)
     assert degrees[0] == 0
@@ -225,13 +244,13 @@ def test_singular_vectors_trivial_c0_weights():
     vac = [v for v in vs if v["degree"] == 0]
     assert len(vac) == 1
     assert vac[0]["weight"] == (ZERO, ZERO, ZERO)
-    # the raw output crosses a process boundary unchanged
+    # the raw output round-trips through pickle unchanged
     assert pickle.loads(pickle.dumps(vs)) == vs
 
 
 def test_s0_shrinks_kernel():
     triv = builtin("trivial", Q(0))
-    with_s0 = singular_vectors(triv, k_max=1, include_S0=True)
+    with_s0 = singular_vectors(triv, k_max=1, t_scan=[Q(0)], include_S0=True)[0]
     block = assemble_degree_block(triv, 1, 1, include_S0=False)
     free = exact_block_kernel(block, Q(0))
     s0_deg1 = [v for v in with_s0 if v["degree"] == 1]
