@@ -1,28 +1,34 @@
-"""Exact linear algebra over Q(i), plus the number theory of the screen.
+"""Exact linear algebra over Q(i), and the mod-p routines of the screen.
 
-Rows are sparse maps ``{column key: GaussianRational}``.  Column keys may be
-any sortable hashable values (integers, tuples); the kernel routines take an
-explicit column universe so that completely unconstrained columns still show
-up as free directions.
+Exact side: ``ExactRREF`` is the one exact eliminator.  Rows are sparse maps
+``{column key: GaussianRational}``.  Column keys may be any sortable
+hashable values (integers, tuples); ``nullspace`` takes an explicit column
+universe so that completely unconstrained columns still show up as free
+directions.
 
-``is_probable_prime`` and ``sqrt_minus_one`` pick the prime p = 1 (mod 4)
-and the root r of -1 for the ring map a + b i -> a + r b (mod p) on which
-the modular screen in ``singular`` runs.
+Modular side: the screening prime SCREEN_P = 1 (mod 4) and the root
+SCREEN_R of -1 give the ring map a + b i -> a + SCREEN_R b (mod p) of Z[i]
+onto F_p (``_modp_image`` for scalars).  ``_check_int64_sum`` guards every
+int64 product sum.  Forward elimination, back substitution, the Hessenberg
+form and its characteristic polynomial give det(B + gamma T) of a pencil
+over F_p as a polynomial in gamma (``_pencil_determinant``).  How a degree
+block is compressed to a pencil, and when it is screened, is ``singular``'s.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .exactnum import GaussianRational, ONE, ZERO
 
 __all__ = [
     "ExactRREF",
     "nullspace",
-    "rank",
-    "is_probable_prime",
-    "sqrt_minus_one",
+    "SCREEN_P",
+    "SCREEN_R",
 ]
 
 ColKey = Hashable
@@ -114,18 +120,11 @@ def nullspace(
     return rref.kernel(columns)
 
 
-def rank(rows: Iterable[dict[ColKey, GaussianRational]]) -> int:
-    rref = ExactRREF()
-    for row in rows:
-        rref.add_row(row)
-    return rref.rank
-
-
 # ---------------------------------------------------------------------------
-# primes for the modular screen
+# the modular screen over F_p: prime, ring map, int64 guard, elimination
 # ---------------------------------------------------------------------------
 
-def is_probable_prime(n: int, rounds: int = 32) -> bool:
+def _is_probable_prime(n: int, rounds: int = 32) -> bool:
     """Miller-Rabin with fixed small bases plus random rounds."""
     if n < 2:
         return False
@@ -153,7 +152,7 @@ def is_probable_prime(n: int, rounds: int = 32) -> bool:
     return True
 
 
-def sqrt_minus_one(p: int) -> int:
+def _sqrt_minus_one(p: int) -> int:
     """A square root of -1 mod p, for prime p = 1 (mod 4)."""
     if p % 4 != 1:
         raise ValueError("need p = 1 (mod 4)")
@@ -162,3 +161,174 @@ def sqrt_minus_one(p: int) -> int:
         if r * r % p == p - 1:
             return r
     raise ValueError("no fourth-power nonresidue found in range")
+
+
+# a < 2^21 prime congruent to 1 mod 4, small enough that the screen's
+# int64 product sums stay far inside int64 (see _check_int64_sum)
+def _screening_prime() -> tuple[int, int]:
+    p = (1 << 20) + 1
+    while True:
+        if p % 4 == 1 and _is_probable_prime(p):
+            return p, _sqrt_minus_one(p)
+        p += 2
+
+
+SCREEN_P, SCREEN_R = _screening_prime()
+
+
+def _modp_image(c: GaussianRational) -> int | None:
+    """Image of c in F_p (p = SCREEN_P) under i -> SCREEN_R; None when p
+    divides its denominator."""
+    a, b, d = c.triple
+    p = SCREEN_P
+    if d % p == 0:
+        return None
+    return (a + SCREEN_R * b) * pow(d, p - 2, p) % p
+
+
+def _check_int64_sum(terms: int) -> None:
+    """Raise OverflowError unless a sum of ``terms`` products, each below
+    (SCREEN_P - 1)^2, is certain to fit in int64."""
+    if terms * (SCREEN_P - 1) ** 2 >= 1 << 63:
+        raise OverflowError(
+            f"a sum of {terms} products mod {SCREEN_P} can overflow int64"
+        )
+
+
+def _forward_eliminate(m: np.ndarray) -> int:
+    """Determinant mod SCREEN_P of the leading n x n part of the n-row
+    residue matrix ``m``, by forward elimination in place.
+
+    Each pivot step reduces only its pivot row and column and updates only
+    the trailing submatrix; the other entries accumulate unreduced products
+    (at most n of them, checked against int64).  Returns 0 at the first
+    column without a pivot.  Otherwise the upper triangle of the leading
+    part holds U, reduced, and any further columns of ``m`` carry the same
+    row operations, reduced too.
+    """
+    p = SCREEN_P
+    n = m.shape[0]
+    _check_int64_sum(n)
+    det = 1
+    for k in range(n):
+        col = m[k:, k] % p
+        nz = np.flatnonzero(col)
+        if not nz.size:
+            return 0
+        piv = int(nz[0])
+        if piv:
+            m[[k, k + piv], k:] = m[[k + piv, k], k:]
+            col[[0, piv]] = col[[piv, 0]]
+            det = -det
+        row = m[k, k:] % p
+        m[k, k:] = row
+        pivot = int(row[0])
+        det = det * pivot % p
+        if k + 1 < n:
+            mult = col[1:] * pow(pivot, p - 2, p) % p
+            m[k + 1:, k + 1:] -= np.multiply.outer(mult, row[1:])
+    return det
+
+
+def _back_substitute(m: np.ndarray) -> np.ndarray:
+    """U^{-1} C mod SCREEN_P for a matrix [U | C] that ``_forward_eliminate``
+    left with a nonzero determinant; C is overwritten and returned."""
+    p = SCREEN_P
+    n = m.shape[0]
+    _check_int64_sum(n)
+    x = m[:, n:]
+    for k in range(n - 1, -1, -1):
+        x[k] = x[k] % p * pow(int(m[k, k]), p - 2, p) % p
+        if k:
+            x[:k] -= np.multiply.outer(m[:k, k], x[k])
+    return x
+
+
+def _hessenberg(h: np.ndarray) -> np.ndarray:
+    """Upper Hessenberg form of the reduced square matrix ``h`` mod
+    SCREEN_P, by elementary similarity transforms in place."""
+    p = SCREEN_P
+    n = h.shape[0]
+    _check_int64_sum(n)
+    for k in range(n - 2):
+        nz = np.flatnonzero(h[k + 1:, k])
+        if not nz.size:
+            continue
+        i = k + 1 + int(nz[0])
+        if i != k + 1:
+            h[[k + 1, i]] = h[[i, k + 1]]
+            h[:, [k + 1, i]] = h[:, [i, k + 1]]
+        u = h[k + 2:, k] * pow(int(h[k + 1, k]), p - 2, p) % p
+        # rows j > k+1 lose u_j times row k+1; column k+1 gains u_j times
+        # column j, so the transform stays a similarity
+        h[k + 2:, k:] -= np.multiply.outer(u, h[k + 1, k:])
+        h[k + 2:, k:] %= p
+        h[:, k + 1] += h[:, k + 2:] @ u
+        h[:, k + 1] %= p
+    return h
+
+
+def _hessenberg_charpoly(h: np.ndarray) -> np.ndarray:
+    """Coefficients, constant term first, of det(x I - h) mod SCREEN_P for
+    an upper Hessenberg ``h`` (Cohen, *A Course in Computational Algebraic
+    Number Theory*, Algorithm 2.2.9)."""
+    p = SCREEN_P
+    n = h.shape[0]
+    _check_int64_sum(n)
+    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
+    polys[0, 0] = 1
+    chain = np.zeros(0, dtype=np.int64)
+    for m in range(1, n + 1):
+        # p_m = (x - h_mm) p_{m-1}
+        #       - sum_{i<m} h_im (prod_{i<j<=m} h_{j,j-1}) p_{i-1}
+        acc = np.zeros(m + 1, dtype=np.int64)
+        acc[1:] = polys[m - 1, :m]
+        acc[:m] -= h[m - 1, m - 1] * polys[m - 1, :m]
+        if m > 1:
+            chain = np.append(chain, 1) * h[m - 1, m - 2] % p
+            coef = h[:m - 1, m - 1] * chain % p
+            acc[:m - 1] -= coef @ polys[:m - 1, :m - 1]
+        polys[m, :m + 1] = acc % p
+    return polys[n]
+
+
+class _PencilDeterminant(NamedTuple):
+    """D(gamma) = det(B + gamma T) mod SCREEN_P, stored as its coefficients
+    in gamma - base (constant term first)."""
+
+    base: int
+    coeffs: tuple
+
+    def __call__(self, gamma: int) -> int:
+        p = SCREEN_P
+        mu = (gamma - self.base) % p
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = (acc * mu + c) % p
+        return acc
+
+
+def _pencil_determinant(B: np.ndarray, T: np.ndarray, base_points):
+    """det(B + gamma T) mod SCREEN_P as a polynomial in gamma, or None when
+    B + gamma T is singular at every base point (always so when the pencil
+    is identically singular).
+
+    At a regular base point g0, with M0 = B + g0 T and X = M0^{-1} T,
+    det(B + gamma T) = det(M0) det(I + mu X) for mu = gamma - g0, and
+    det(I + mu X) = sum_j a_{n-j} (-mu)^j for the characteristic
+    polynomial sum_k a_k x^k of X, taken through X's Hessenberg form.
+    """
+    p = SCREEN_P
+    n = B.shape[0]
+    for base in base_points:
+        aug = np.hstack(((B + base * T) % p, T))
+        det0 = _forward_eliminate(aug)
+        if det0:
+            break
+    else:
+        return None
+    charpoly = _hessenberg_charpoly(_hessenberg(_back_substitute(aug)))
+    coeffs = tuple(
+        det0 * int(charpoly[n - j]) * (-1) ** j % p for j in range(n + 1)
+    )
+    return _PencilDeterminant(base, coeffs)

@@ -33,6 +33,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -43,7 +44,6 @@ import numpy as np
 from ._linalg import ExactRREF
 from .exactnum import GaussianRational, IUNIT, ONE, Q, QI, ZERO, scalar_to_text
 from .grassmann import (
-    ALL_MASKS,
     FULL_MASK,
     MASKS_BY_SIZE,
     N_INDICES,
@@ -52,7 +52,6 @@ from .grassmann import (
     mask_of,
     mono_product,
     monomial_to_text,
-    word_of,
 )
 
 __all__ = [
@@ -310,61 +309,25 @@ class MembershipResult:
     coords: dict[int, dict[int, GaussianRational]]
     residual: "ContactElement"
 
-    def flat_coords(self, max_degree: int) -> dict[int, GaussianRational]:
-        """Coordinates indexed by position in e16_basis(max_degree)."""
-        offsets = {}
-        pos = 0
-        for d in range(-2, max_degree + 1):
-            offsets[d] = pos
-            pos += len(_basis_generators(d))
-        flat = {}
-        for d, cs in self.coords.items():
-            for j, c in cs.items():
-                flat[offsets[d] + j] = c
-        return flat
+
+# auxiliary column (_AUX, j) of basis element j in a degree's echelon; _AUX
+# sorts after every t-exponent, so pivots land on monomials first
+_AUX = 1 << 30
 
 
 @lru_cache(maxsize=None)
-def _degree_solver(degree: int):
-    """Row-reduced representation of the degree-d basis for coordinate solves.
-
-    Returns (monomial list, list of (pivot position, reduced row dict,
-    coordinate combination dict)).  Each reduced row is a dict
-    {monomial index: coeff}; the combination dict expresses the reduced row
-    as a combination of original basis elements.
-    """
-    basis = _basis_elements_at_degree(degree)
-    monomials = sorted({key for b in basis for key in b.data})
-    mono_index = {key: j for j, key in enumerate(monomials)}
-    rows: list[tuple[dict[int, GaussianRational], dict[int, GaussianRational]]] = []
-    for j, b in enumerate(basis):
-        row = {mono_index[key]: coef for key, coef in b.data.items()}
-        comb: dict[int, GaussianRational] = {j: ONE}
-        for prow, pcomb, ppos in rows:
-            if ppos in row:
-                factor = row[ppos]
-                for col, val in prow.items():
-                    s = row.get(col, ZERO) - factor * val
-                    if s:
-                        row[col] = s
-                    else:
-                        row.pop(col, None)
-                for col, val in pcomb.items():
-                    s = comb.get(col, ZERO) - factor * val
-                    if s:
-                        comb[col] = s
-                    else:
-                        comb.pop(col, None)
-        if not row:
-            raise AssertionError(
-                f"degree-{degree} spanning family is dependent; basis selection is wrong"
-            )
-        ppos = min(row)
-        inv = row[ppos].inverse()
-        row = {c: v * inv for c, v in row.items()}
-        comb = {c: v * inv for c, v in comb.items()}
-        rows.append((row, comb, ppos))
-    return monomials, mono_index, rows
+def _degree_solver(degree: int) -> ExactRREF:
+    """Exact RREF of the degree-d basis: row j is b_j plus a unit on the
+    auxiliary column (_AUX, j).  Reducing an element x leaves its residual
+    on the monomial columns and minus its coordinates on the (_AUX, j)."""
+    rref = ExactRREF()
+    for j, b in enumerate(_basis_elements_at_degree(degree)):
+        rref.add_row({**b.data, (_AUX, j): ONE})
+    if any(k >= _AUX for k, _ in rref.pivot_rows):
+        raise AssertionError(
+            f"degree-{degree} spanning family is dependent; basis selection is wrong"
+        )
+    return rref
 
 
 def e16_membership(x: ContactElement, max_degree: int) -> MembershipResult:
@@ -377,37 +340,11 @@ def e16_membership(x: ContactElement, max_degree: int) -> MembershipResult:
         if d < -2 or d > max_degree:
             residual = residual + comp
             continue
-        monomials, mono_index, rows = _degree_solver(d)
-        vec: dict[int, GaussianRational] = {}
-        unknown = ContactElement()
-        for key, coef in comp.data.items():
-            j = mono_index.get(key)
-            if j is None:
-                unknown = unknown + ContactElement({key: coef})
-            else:
-                vec[j] = coef
-        dcoords: dict[int, GaussianRational] = {}
-        for row, comb, ppos in rows:
-            if ppos not in vec:
-                continue
-            factor = vec[ppos]
-            for col, val in row.items():
-                s = vec.get(col, ZERO) - factor * val
-                if s:
-                    vec[col] = s
-                else:
-                    vec.pop(col, None)
-            for col, val in comb.items():
-                s = dcoords.get(col, ZERO) + factor * val
-                if s:
-                    dcoords[col] = s
-                else:
-                    dcoords.pop(col, None)
-        if vec or unknown:
-            rem = unknown
-            for j, coef in vec.items():
-                rem = rem + ContactElement({monomials[j]: coef})
-            residual = residual + rem
+        red = _degree_solver(d).reduce(comp.data)
+        rem = {key: v for key, v in red.items() if key[0] < _AUX}
+        if rem:
+            residual = residual + ContactElement(rem)
+        dcoords = {j: -v for (k, j), v in red.items() if k >= _AUX}
         if dcoords:
             coords[d] = dcoords
     ok = not residual
@@ -573,12 +510,6 @@ def _in_cartan_span(x: ContactElement, rd: RootDatum) -> bool:
 
 def _skew_commutator(i: int, j: int, k: int, l: int) -> ContactElement:
     """Commutator [E_(ji)-E_(ij), E_(lk)-E_(kl)] mapped back to xi-monomials."""
-    mat: dict[tuple[int, int], int] = {}
-
-    def m_add(dst, src, s):
-        for (r, c), v in src.items():
-            dst[(r, c)] = dst.get((r, c), 0) + s * v
-
     def skew(a, b):
         return {(b, a): 1, (a, b): -1}
 
@@ -616,24 +547,16 @@ def _skew_commutator(i: int, j: int, k: int, l: int) -> ContactElement:
 # Jacobi/closure suite on exact integer structure-constant tensors
 # ---------------------------------------------------------------------------
 
-def _lcm(a: int, b: int) -> int:
-    import math
-
-    return a * b // math.gcd(a, b)
-
-
 def _scaled_int_tensor(table: list[list[dict[int, GaussianRational]]], n_out: int):
     """Clear denominators of a structure-constant table into int64 arrays.
 
     Returns (re, im, den) with table[x][y][e] == (re[x,y,e] + i im[x,y,e])/den.
     """
-    import math
-
     den = 1
     for row in table:
         for cell in row:
             for coef in cell.values():
-                den = _lcm(den, coef.triple[2])
+                den = math.lcm(den, coef.triple[2])
     n1 = len(table)
     n2 = len(table[0]) if n1 else 0
     re = np.zeros((n1, n2, n_out), dtype=np.int64)
@@ -842,7 +765,7 @@ def check_jacobi_closure(jacobi_degree: int = 4, closure_degree: int = 6) -> dic
 
                 lcm = 1
                 for _, _, dv in (T1, T2, T3):
-                    lcm = _lcm(lcm, dv)
+                    lcm = math.lcm(lcm, dv)
                 acc_re = None
                 acc_im = None
                 use_object = False

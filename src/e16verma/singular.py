@@ -18,6 +18,12 @@ per degree.  ``verify_bound`` and ``singular_vectors`` share one scan loop,
 scan against it with a sound modular screening (a nonsingular reduction
 mod p certifies a zero kernel; anything else falls back to exact
 elimination over Q(i)).
+
+This module owns the degree blocks, the compression of a block to a pencil
+over F_p and the screen's per-block state, the exact kernels, the
+re-checks, the audit and the proof-step reproduction.  The prime and its
+root of -1, the image of a t-eigenvalue in F_p, the int64 guard and every
+elimination, modular or exact, live in ``_linalg``.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from ._linalg import ExactRREF, is_probable_prime, nullspace, sqrt_minus_one
+from . import _linalg
+from ._linalg import ExactRREF, nullspace
 from .contact import root_datum
 from .exactnum import GaussianRational, ONE, Q, QI, ZERO, scalar_to_text
 from .gmodule import ModuleSpec
@@ -391,172 +398,12 @@ def assemble_degree_block(
     )
 
 
-# a < 2^21 prime congruent to 1 mod 4, small enough that the screen's
-# int64 product sums stay far inside int64 (see _check_int64_sum)
-def _screening_prime() -> tuple[int, int]:
-    p = (1 << 20) + 1
-    while True:
-        if p % 4 == 1 and is_probable_prime(p):
-            return p, sqrt_minus_one(p)
-        p += 2
-
-
-SCREEN_P, SCREEN_R = _screening_prime()
-
 # compressor entries drawn per chunk: 2^20 int64 values, 8 MB
 _COMPRESS_CHUNK = 1 << 20
 
 # base points tried for the pencil when the block's first screened value was
 # not certified; fixed residues far from the small resonant t-values
 _PENCIL_BASE_POINTS = (0x5BD1E, 0x9E377)
-
-
-def _check_int64_sum(terms: int) -> None:
-    """Raise OverflowError unless a sum of ``terms`` products, each below
-    (SCREEN_P - 1)^2, is certain to fit in int64."""
-    if terms * (SCREEN_P - 1) ** 2 >= 1 << 63:
-        raise OverflowError(
-            f"a sum of {terms} products mod {SCREEN_P} can overflow int64"
-        )
-
-
-def _forward_eliminate(m: np.ndarray) -> int:
-    """Determinant mod SCREEN_P of the leading n x n part of the n-row
-    residue matrix ``m``, by forward elimination in place.
-
-    Each pivot step reduces only its pivot row and column and updates only
-    the trailing submatrix; the other entries accumulate unreduced products
-    (at most n of them, checked against int64).  Returns 0 at the first
-    column without a pivot.  Otherwise the upper triangle of the leading
-    part holds U, reduced, and any further columns of ``m`` carry the same
-    row operations, reduced too.
-    """
-    p = SCREEN_P
-    n = m.shape[0]
-    _check_int64_sum(n)
-    det = 1
-    for k in range(n):
-        col = m[k:, k] % p
-        nz = np.flatnonzero(col)
-        if not nz.size:
-            return 0
-        piv = int(nz[0])
-        if piv:
-            m[[k, k + piv], k:] = m[[k + piv, k], k:]
-            col[[0, piv]] = col[[piv, 0]]
-            det = -det
-        row = m[k, k:] % p
-        m[k, k:] = row
-        pivot = int(row[0])
-        det = det * pivot % p
-        if k + 1 < n:
-            mult = col[1:] * pow(pivot, p - 2, p) % p
-            m[k + 1:, k + 1:] -= np.multiply.outer(mult, row[1:])
-    return det
-
-
-def _back_substitute(m: np.ndarray) -> np.ndarray:
-    """U^{-1} C mod SCREEN_P for a matrix [U | C] that ``_forward_eliminate``
-    left with a nonzero determinant; C is overwritten and returned."""
-    p = SCREEN_P
-    n = m.shape[0]
-    _check_int64_sum(n)
-    x = m[:, n:]
-    for k in range(n - 1, -1, -1):
-        x[k] = x[k] % p * pow(int(m[k, k]), p - 2, p) % p
-        if k:
-            x[:k] -= np.multiply.outer(m[:k, k], x[k])
-    return x
-
-
-def _hessenberg(h: np.ndarray) -> np.ndarray:
-    """Upper Hessenberg form of the reduced square matrix ``h`` mod
-    SCREEN_P, by elementary similarity transforms in place."""
-    p = SCREEN_P
-    n = h.shape[0]
-    _check_int64_sum(n)
-    for k in range(n - 2):
-        nz = np.flatnonzero(h[k + 1:, k])
-        if not nz.size:
-            continue
-        i = k + 1 + int(nz[0])
-        if i != k + 1:
-            h[[k + 1, i]] = h[[i, k + 1]]
-            h[:, [k + 1, i]] = h[:, [i, k + 1]]
-        u = h[k + 2:, k] * pow(int(h[k + 1, k]), p - 2, p) % p
-        # rows j > k+1 lose u_j times row k+1; column k+1 gains u_j times
-        # column j, so the transform stays a similarity
-        h[k + 2:, k:] -= np.multiply.outer(u, h[k + 1, k:])
-        h[k + 2:, k:] %= p
-        h[:, k + 1] += h[:, k + 2:] @ u
-        h[:, k + 1] %= p
-    return h
-
-
-def _hessenberg_charpoly(h: np.ndarray) -> np.ndarray:
-    """Coefficients, constant term first, of det(x I - h) mod SCREEN_P for
-    an upper Hessenberg ``h`` (Cohen, *A Course in Computational Algebraic
-    Number Theory*, Algorithm 2.2.9)."""
-    p = SCREEN_P
-    n = h.shape[0]
-    _check_int64_sum(n)
-    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
-    polys[0, 0] = 1
-    chain = np.zeros(0, dtype=np.int64)
-    for m in range(1, n + 1):
-        # p_m = (x - h_mm) p_{m-1}
-        #       - sum_{i<m} h_im (prod_{i<j<=m} h_{j,j-1}) p_{i-1}
-        acc = np.zeros(m + 1, dtype=np.int64)
-        acc[1:] = polys[m - 1, :m]
-        acc[:m] -= h[m - 1, m - 1] * polys[m - 1, :m]
-        if m > 1:
-            chain = np.append(chain, 1) * h[m - 1, m - 2] % p
-            coef = h[:m - 1, m - 1] * chain % p
-            acc[:m - 1] -= coef @ polys[:m - 1, :m - 1]
-        polys[m, :m + 1] = acc % p
-    return polys[n]
-
-
-class _PencilDeterminant(NamedTuple):
-    """D(gamma) = det(B + gamma T) mod SCREEN_P, stored as its coefficients
-    in gamma - base (constant term first)."""
-
-    base: int
-    coeffs: tuple
-
-    def __call__(self, gamma: int) -> int:
-        p = SCREEN_P
-        mu = (gamma - self.base) % p
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * mu + c) % p
-        return acc
-
-
-def _pencil_determinant(B: np.ndarray, T: np.ndarray, base_points):
-    """det(B + gamma T) mod SCREEN_P as a polynomial in gamma, or None when
-    B + gamma T is singular at every base point (always so when the pencil
-    is identically singular).
-
-    At a regular base point g0, with M0 = B + g0 T and X = M0^{-1} T,
-    det(B + gamma T) = det(M0) det(I + mu X) for mu = gamma - g0, and
-    det(I + mu X) = sum_j a_{n-j} (-mu)^j for the characteristic
-    polynomial sum_k a_k x^k of X, taken through X's Hessenberg form.
-    """
-    p = SCREEN_P
-    n = B.shape[0]
-    for base in base_points:
-        aug = np.hstack(((B + base * T) % p, T))
-        det0 = _forward_eliminate(aug)
-        if det0:
-            break
-    else:
-        return None
-    charpoly = _hessenberg_charpoly(_hessenberg(_back_substitute(aug)))
-    coeffs = tuple(
-        det0 * int(charpoly[n - j]) * (-1) ** j % p for j in range(n + 1)
-    )
-    return _PencilDeterminant(base, coeffs)
 
 
 def _block_screen_data(block: DegreeBlock):
@@ -571,7 +418,7 @@ def _block_screen_data(block: DegreeBlock):
     """
     from scipy.sparse import csc_matrix
 
-    p, r = SCREEN_P, SCREEN_R
+    p, r = _linalg.SCREEN_P, _linalg.SCREEN_R
     n, nrows = block.ncols, block.nrows
     vals = np.concatenate((
         (block.b_re % p + r * (block.b_im % p)) % p,
@@ -582,7 +429,7 @@ def _block_screen_data(block: DegreeBlock):
     keep = vals != 0
     rows, cols, vals = rows[keep], cols[keep], vals[keep]
     # each output entry sums one product per nonzero of its column
-    _check_int64_sum(int(np.bincount(cols, minlength=1).max()))
+    _linalg._check_int64_sum(int(np.bincount(cols, minlength=1).max()))
     A_t = csc_matrix((vals, (cols, rows)), shape=(2 * n, nrows))
     rng = np.random.default_rng(0xE16 + 7919 * block.degree + n)
     step = max(1, _COMPRESS_CHUNK // nrows)
@@ -619,26 +466,16 @@ class _BlockScreen:
                 (self.regular,) if self.regular is not None
                 else (gamma,) + _PENCIL_BASE_POINTS
             )
-            self.det = _pencil_determinant(*self.images, base_points)
+            self.det = _linalg._pencil_determinant(*self.images, base_points)
             if self.det is not None:
                 self.images = None
         if self.det is not None:
             return self.det(gamma) != 0
         B, T = self.images
-        if _forward_eliminate((B + gamma * T) % SCREEN_P):
+        if _linalg._forward_eliminate((B + gamma * T) % _linalg.SCREEN_P):
             self.regular = gamma
             return True
         return False
-
-
-def _modp_image(c: GaussianRational) -> int | None:
-    """Image of c in F_p (p = SCREEN_P) under i -> SCREEN_R; None when p
-    divides its denominator."""
-    a, b, d = c.triple
-    p = SCREEN_P
-    if d % p == 0:
-        return None
-    return (a + SCREEN_R * b) * pow(d, p - 2, p) % p
 
 
 def screen_block_zero_kernel(block: DegreeBlock, c: GaussianRational) -> bool:
@@ -659,7 +496,7 @@ def screen_block_zero_kernel(block: DegreeBlock, c: GaussianRational) -> bool:
         return True
     if block.nrows < block.ncols:
         return False
-    gamma = _modp_image(c)
+    gamma = _linalg._modp_image(c)
     if gamma is None:
         return False
     if block._screen is None:
@@ -1171,10 +1008,6 @@ def _delta(s: int):
         if d_sign:
             _flat_put(out, om, _sym_v(s + 2, i_mask), Q(-sg * d_sign))
     return out
-
-
-def _flat_columns(flat):
-    return {(mask, sym) for mask, fv in flat.items() for sym in fv}
 
 
 def _flat_as_row(flat):

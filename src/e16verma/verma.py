@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, lcm
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from .exactnum import (
     GaussianRational,
     ONE,
     Q,
-    QI,
     ZERO,
     rebase_cells,
     scalar_to_text,
@@ -86,7 +85,6 @@ __all__ = [
     "action_cells",
     "flat_add",
     "flat_scale",
-    "fvec_add",
     "fvec_scale",
     "t_inverse",
     "render_vermavector",
@@ -97,17 +95,6 @@ __all__ = [
 ]
 
 Fvec = dict  # {coordinate key: GaussianRational}
-
-
-def fvec_add(a: Fvec, b: Fvec) -> Fvec:
-    out = dict(a)
-    for key, val in b.items():
-        s = out.get(key, ZERO) + val
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
 
 
 def fvec_scale(a: Fvec, c: GaussianRational) -> Fvec:

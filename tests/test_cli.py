@@ -2,6 +2,9 @@
 formats, usage errors, the fault-injection hook, and the scan loop."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,6 +84,26 @@ def test_check_algebra_fault_injection_detected_and_restored(capsys):
     x12 = ContactElement.monomial(0, (1, 2))
     x1 = ContactElement.monomial(0, (1,))
     assert contact_bracket(x12, x1) == ContactElement.monomial(0, (2,))
+
+
+def test_algebra_and_proof_commands_never_import_scipy():
+    # importing scipy.sparse raises check-algebra's peak RSS by about 20 MB;
+    # only the screen and the matrix slices need it, and they import it late
+    script = (
+        "import sys\n"
+        "from e16verma import cli\n"
+        "codes = [cli.main(['check-algebra', '--out', sys.argv[1]]),\n"
+        "         cli.main(['reproduce-proof', '--out', sys.argv[1]])]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, os.devnull],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
 
 
 # ---------------------------------------------------------------------------

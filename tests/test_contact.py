@@ -118,10 +118,30 @@ def test_membership_reconstructs_coordinates():
         combo = combo + b.scale(w)
     res = e16_membership(combo, 4)
     assert res.ok
-    flat = res.flat_coords(4)
-    assert len(flat) == len([w for w in weights if w])
-    for j, w in enumerate(weights):
-        assert flat.get(j, Q(0)) == w
+    assert set(res.coords) == set(range(-2, 5))
+    pos = 0
+    for d in range(-2, 5):
+        dim = len(_basis_generators(d))
+        want = {j: w for j, w in enumerate(weights[pos:pos + dim]) if w}
+        assert res.coords[d] == want
+        pos += dim
+    assert pos == len(basis)
+
+
+def test_degree_solver_rejects_a_dependent_basis(monkeypatch):
+    basis = contact._basis_elements_at_degree
+
+    def repeated(degree):
+        elements = basis(degree)
+        return elements + elements[-1:]
+
+    contact._degree_solver.cache_clear()
+    monkeypatch.setattr(contact, "_basis_elements_at_degree", repeated)
+    try:
+        with pytest.raises(AssertionError, match="dependent"):
+            contact._degree_solver(2)
+    finally:
+        contact._degree_solver.cache_clear()
 
 
 def test_complement_three_sets_are_proportional():

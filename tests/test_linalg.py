@@ -1,4 +1,5 @@
-"""Unit tests for the exact linear algebra and the modular eliminator."""
+"""Unit tests for the exact linear algebra and the modular eliminator,
+both in ``_linalg``."""
 
 import random
 
@@ -6,14 +7,24 @@ import numpy as np
 import pytest
 
 from e16verma._linalg import (
+    SCREEN_P,
+    SCREEN_R,
     ExactRREF,
-    is_probable_prime,
+    _forward_eliminate,
+    _is_probable_prime,
+    _modp_image,
+    _sqrt_minus_one,
     nullspace,
-    rank,
-    sqrt_minus_one,
 )
 from e16verma.exactnum import ONE, Q, QI, ZERO
-from e16verma.singular import SCREEN_P, SCREEN_R, _forward_eliminate, _modp_image
+
+
+def rank(rows):
+    """Rank through the one exact eliminator."""
+    rref = ExactRREF()
+    for row in rows:
+        rref.add_row(row)
+    return rref.rank
 
 
 def test_nullspace_simple_plane():
@@ -73,12 +84,12 @@ def test_exact_rref_kernel_matches_brute_force():
 
 
 def test_primality_and_sqrt_minus_one():
-    assert is_probable_prime(2147483629)
-    assert not is_probable_prime(2147483629 - 2)  # even
-    assert is_probable_prime(13)
-    r = sqrt_minus_one(13)
+    assert _is_probable_prime(2147483629)
+    assert not _is_probable_prime(2147483629 - 2)  # even
+    assert _is_probable_prime(13)
+    r = _sqrt_minus_one(13)
     assert r * r % 13 == 12
-    assert is_probable_prime(SCREEN_P)
+    assert _is_probable_prime(SCREEN_P)
     assert SCREEN_P % 4 == 1
     assert SCREEN_R * SCREEN_R % SCREEN_P == SCREEN_P - 1
 

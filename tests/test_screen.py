@@ -10,18 +10,20 @@ import numpy as np
 import pytest
 import sympy
 
-from e16verma import singular
-from e16verma.exactnum import Q, QI
-from e16verma.gmodule import builtin
-from e16verma.singular import (
+from e16verma import _linalg, singular
+from e16verma._linalg import (
     SCREEN_P,
     SCREEN_R,
-    DegreeBlock,
-    UnknownIndex,
-    _block_screen_data,
     _check_int64_sum,
     _modp_image,
     _pencil_determinant,
+)
+from e16verma.exactnum import Q, QI
+from e16verma.gmodule import builtin
+from e16verma.singular import (
+    DegreeBlock,
+    UnknownIndex,
+    _block_screen_data,
     assemble_degree_block,
     exact_block_kernel,
     screen_block_zero_kernel,
@@ -255,13 +257,13 @@ def test_int64_guard_raises_on_overflowing_sums(monkeypatch):
         _check_int64_sum(limit + 1)
     # with a 31-bit prime three products already overflow: every product
     # sum of the screen must refuse to run
-    monkeypatch.setattr(singular, "SCREEN_P", 2**31 - 1)
+    monkeypatch.setattr(_linalg, "SCREEN_P", 2**31 - 1)
     square = np.ones((3, 3), dtype=np.int64)
     for step in (
-        lambda: singular._forward_eliminate(square.copy()),
-        lambda: singular._back_substitute(np.ones((3, 6), dtype=np.int64)),
-        lambda: singular._hessenberg(square.copy()),
-        lambda: singular._hessenberg_charpoly(square.copy()),
+        lambda: _linalg._forward_eliminate(square.copy()),
+        lambda: _linalg._back_substitute(np.ones((3, 6), dtype=np.int64)),
+        lambda: _linalg._hessenberg(square.copy()),
+        lambda: _linalg._hessenberg_charpoly(square.copy()),
         lambda: _block_screen_data(
             assemble_degree_block(builtin("trivial", Q(0)), 3, 3)
         ),
@@ -283,8 +285,8 @@ def test_scan_eliminates_once_per_block_then_evaluates(monkeypatch):
     seen = set()
 
     screen = singular.screen_block_zero_kernel
-    eliminate = singular._forward_eliminate
-    build = singular._pencil_determinant
+    eliminate = _linalg._forward_eliminate
+    build = _linalg._pencil_determinant
 
     def counted_screen(block, c):
         current["block"] = block.degree
@@ -311,8 +313,8 @@ def test_scan_eliminates_once_per_block_then_evaluates(monkeypatch):
             current["pencil"] = False
 
     monkeypatch.setattr(singular, "screen_block_zero_kernel", counted_screen)
-    monkeypatch.setattr(singular, "_forward_eliminate", counted_eliminate)
-    monkeypatch.setattr(singular, "_pencil_determinant", counted_build)
+    monkeypatch.setattr(_linalg, "_forward_eliminate", counted_eliminate)
+    monkeypatch.setattr(_linalg, "_pencil_determinant", counted_build)
     rep = verify_bound(builtin("vector", Q(0)), k_max=3, audit=False)
     assert rep["ok"]
     screened = set(first)
