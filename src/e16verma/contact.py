@@ -52,6 +52,7 @@ from .grassmann import (
     mask_of,
     mono_product,
     monomial_to_text,
+    triangle_sign,
 )
 
 __all__ = [
@@ -228,10 +229,6 @@ def contact_bracket(f: ContactElement, g: ContactElement) -> ContactElement:
 # the A operator and E(1,6)
 # ---------------------------------------------------------------------------
 
-def _tri_sign(size: int) -> int:
-    return -1 if (size * (size + 1) // 2) & 1 else 1
-
-
 def op_A(x: ContactElement) -> ContactElement:
     """A(t^k xi_L) = (-1)^(|L|(|L|+1)/2) (d/dt)^(3-|L|) (t^k xi*_L).
 
@@ -254,7 +251,7 @@ def op_A(x: ContactElement) -> ContactElement:
             for _ in range(-power):
                 new_k += 1
                 c /= new_k
-        scal = coef * Q(c * hsign * _tri_sign(size))
+        scal = coef * Q(c * hsign * triangle_sign(size))
         out = out + ContactElement({(new_k, comp): scal})
     return out
 
@@ -584,57 +581,60 @@ def _scaled_int_tensor(table: list[list[dict[int, GaussianRational]]], n_out: in
     return re, im, int(den)
 
 
-class _StructureTables:
-    """Structure constants of E(1,6) in its graded basis, per degree pair."""
+def _dim(degree: int) -> int:
+    return len(_basis_generators(degree))
 
-    def __init__(self, left_max: int, right_max: int):
-        self.left_max = left_max
-        self.right_max = right_max
-        coord_max = left_max + right_max
-        self.dims = {
-            d: len(_basis_generators(d)) for d in range(-2, coord_max + 1)
-        }
+
+class _StructureTables:
+    """Structure constants of E(1,6) in its graded basis for the given
+    ordered degree pairs: each basis pair is bracketed once and decomposed
+    exactly.  A cell whose bracket is not in E(1,6) at degree d1 + d2 is
+    listed in ``failures`` as (d1, d2, x, y) and holds zero in its table,
+    so a check that reads the pair must also read ``failed_pairs``."""
+
+    def __init__(self, pairs: Iterable[tuple[int, int]]):
         self.tables: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, int]] = {}
-        self.closure_ok = True
-        self.closure_failures: list[tuple[int, int, int, int]] = []
-        for d1 in range(-2, left_max + 1):
+        self.failures: list[tuple[int, int, int, int]] = []
+        for d1, d2 in pairs:
             basis1 = _basis_elements_at_degree(d1)
-            for d2 in range(-2, right_max + 1):
-                basis2 = _basis_elements_at_degree(d2)
-                d_out = d1 + d2
-                n_out = self.dims.get(d_out, 0)
-                table = [
-                    [dict() for _ in range(len(basis2))] for _ in range(len(basis1))
-                ]
-                for x, bx in enumerate(basis1):
-                    for y, by in enumerate(basis2):
-                        br = contact_bracket(bx, by)
-                        if not br:
-                            continue
-                        if d_out < -2:
-                            self.closure_ok = False
-                            self.closure_failures.append((d1, d2, x, y))
-                            continue
-                        res = e16_membership(br, d_out)
-                        if not res.ok or set(res.coords) - {d_out}:
-                            self.closure_ok = False
-                            self.closure_failures.append((d1, d2, x, y))
-                            continue
-                        table[x][y] = res.coords.get(d_out, {})
-                self.tables[(d1, d2)] = _scaled_int_tensor(table, n_out)
+            basis2 = _basis_elements_at_degree(d2)
+            d_out = d1 + d2
+            table = [[dict() for _ in basis2] for _ in basis1]
+            for x, bx in enumerate(basis1):
+                for y, by in enumerate(basis2):
+                    br = contact_bracket(bx, by)
+                    if not br:
+                        continue
+                    res = e16_membership(br, d_out) if d_out >= -2 else None
+                    if res is None or not res.ok or set(res.coords) - {d_out}:
+                        self.failures.append((d1, d2, x, y))
+                        continue
+                    table[x][y] = res.coords.get(d_out, {})
+            self.tables[(d1, d2)] = _scaled_int_tensor(table, _dim(d_out))
+        self.failed_pairs = {f[:2] for f in self.failures}
 
     def table(self, d1: int, d2: int):
-        """Table for the ordered degree pair, zero-filled below the grading
-        floor (brackets into degree < -2 vanish by the grading)."""
-        key = (d1, d2)
-        if key not in self.tables:
-            if d1 >= -2 and d2 >= -2:
-                raise KeyError(f"structure table {key} was not built")
-            n1 = self.dims.get(d1, 0)
-            n2 = self.dims.get(d2, 0)
-            z = np.zeros((n1, n2, 0), dtype=np.int64)
-            self.tables[key] = (z, z.copy(), 1)
-        return self.tables[key]
+        """Table for the ordered degree pair, zero below the grading floor
+        (brackets into degree < -2 vanish by the grading)."""
+        if d1 >= -2 and d2 >= -2:
+            return self.tables[(d1, d2)]
+        z = np.zeros((_dim(d1), _dim(d2), 0), dtype=np.int64)
+        return z, z, 1
+
+
+def _absmax(re: np.ndarray, im: np.ndarray) -> int:
+    return max(int(np.abs(re).max(initial=0)), int(np.abs(im).max(initial=0)))
+
+
+def _signed_sum(terms):
+    """Exact sum of scale * (re, im) over the (re, im, scale) terms: int64
+    while the sum of max|entry| * |scale| stays below 2**62 (a zero term
+    counts as 1, since its scale must fit too), Python integers (object
+    dtype) otherwise."""
+    bound = sum(max(_absmax(re, im), 1) * abs(s) for re, im, s in terms)
+    if bound >= 2**62:
+        terms = [(re.astype(object), im.astype(object), s) for re, im, s in terms]
+    return sum(re * s for re, _, s in terms), sum(im * s for _, im, s in terms)
 
 
 def _compose_tables(left, right, order: str):
@@ -651,8 +651,6 @@ def _compose_tables(left, right, order: str):
     """
     lre, lim, lden = left
     rre, rim, rden = right
-    lmax = max(int(np.abs(lre).max(initial=0)), int(np.abs(lim).max(initial=0)))
-    rmax = max(int(np.abs(rre).max(initial=0)), int(np.abs(rim).max(initial=0)))
     contracted = max(lre.shape[-1], 1)
     inputs, output = order.split("->")
     lsub, rsub = inputs.split(",")
@@ -669,7 +667,7 @@ def _compose_tables(left, right, order: str):
     rows = np.flatnonzero(lhs.any(axis=1))
     cols = np.flatnonzero(rhs.any(axis=0))
     mid = np.flatnonzero(lhs.any(axis=0) & rhs.any(axis=1))
-    if lmax * rmax * contracted >= 2**62:
+    if _absmax(lre, lim) * _absmax(rre, rim) * contracted >= 2**62:
         lhs, rhs = lhs.astype(object), rhs.astype(object)
     flat = np.zeros((p * q, 2 * s * nf), dtype=lhs.dtype)
     flat[np.ix_(rows, cols)] = lhs[np.ix_(rows, mid)] @ rhs[np.ix_(mid, cols)]
@@ -679,137 +677,99 @@ def _compose_tables(left, right, order: str):
 
 
 def check_jacobi_closure(jacobi_degree: int = 4, closure_degree: int = 6) -> dict:
-    """Criterion suite for the algebra structure.
+    """Criterion suite for the algebra structure, read from one set of
+    structure-constant tables (``_StructureTables``).  Only the degree pairs
+    some check reads are tabled, and each of their basis pairs is bracketed
+    once:
 
-    * super-Jacobi on all ordered graded basis triples with degrees <=
-      jacobi_degree, checked exactly via denominator-cleared integer
-      structure-constant tensors (int64 with exact big-int fallback);
-    * closure under the bracket for all ordered basis pairs with degree sum
-      <= closure_degree, via exact membership in the graded basis;
-    * [t, b] = deg(b) b on every basis element the tables touch, and
-      super-skew-symmetry of the bracket on all pairs up to jacobi_degree.
+    * closure: every ordered basis pair with degree sum <= closure_degree
+      brackets into E(1,6) at that degree (exact membership);
+    * super-Jacobi on all ordered basis triples with degrees <=
+      jacobi_degree, by integer tensor contraction: T1 - T2 - sgn T3 summed
+      in one pass, in int64 or, past its bound, in Python integers;
+    * super-skew [x, y] = -(-1)^(p(x) p(y)) [y, x] on every degree pair whose
+      two orders are both tabled, compared in exact integers;
+    * [t, b] = deg(b) b on every basis element of degree <= span =
+      max(2 jacobi_degree, closure_degree + 2), read from row 0 of the
+      (0, d) tables (t is the first degree-0 basis element).
+
+    A cell whose bracket failed membership fails every check that reads its
+    table: closure when its degree sum is in range, skew, grading and each
+    Jacobi triple whose contraction uses it.
     """
-    span = max(2 * jacobi_degree, closure_degree + 2, jacobi_degree)
-    tables = _StructureTables(span, span)
+    hi = max(jacobi_degree, 2 * jacobi_degree)
+    span = max(hi, closure_degree + 2)
+    degrees = range(-2, span + 1)
+    # Jacobi triples read (a, b) with one degree <= jacobi_degree and the
+    # other a sum of two; closure reads d1 + d2 <= closure_degree; grading
+    # reads (0, d)
+    tables = _StructureTables(
+        (d1, d2) for d1 in degrees for d2 in degrees
+        if d1 + d2 <= closure_degree or d1 == 0
+        or (min(d1, d2) <= jacobi_degree and max(d1, d2) <= hi)
+    )
+    failed = tables.failed_pairs
+    closure_failures = [f for f in tables.failures if f[0] + f[1] <= closure_degree]
     report: dict = {
-        "jacobi_degree": jacobi_degree,
-        "closure_degree": closure_degree,
-        "closure_ok": tables.closure_ok,
-        "closure_failures": [
-            f for f in tables.closure_failures if f[0] + f[1] <= closure_degree
-        ],
+        "closure_ok": not closure_failures,
+        "closure_failures": closure_failures,
         "jacobi_ok": True,
         "jacobi_failures": [],
         "skew_ok": True,
         "grading_ok": True,
         "triples_checked": 0,
-        "pairs_closed": 0,
+        "pairs_closed": sum(_dim(d1) * _dim(d2) for d1 in degrees for d2 in degrees
+                            if d1 + d2 <= closure_degree),
     }
-    # every closure failure matters, but only pairs within the requested
-    # range gate the criterion; anything worse is still reported
-    report["closure_failures_beyond_range"] = [
-        f for f in tables.closure_failures if f[0] + f[1] > closure_degree
-    ]
-    report["closure_ok"] = not report["closure_failures"]
-    for d1 in range(-2, span + 1):
-        for d2 in range(-2, span + 1):
-            if d1 + d2 <= closure_degree:
-                report["pairs_closed"] += tables.dims[d1] * tables.dims[d2]
 
-    # super-skew on pairs + grading element, object-level (cheap)
-    for d1 in range(-2, span + 1):
-        basis1 = _basis_elements_at_degree(d1)
-        for b in basis1:
-            if contact_bracket(GRADING_T, b) != b.scale(Q(d1)):
-                report["grading_ok"] = False
-    for d1 in range(-2, jacobi_degree + 1):
-        basis1 = _basis_elements_at_degree(d1)
-        for d2 in range(-2, jacobi_degree + 1):
-            basis2 = _basis_elements_at_degree(d2)
-            sgn = -1 if (d1 & 1) and (d2 & 1) else 1
-            for bx in basis1:
-                for by in basis2:
-                    lhs = contact_bracket(bx, by)
-                    rhs = contact_bracket(by, bx).scale(Q(-sgn))
-                    if lhs != rhs:
-                        report["skew_ok"] = False
+    for (d1, d2), (re, im, den) in tables.tables.items():
+        if d2 < d1 or (d2, d1) not in tables.tables:
+            continue
+        sgn = -1 if (d1 & 1) and (d2 & 1) else 1
+        tre, tim, tden = tables.tables[(d2, d1)]
+        s_re, s_im = _signed_sum([(re, im, tden), (tre.transpose(1, 0, 2),
+                                                   tim.transpose(1, 0, 2), sgn * den)])
+        if {(d1, d2), (d2, d1)} & failed or np.any(s_re) or np.any(s_im):
+            report["skew_ok"] = False
+
+    for d in degrees:
+        re, im, den = tables.table(0, d)
+        eye = np.eye(_dim(d), dtype=np.int64)
+        g_re, g_im = _signed_sum([(re[0], im[0], 1), (eye, 0 * eye, -d * den)])
+        if (0, d) in failed or np.any(g_re) or np.any(g_im):
+            report["grading_ok"] = False
 
     # super-Jacobi per ordered degree triple, integer tensor contraction:
     # [a,[b,c]] - [[a,b],c] - (-1)^(p(a)p(b)) [b,[a,c]] = 0
     rng = range(-2, jacobi_degree + 1)
-    for d1 in rng:
-        n1 = tables.dims[d1]
-        if not n1:
-            continue
-        for d2 in rng:
-            n2 = tables.dims[d2]
-            if not n2:
-                continue
-            for d3 in rng:
-                n3 = tables.dims[d3]
-                if not n3:
-                    continue
-                sgn = -1 if (d1 & 1) and (d2 & 1) else 1
-                # T1[x,y,z,f] = sum_e C23[y,z,e] C1(23)[x,e,f]
-                T1 = _compose_tables(
-                    tables.table(d2, d3), tables.table(d1, d2 + d3), "yze,xef->xyzf"
-                )
-                # T2[x,y,z,f] = sum_e C12[x,y,e] C(12)3[e,z,f]
-                T2 = _compose_tables(
-                    tables.table(d1, d2), tables.table(d1 + d2, d3), "xye,ezf->xyzf"
-                )
-                # T3[x,y,z,f] = sum_e C13[x,z,e] C2(13)[y,e,f]
-                T3 = _compose_tables(
-                    tables.table(d1, d3), tables.table(d2, d1 + d3), "xze,yef->xyzf"
-                )
-
-                lcm = 1
-                for _, _, dv in (T1, T2, T3):
-                    lcm = math.lcm(lcm, dv)
-                acc_re = None
-                acc_im = None
-                use_object = False
-                bound = 0
-                for (re, im, dv), s in zip((T1, T2, T3), (1, -1, -sgn)):
-                    if not re.size:
-                        continue
-                    scale = s * (lcm // dv)
-                    if re.dtype == object:
-                        use_object = True
-                    else:
-                        m = max(
-                            int(np.abs(re).max(initial=0)),
-                            int(np.abs(im).max(initial=0)),
-                        )
-                        bound += m * abs(scale)
-                for (re, im, dv), s in zip((T1, T2, T3), (1, -1, -sgn)):
-                    if not re.size:
-                        continue
-                    scale = s * (lcm // dv)
-                    if use_object or bound >= 2**62:
-                        re = re.astype(object)
-                        im = im.astype(object)
-                    if acc_re is None:
-                        acc_re = re * scale
-                        acc_im = im * scale
-                    else:
-                        acc_re = acc_re + re * scale
-                        acc_im = acc_im + im * scale
-                report["triples_checked"] += n1 * n2 * n3
-                if acc_re is not None and (np.any(acc_re) or np.any(acc_im)):
-                    report["jacobi_ok"] = False
-                    nz = [
-                        idx
-                        for idx, (vr, vi) in enumerate(zip(acc_re.flat, acc_im.flat))
-                        if vr or vi
-                    ]
-                    report["jacobi_failures"].append(((d1, d2, d3), nz[:5]))
-    report["ok"] = (
-        report["jacobi_ok"]
-        and report["closure_ok"]
-        and report["skew_ok"]
-        and report["grading_ok"]
-    )
+    for d1, d2, d3 in ((a, b, c) for a in rng for b in rng for c in rng):
+        sgn = -1 if (d1 & 1) and (d2 & 1) else 1
+        # T1[x,y,z,f] = sum_e C23[y,z,e] C1(23)[x,e,f]
+        T1 = _compose_tables(
+            tables.table(d2, d3), tables.table(d1, d2 + d3), "yze,xef->xyzf"
+        )
+        # T2[x,y,z,f] = sum_e C12[x,y,e] C(12)3[e,z,f]
+        T2 = _compose_tables(
+            tables.table(d1, d2), tables.table(d1 + d2, d3), "xye,ezf->xyzf"
+        )
+        # T3[x,y,z,f] = sum_e C13[x,z,e] C2(13)[y,e,f]
+        T3 = _compose_tables(
+            tables.table(d1, d3), tables.table(d2, d1 + d3), "xze,yef->xyzf"
+        )
+        lcm = math.lcm(T1[2], T2[2], T3[2])
+        acc_re, acc_im = _signed_sum([
+            (re, im, s * (lcm // dv))
+            for (re, im, dv), s in zip((T1, T2, T3), (1, -1, -sgn)) if re.size
+        ])
+        report["triples_checked"] += _dim(d1) * _dim(d2) * _dim(d3)
+        nz = np.flatnonzero((acc_re != 0) | (acc_im != 0))
+        reads = {(d2, d3), (d1, d2 + d3), (d1, d2), (d1 + d2, d3), (d1, d3),
+                 (d2, d1 + d3)}
+        if nz.size or reads & failed:
+            report["jacobi_ok"] = False
+            report["jacobi_failures"].append(((d1, d2, d3), nz[:5].tolist()))
+    report["ok"] = all(report[k] for k in ("jacobi_ok", "closure_ok", "skew_ok",
+                                           "grading_ok"))
     return report
 
 

@@ -21,6 +21,8 @@ Conventions
 * Modified Hodge dual xi*_I (``hodge_modified``): the unique monomial with
   xi_I xi*_I = xi_full; it also gives eta*_I with xi_I * eta*_I = eta_full.
   ``eta_bar`` gives bar(eta_I) = (-1)^|I| eta*_I.
+* ``triangle_sign(l)`` = (-1)^(l(l+1)/2), the sign the A operator and the
+  dual half of a condition carry for a monomial of size l.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ __all__ = [
     "derive_mask",
     "hodge_modified",
     "eta_bar",
+    "triangle_sign",
     "monomial_to_text",
     "ALL_MASKS",
     "MASKS_BY_SIZE",
@@ -152,6 +155,11 @@ def eta_bar(mask_or_word) -> tuple[int, int]:
     if mask.bit_count() & 1:
         sign = -sign
     return sign, comp
+
+
+def triangle_sign(l: int) -> int:
+    """(-1)^(l(l+1)/2)."""
+    return -1 if (l * (l + 1) // 2) & 1 else 1
 
 
 # ---------------------------------------------------------------------------

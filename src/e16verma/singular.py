@@ -50,6 +50,7 @@ from .grassmann import (
     merge_sign,
     mono_product,
     normalize,
+    triangle_sign,
     word_of,
 )
 from .verma import (
@@ -69,6 +70,7 @@ from .verma import (
     render_vermavector,
     t_inverse,
     _op_matrices,
+    _expand_ops,
 )
 
 __all__ = [
@@ -116,10 +118,6 @@ SHAPE_SUPPORT: dict[int, frozenset[tuple[int, int]]] = {
 }
 
 
-def _triangle_sign(l: int) -> int:
-    return -1 if (l * (l + 1) // 2) & 1 else 1
-
-
 def combined_action(L: Iterable[int], m: VermaVector) -> ActionPolynomial:
     """Phi_L(lambda) m - i (-1)^(|L|(|L|+1)/2) lambda^(3-|L|) Phi_{L*}(lambda) m
     for |L| <= 3."""
@@ -134,7 +132,7 @@ def combined_action(L: Iterable[int], m: VermaVector) -> ActionPolynomial:
     d_sign, d_mask = hodge_modified(l_mask)
     main = lambda_action_T(sword, m)
     dual = lambda_action_T(word_of(d_mask), m)
-    factor = QI(0, -1) * Q(_triangle_sign(l) * d_sign)
+    factor = QI(0, -1) * Q(triangle_sign(l) * d_sign)
     out = main + dual.scale(factor).shift_lambda(3 - l)
     return out.scale(Q(sign))
 
@@ -147,7 +145,7 @@ def _combined_terms(l_mask: int, i_mask: int) -> tuple:
     l = l_mask.bit_count()
     d_sign, d_mask = hodge_modified(l_mask)
     # -i (-1)^(l(l+1)/2) * (dual sign): purely imaginary integer
-    dual_im = -_triangle_sign(l) * d_sign
+    dual_im = -triangle_sign(l) * d_sign
     rows = []
     for (j, dth, om, op, c) in action_terms(l_mask, i_mask):
         rows.append((j, dth, om, op, c, 0))
@@ -327,7 +325,8 @@ def assemble_degree_block(
 
     The block is sum_op S_op (x) M_op: S_op is a module-free integer matrix
     from the row codes to the (k, I) monomials (``_block_structure``), M_op
-    the op's module matrix with denominators cleared (``_op_matrices``).
+    the op's module matrix with denominators cleared (``_op_matrices``),
+    expanded by ``_expand_ops``.
     Every (row, unknown) cell that some term reaches is kept, so a row whose
     terms cancel still counts in ``nrows``; cells that cancel are dropped.
     Raises OverflowError when an entry could leave int64.
@@ -347,29 +346,13 @@ def assemble_degree_block(
     codes, code_rank = np.unique(code, return_inverse=True)
     _, op_mats = _op_matrices(module)
 
-    # a cell sums one term per structural entry sharing its (code, monomial)
-    pair = code_rank * len(monos) + mono
-    max_terms = int(np.unique(pair, return_counts=True)[1].max(initial=0))
-    max_s = int((np.abs(s_re) + np.abs(s_im)).max(initial=0))
-    max_m = max(abs(re) + abs(im) for mat in op_mats for *_, re, im in mat)
-    if max_s * max_m * max_terms >= 1 << 63:
-        raise OverflowError(
-            f"degree-{degree} block entries of module {module.name!r} "
-            "can overflow int64"
-        )
-
     keys, vals_re, vals_im, is_t = [], [], [], []
-    for o, mat in enumerate(op_mats):
-        sel = np.flatnonzero(op == o)
-        if not (sel.size and mat):
-            continue
-        out_c, in_c, m_re, m_im = np.array(mat, dtype=np.int64).T
-        row = code_rank[sel, None] * dim + out_c
-        keys.append((row * ncols + mono[sel, None] * dim + in_c).ravel())
-        sr, si = s_re[sel, None], s_im[sel, None]
-        vals_re.append((sr * m_re - si * m_im).ravel())
-        vals_im.append((sr * m_im + si * m_re).ravel())
-        is_t.append(np.full(keys[-1].size, o == _T_OP))
+    what = f"degree-{degree} block entries of module {module.name!r}"
+    for o, row, col, re, im in _expand_ops(op_mats, what, op, code_rank, mono, s_re, s_im):
+        keys.append(row * ncols + col)
+        vals_re.append(re)
+        vals_im.append(im)
+        is_t.append(np.full(row.size, o == _T_OP))
     if not keys:
         empty = np.zeros(0, dtype=np.int64)
         return DegreeBlock(degree, columns, *[empty] * 8)

@@ -64,6 +64,7 @@ from .grassmann import (
     merge_sign,
     mono_product,
     normalize,
+    triangle_sign,
     word_of,
 )
 
@@ -284,8 +285,33 @@ def _op_matrices(module, t: GaussianRational = ONE) -> tuple[int, list[list[tupl
     return den, out
 
 
-def _triangle_sign(l: int) -> int:
-    return -1 if (l * (l + 1) // 2) & 1 else 1
+def _expand_ops(op_mats: list[list[tuple]], what: str, op, row, col, s_re, s_im):
+    """Expand structural entries by the module's op matrices (``_op_matrices``).
+
+    Entry s, of weight s_re[s] + i s_im[s] at structural (row[s], col[s]),
+    becomes one entry per (r, c, m_re, m_im) of op_mats[op[s]]: at
+    (row[s] * dim + r, col[s] * dim + c), of weight (s_re + i s_im)(m_re +
+    i m_im).  Yields (o, rows, cols, re, im) for each op o that has entries.
+    Entries sharing a structural cell sum into one matrix cell; before any
+    op matrix becomes int64, raises OverflowError ("<what> can overflow
+    int64") when such a sum could leave int64.
+    """
+    dim = len(op_mats[0])  # the identity has one entry per coordinate
+    cell = row * (int(col.max(initial=0)) + 1) + col
+    max_terms = int(np.unique(cell, return_counts=True)[1].max(initial=0))
+    max_s = int((np.abs(s_re) + np.abs(s_im)).max(initial=0))
+    max_m = max((abs(re) + abs(im) for mat in op_mats for *_, re, im in mat), default=0)
+    if max_s * max_m * max_terms >= 1 << 63:
+        raise OverflowError(f"{what} can overflow int64")
+    for o, mat in enumerate(op_mats):
+        sel = np.flatnonzero(op == o)
+        if not (sel.size and mat):
+            continue
+        out_c, in_c, m_re, m_im = np.array(mat, dtype=np.int64).T
+        sr, si = s_re[sel, None], s_im[sel, None]
+        yield (o, (row[sel, None] * dim + out_c).ravel(),
+               (col[sel, None] * dim + in_c).ravel(),
+               (sr * m_re - si * m_im).ravel(), (sr * m_im + si * m_re).ravel())
 
 
 @lru_cache(maxsize=None)
@@ -298,7 +324,7 @@ def action_terms(l_mask: int, i_mask: int) -> tuple[tuple[int, int, int, tuple, 
     """
     l = l_mask.bit_count()
     size_i = i_mask.bit_count()
-    g_sign = _triangle_sign(l) * (-1 if (l * size_i) & 1 else 1)
+    g_sign = triangle_sign(l) * (-1 if (l * size_i) & 1 else 1)
     minus_l = -1 if l & 1 else 1  # (-1)^l
     terms: list[tuple[int, int, int, tuple, int]] = []
 
@@ -711,7 +737,7 @@ def _functionals_for_mask(l_mask: int, m: VermaVector, p: int) -> dict[str, Flat
         if not v:
             continue
         size_i = i_mask.bit_count()
-        g_sign = _triangle_sign(l) * (-1 if (l * size_i) & 1 else 1)
+        g_sign = triangle_sign(l) * (-1 if (l * size_i) & 1 else 1)
         disjoint = not l_mask & i_mask
         union = l_mask | i_mask
 
@@ -979,11 +1005,7 @@ class ActionMatrixSlice:
         self.fdim = module.dim
         self.dim = len(self.monomials) * self.fdim
         self._degrees = np.array([mdeg(k, mask) for (k, mask) in self.monomials])
-        self.den, op_mats = _op_matrices(module, module.t_scalar)
-        self._op_ptr = np.cumsum([0] + [len(mat) for mat in op_mats])
-        self._op_entries = np.array([e for mat in op_mats for e in mat],
-                                    dtype=np.int64).reshape(-1, 4)
-        self._max_op = int(np.abs(self._op_entries[:, 2:]).sum(axis=1).max(initial=0))
+        self.den, self._op_mats = _op_matrices(module, module.t_scalar)
         self._cache: dict[int, dict[int, tuple]] = {}
 
     def flat(self, n_mono: int, coord: int) -> int:
@@ -997,8 +1019,9 @@ class ActionMatrixSlice:
         """{lambda-power: (re_csr, im_csr)} of xi_L on the slice, scaled by
         den; an all-zero part is an empty CSR.  Structure (x) module ops:
         rows (lambda power, out monomial, in monomial, op, weight) from
-        ``action_terms``, each expanded by its op's module matrix.  Raises
-        OverflowError when an entry could leave int64."""
+        ``action_terms``, each expanded by its op's module matrix
+        (``_expand_ops``).  Raises OverflowError when an entry could leave
+        int64."""
         got = self._cache.get(l_mask)
         if got is not None:
             return got
@@ -1010,28 +1033,21 @@ class ActionMatrixSlice:
                     if n_out is not None:  # otherwise it falls outside the slice
                         flat.extend((j + r, n_out, n_in, _OP_INDEX[op], c * comb(k, r)))
         power, n_out, n_in, op, w = np.array(flat, dtype=np.int64).reshape(-1, 5).T
-        # a cell sums one term per structural row sharing (power, out, in)
-        n = len(self.monomials)
-        max_terms = np.unique((power * n + n_out) * n + n_in, return_counts=True)[1]
-        if (int(np.abs(w).max(initial=0)) * self._max_op
-                * int(max_terms.max(initial=0)) >= 1 << 63):
-            raise OverflowError(
-                f"action slice of module {self.module.name!r} can overflow int64")
-        # row s expands to the op entries ptr[op[s]] .. ptr[op[s] + 1] - 1
-        ptr = self._op_ptr
-        cnt = ptr[op + 1] - ptr[op]
-        src = np.repeat(np.arange(len(op)), cnt)
-        pos = np.arange(len(src)) + np.repeat(ptr[op] - np.cumsum(cnt) + cnt, cnt)
-        out_c, in_c, m_re, m_im = self._op_entries[pos].T
-        rows, cols = n_out[src] * self.fdim + out_c, n_in[src] * self.fdim + in_c
-        power, w = power[src], w[src]
+        # the lambda powers stack as row blocks of one tall matrix
+        chunks = [chunk[1:] for chunk in _expand_ops(
+            self._op_mats, f"action slice of module {self.module.name!r}", op,
+            power * len(self.monomials) + n_out, n_in, w, np.zeros_like(w))]
         out = {}
-        for jj in np.unique(power).tolist():
-            sel = power == jj
-            out[jj] = tuple(self._csr((w[sel] * m[sel], (rows[sel], cols[sel])),
-                                      shape=(self.dim, self.dim)) for m in (m_re, m_im))
-            for part in out[jj]:
-                part.eliminate_zeros()  # construction summed the duplicates
+        if chunks:
+            rows, cols, re, im = map(np.concatenate, zip(*chunks))
+            power, rows = np.divmod(rows, self.dim)
+            for jj in np.unique(power).tolist():
+                sel = power == jj
+                out[jj] = tuple(self._csr((m[sel], (rows[sel], cols[sel])),
+                                          shape=(self.dim, self.dim))
+                                for m in (re, im))
+                for part in out[jj]:
+                    part.eliminate_zeros()  # construction summed the duplicates
         self._cache[l_mask] = out
         return out
 

@@ -28,7 +28,7 @@ from e16verma.singular import (
     assemble_degree_block,
     verify_bound,
 )
-from e16verma.verma import action_terms, mdeg
+from e16verma.verma import ActionMatrixSlice, action_terms, mdeg
 
 DATA = Path(__file__).parent / "data"
 
@@ -250,6 +250,15 @@ def test_oversized_module_entries_raise_overflow(scale):
     huge = _conjugated_vector(scale)
     with pytest.raises(OverflowError, match="overflow int64"):
         assemble_degree_block(huge, 1, 4)
+
+
+@pytest.mark.parametrize("scale", [1 << 31, 1 << 40])
+def test_oversized_module_entries_raise_overflow_in_the_action_slice(scale):
+    # the slice shares the block's guard, which runs on Python integers: at
+    # 2^40 the cleared entries (2^80) never reach an int64 array
+    huge = _conjugated_vector(scale)
+    with pytest.raises(OverflowError, match="action slice .* can overflow int64"):
+        ActionMatrixSlice(huge, max_mdeg=4).matrices(mask_of((1, 2)))
 
 
 @pytest.mark.parametrize("command", ["verify-bound", "find-singular"])

@@ -288,14 +288,18 @@ GOLDEN = {
         ["find-singular", "--module", "trivial", "--t-scan", "0,2"],
     "golden_find_vector_kmax2.jsonl":
         ["find-singular", "--module", "vector", "--kmax", "2", "--t-scan=-2..6"],
+    "golden_check_algebra.jsonl": ["check-algebra"],
+    "golden_check_algebra_fault.jsonl": ["check-algebra", "--inject-fault"],
+    "golden_reproduce_proof_verbose.jsonl": ["reproduce-proof", "--verbose"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_reports_match_golden(name, capsys):
+    want = (DATA / name).read_bytes()
     rc, out, _ = run_cli(capsys, GOLDEN[name] + ["--format", "json-lines"])
-    assert rc == 0
-    assert out.encode() == (DATA / name).read_bytes()
+    assert rc == json.loads(want.splitlines()[-1])["exit"]
+    assert out.encode() == want
 
 
 def test_missing_subcommand_exits_two(capsys):

@@ -11,6 +11,7 @@ from e16verma.contact import (
     GRADING_T,
     THETA,
     check_L1_L2_L3,
+    check_jacobi_closure,
     check_root_system,
     contact_bracket,
     e16_basis,
@@ -22,6 +23,7 @@ from e16verma.contact import (
     _basis_elements_at_degree,
     _basis_generators,
     _compose_tables,
+    _signed_sum,
 )
 from e16verma.exactnum import IUNIT, ONE, Q, QI
 from e16verma.grassmann import MASKS_BY_SIZE, mask_of
@@ -266,3 +268,77 @@ def test_compose_tables_matches_einsum_reference(scale):
             assert np.array_equal(g, w), order
     # the large scale drives the 16^3 case onto exact Python integers
     assert (got[0].dtype == object) == (scale > 1)
+
+
+@pytest.mark.parametrize("big", [1, 2**40])
+def test_signed_sum_is_exact_past_int64(big):
+    re = np.array([[3 * big, -big], [0, 7]], dtype=np.int64)
+    im = np.array([[big, 0], [-5, 2 * big]], dtype=np.int64)
+    scales = (2**21, -(2**21) - 1)
+    got_re, got_im = _signed_sum([(re, im, scales[0]), (re.T, im.T, scales[1])])
+    for got, x in ((got_re, re), (got_im, im)):
+        want = [[int(x[i, j]) * scales[0] + int(x[j, i]) * scales[1]
+                 for j in range(2)] for i in range(2)]
+        assert got.tolist() == want
+        # 2^40 entries times 2^21 scales leave int64's safe range
+        assert got.dtype == (object if big > 1 else np.int64)
+
+
+# ---------------------------------------------------------------------------
+# check_jacobi_closure: one bracket per tabled pair, and every verdict fails
+# ---------------------------------------------------------------------------
+
+def _patch_bracket(monkeypatch, d1, x, d2, y, value):
+    """contact_bracket returns value(true bracket) on the ordered basis pair
+    (element x of degree d1, element y of degree d2), the true bracket
+    elsewhere."""
+    bx, by = _basis_elements_at_degree(d1)[x], _basis_elements_at_degree(d2)[y]
+    orig = contact.contact_bracket
+
+    def patched(f, g):
+        out = orig(f, g)
+        return value(out) if f == bx and g == by else out
+
+    monkeypatch.setattr(contact, "contact_bracket", patched)
+
+
+def test_jacobi_closure_brackets_each_read_pair_once(monkeypatch):
+    calls = []
+    orig = contact.contact_bracket
+    monkeypatch.setattr(contact, "contact_bracket",
+                        lambda f, g: calls.append(1) or orig(f, g))
+    jc = check_jacobi_closure(4, 6)
+    assert jc["ok"]
+    # all ordered basis pairs of degrees -2..8 (151 elements) but the 16
+    # degree pairs in 5..8 x 5..8, which no check reads
+    assert len(calls) == 151**2 - 16 * 16 * 16 == 18705
+
+
+def test_bracket_outside_e16_fails_skew_and_jacobi(monkeypatch):
+    # this degree-3 x degree-4 pair brackets to 0; t^4 xi_1 has degree 7 but
+    # is not in E(1,6), so its table cell cannot hold it.  Degree 7 is past
+    # the closure range, so skew and Jacobi must fail on the cell themselves
+    b3, b4 = _basis_elements_at_degree(3)[6], _basis_elements_at_degree(4)[1]
+    assert not contact_bracket(b3, b4)
+    _patch_bracket(monkeypatch, 3, 6, 4, 1, lambda _: C(4, (1,)))
+    jc = check_jacobi_closure(4, 6)
+    assert not jc["skew_ok"] and not jc["jacobi_ok"] and not jc["ok"]
+    assert jc["closure_ok"] and jc["grading_ok"]
+
+
+def test_negated_bracket_fails_skew(monkeypatch):
+    b1, b2 = _basis_elements_at_degree(1)[0], _basis_elements_at_degree(2)[4]
+    assert contact_bracket(b1, b2)
+    _patch_bracket(monkeypatch, 1, 0, 2, 4, lambda out: -out)
+    jc = check_jacobi_closure(1, 2)
+    assert not jc["skew_ok"] and not jc["ok"]
+    assert jc["closure_ok"] and jc["grading_ok"]
+
+
+def test_wrong_grading_eigenvalue_fails_grading(monkeypatch):
+    # [t, b] = 2 b at degree 2 becomes 3 b for one basis element
+    assert _basis_elements_at_degree(0)[0] == GRADING_T
+    _patch_bracket(monkeypatch, 0, 0, 2, 5, lambda out: out.scale(Q(3, 2)))
+    jc = check_jacobi_closure(1, 2)
+    assert not jc["grading_ok"] and not jc["ok"]
+    assert jc["closure_ok"]

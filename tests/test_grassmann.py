@@ -23,6 +23,7 @@ from e16verma.grassmann import (
     mono_product,
     monomial_to_text,
     normalize,
+    triangle_sign,
     word_of,
 )
 
@@ -225,3 +226,10 @@ def test_mono_product_table():
                 assert (sign, out) == (0, 0)
             else:
                 assert (sign, word_of(out)) == normalize(word_of(a_mask) + word_of(b_mask))
+
+
+def test_triangle_sign_is_the_sign_of_reversing_l_plus_one_indices():
+    # reversing n indices has sign (-1)^(n(n-1)/2); n = l + 1 gives l(l+1)/2
+    for l in range(N_INDICES):
+        assert triangle_sign(l) == normalize(range(l + 1, 0, -1))[0]
+    assert [triangle_sign(l) for l in range(4)] == [1, -1, -1, 1]
