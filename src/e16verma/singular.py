@@ -381,8 +381,8 @@ def assemble_degree_block(
     )
 
 
-# compressor entries drawn per chunk: 2^20 int64 values, 8 MB
-_COMPRESS_CHUNK = 1 << 20
+# pairs (target row, coefficient) each block row gets in the sketch compressor
+_SKETCH_PAIRS = 3
 
 # base points tried for the pencil when the block's first screened value was
 # not certified; fixed residues far from the small resonant t-values
@@ -395,14 +395,14 @@ def _block_screen_data(block: DegreeBlock):
     The block matrix at t-eigenvalue c is base + c t_part over Z[i]; under
     i -> SCREEN_R its image is base_p + gamma t_part_p with gamma the image
     of c.  B = R base_p and T = R t_part_p (both ncols x ncols) for one
-    deterministic random ncols x nrows compressor R, so B + gamma T is the
-    compressed image of the block at c.  R is drawn in row chunks of about
-    _COMPRESS_CHUNK entries from the seeded stream and never held whole.
+    deterministic sparse ncols x nrows sketch R: column i holds
+    _SKETCH_PAIRS coefficients in [1, p) at rows in [0, ncols), all drawn
+    from the block's seeded stream, so compressing costs O(nnz).  Any R is
+    sound; R only sets how often a full-rank block is certified, and a miss
+    costs the exact path.
     """
-    from scipy.sparse import csc_matrix
-
     p, r = _linalg.SCREEN_P, _linalg.SCREEN_R
-    n, nrows = block.ncols, block.nrows
+    n = block.ncols
     vals = np.concatenate((
         (block.b_re % p + r * (block.b_im % p)) % p,
         (block.t_re % p + r * (block.t_im % p)) % p,
@@ -411,16 +411,14 @@ def _block_screen_data(block: DegreeBlock):
     cols = np.concatenate((block.c_idx, block.c_idx + n))
     keep = vals != 0
     rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    # each output entry sums one product per nonzero of its column
-    _linalg._check_int64_sum(int(np.bincount(cols, minlength=1).max()))
-    A_t = csc_matrix((vals, (cols, rows)), shape=(2 * n, nrows))
     rng = np.random.default_rng(0xE16 + 7919 * block.degree + n)
-    step = max(1, _COMPRESS_CHUNK // nrows)
-    out = np.empty((n, 2 * n), dtype=np.int64)
-    for lo in range(0, n, step):
-        R = rng.integers(0, p, size=(min(step, n - lo), nrows), dtype=np.int64)
-        out[lo:lo + len(R)] = (A_t @ R.T).T
-    out %= p
+    target = rng.integers(0, n, size=(block.nrows, _SKETCH_PAIRS), dtype=np.int64)
+    coeff = rng.integers(1, p, size=(block.nrows, _SKETCH_PAIRS), dtype=np.int64)
+    # an output entry sums one product per pair sent to its row
+    _linalg._check_int64_sum(int(np.bincount(target.ravel(), minlength=1).max()))
+    out = np.zeros(n * 2 * n, dtype=np.int64)
+    np.add.at(out, target[rows] * 2 * n + cols[:, None], coeff[rows] * vals[:, None])
+    out = out.reshape(n, 2 * n) % p
     return out[:, :n], out[:, n:]
 
 
@@ -466,9 +464,11 @@ def screen_block_zero_kernel(block: DegreeBlock, c: GaussianRational) -> bool:
     t-eigenvalue c is zero.  False means "unknown" (exact path required).
 
     Certificate: with gamma the image of c under i -> SCREEN_R, the
-    compressed pencil satisfies det(B + gamma T) != 0 mod p.  That is a
-    nonzero ncols x ncols minor of the reduced block, and rank only drops
-    under reduction mod p, so the block has full column rank over Q(i).
+    compressed pencil satisfies det(B + gamma T) != 0 mod p.  For any
+    compressor R that is a nonzero ncols x ncols minor of the reduced block
+    (Cauchy-Binet), and rank only drops under reduction mod p, so the block
+    has full column rank over Q(i).  R only sets how often a full-rank block
+    is certified; a miss only costs the exact path.
     A c whose denominator is divisible by p has no image and goes to the
     exact path; so does a block with fewer rows than columns.  The first
     screen of a block eliminates at its c; the second builds D(gamma) =

@@ -86,14 +86,14 @@ def test_check_algebra_fault_injection_detected_and_restored(capsys):
     assert contact_bracket(x12, x1) == ContactElement.monomial(0, (2,))
 
 
-def test_algebra_and_proof_commands_never_import_scipy():
-    # importing scipy.sparse raises check-algebra's peak RSS by about 20 MB;
-    # only the screen and the matrix slices need it, and they import it late
+def _scipy_modules_after(commands):
+    """Run cli.main on each argv in a fresh interpreter, writing to the null
+    device; returns the last stdout line: the exit codes and every scipy
+    module then loaded."""
     script = (
         "import sys\n"
         "from e16verma import cli\n"
-        "codes = [cli.main(['check-algebra', '--out', sys.argv[1]]),\n"
-        "         cli.main(['reproduce-proof', '--out', sys.argv[1]])]\n"
+        f"codes = [cli.main(argv + ['--out', sys.argv[1]]) for argv in {commands!r}]\n"
         "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -103,7 +103,22 @@ def test_algebra_and_proof_commands_never_import_scipy():
         [sys.executable, "-c", script, os.devnull],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_algebra_and_proof_commands_never_import_scipy():
+    # importing scipy.sparse raises check-algebra's peak RSS by about 20 MB;
+    # only the matrix slices of the commutator suite need it, and they
+    # import it late
+    assert _scipy_modules_after([["check-algebra"], ["reproduce-proof"]]) == "[0, 0] []"
+
+
+def test_scan_commands_never_import_scipy():
+    # the screen's sketch compressor is plain numpy, so the whole scan path
+    # runs without scipy
+    scan = ["--module", "vector", "--kmax", "2", "--t-scan=-1..1"]
+    commands = [["verify-bound", *scan], ["find-singular", *scan]]
+    assert _scipy_modules_after(commands) == "[0, 0] []"
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""The modular screen: streamed compressor, forward eliminator and pencil
-determinant, checked against the four-product compressor with Gauss-Jordan
-rank that the screen replaced (kept here as the reference), against sympy
-determinants, and by counting eliminations."""
+"""The modular screen: sketch compressor, forward eliminator and pencil
+determinant.  Checked against a dense-compressor reference (a dense random
+ncols x nrows R, four products and Gauss-Jordan rank, the screen it
+replaced, kept here as the oracle for decisions), against the sketch built
+explicitly as a dense matrix, against sympy determinants and exact kernels,
+and by counting eliminations."""
 
 from collections import Counter
 from fractions import Fraction
@@ -9,6 +11,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from e16verma import _linalg, singular
 from e16verma._linalg import (
@@ -37,14 +41,16 @@ SCAN = [Q(n) for n in range(-10, 11)] + [Q(7, 3), QI(1, 2)]
 # reference: dense ncols x nrows compressor, four products, Gauss-Jordan rank
 # ---------------------------------------------------------------------------
 
-def _reference_images(block):
-    """(sb_re, sb_im, st_re, st_im): the four compressed parts."""
+def _reference_images(block, R=None):
+    """(sb_re, sb_im, st_re, st_im): the four compressed parts, by default
+    under a dense random ncols x nrows compressor R."""
     from scipy.sparse import coo_matrix
 
     p = SCREEN_P
     n, rcount = block.ncols, block.nrows
-    rng = np.random.default_rng(0xE16 + 7919 * block.degree + n)
-    R = rng.integers(0, p, size=(n, rcount), dtype=np.int64)
+    if R is None:
+        rng = np.random.default_rng(0xE16 + 7919 * block.degree + n)
+        R = rng.integers(0, p, size=(n, rcount), dtype=np.int64)
 
     def compress(vals):
         A = coo_matrix(
@@ -62,33 +68,27 @@ def _reference_images(block):
 
 
 def _reference_rank(mat, p, need):
-    """Row-reduce a dense int64 matrix mod p; returns the rank, stopping
-    early once it cannot reach `need`."""
+    """Row-reduce a dense int64 matrix mod p to echelon form; returns the
+    rank, stopping early once it cannot reach `need`."""
     m = mat % p
     nrows, ncols = m.shape
     rank = 0
-    row = 0
     for col in range(ncols):
         if ncols - col < need - rank:
             return rank
-        piv = None
-        for rr in range(row, nrows):
-            if m[rr, col]:
-                piv = rr
-                break
-        if piv is None:
+        nz = np.flatnonzero(m[rank:, col])
+        if not nz.size:
             continue
-        if piv != row:
-            m[[row, piv]] = m[[piv, row]]
-        inv = pow(int(m[row, col]), p - 2, p)
-        m[row] = (m[row] * inv) % p
-        nz = np.nonzero(m[:, col])[0]
-        nz = nz[nz != row]
-        if nz.size:
-            m[nz] = (m[nz] - np.outer(m[nz, col], m[row])) % p
+        piv = rank + nz[0]
+        if piv != rank:
+            m[[rank, piv]] = m[[piv, rank]]
+        inv = pow(int(m[rank, col]), p - 2, p)
+        m[rank, col:] = (m[rank, col:] * inv) % p
+        rest = m[rank + 1:, col:]
+        rest -= np.outer(rest[:, 0], m[rank, col:])
+        rest %= p
         rank += 1
-        row += 1
-        if rank == need or row == nrows:
+        if rank == need or rank == nrows:
             break
     return rank
 
@@ -146,15 +146,24 @@ def _sympy_det(B, T, gamma):
 # equivalence with the reference
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name,k_max", [("trivial", 5), ("vector", 3)])
-def test_screen_decisions_match_reference(name, k_max):
+# the adjoint blocks reach 480 columns, where each reference rank is slow:
+# its resonance t = 2, a t with a denominator and a non-real t
+_ADJOINT_SCAN = [Q(0), Q(2), Q(7, 3), QI(1, 2)]
+
+
+@pytest.mark.parametrize(
+    "name,k_max,scan",
+    [("trivial", 5, SCAN), ("vector", 3, SCAN), ("adjoint", 2, _ADJOINT_SCAN)],
+    ids=["trivial-5", "vector-3", "adjoint-2"],
+)
+def test_screen_decisions_match_reference(name, k_max, scan):
     certified = refused = 0
     for block in _blocks(name, k_max):
         images = (
             _reference_images(block) if block.ncols and block.nrows >= block.ncols
             else None
         )
-        for c in SCAN:
+        for c in scan:
             got = screen_block_zero_kernel(block, c)
             assert got == _reference_screen(block, c, images), (block.degree, c)
             certified += got
@@ -163,20 +172,32 @@ def test_screen_decisions_match_reference(name, k_max):
     assert certified and refused
 
 
+def _dense_sketch(block):
+    """The screen's sketch compressor as a dense ncols x nrows matrix mod p,
+    rebuilt entry by entry from the same seeded draws."""
+    p, n = SCREEN_P, block.ncols
+    rng = np.random.default_rng(0xE16 + 7919 * block.degree + n)
+    shape = (block.nrows, singular._SKETCH_PAIRS)
+    target = rng.integers(0, n, size=shape, dtype=np.int64)
+    coeff = rng.integers(1, p, size=shape, dtype=np.int64)
+    R = np.zeros((n, block.nrows), dtype=np.int64)
+    for i in range(block.nrows):
+        for j, a in zip(target[i].tolist(), coeff[i].tolist()):
+            R[j, i] = (int(R[j, i]) + a) % p
+    return R
+
+
 @pytest.mark.parametrize("degree", [4, 16, 9])
-def test_chunked_images_equal_reference(monkeypatch, degree):
+def test_sketch_images_equal_dense_product(degree):
     block = assemble_degree_block(builtin("trivial", Q(0)), 5, degree)
-    if degree != 9:
-        assert block.nrows % 2 == 1
-    sb_re, sb_im, st_re, st_im = _reference_images(block)
+    R = _dense_sketch(block)
+    # the sketch is sparse: at most _SKETCH_PAIRS nonzeros per block row
+    assert np.count_nonzero(R) <= singular._SKETCH_PAIRS * block.nrows
+    sb_re, sb_im, st_re, st_im = _reference_images(block, R)
     p = SCREEN_P
-    ref_B = (sb_re + SCREEN_R * sb_im) % p
-    ref_T = (st_re + SCREEN_R * st_im) % p
-    for rows_per_chunk in (1, 2, 3, 7, block.ncols, block.ncols + 5):
-        monkeypatch.setattr(singular, "_COMPRESS_CHUNK", rows_per_chunk * block.nrows)
-        B, T = _block_screen_data(block)
-        assert np.array_equal(B, ref_B)
-        assert np.array_equal(T, ref_T)
+    B, T = _block_screen_data(block)
+    assert np.array_equal(B, (sb_re + SCREEN_R * sb_im) % p)
+    assert np.array_equal(T, (st_re + SCREEN_R * st_im) % p)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +265,47 @@ def test_identically_singular_pencil_refuses_every_t():
         assert not screen_block_zero_kernel(block, c)
         assert len(exact_block_kernel(block, c)) >= 1
     assert block._screen.det is None
+
+
+_GAUSSIAN = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@st.composite
+def _small_blocks(draw):
+    """A random DegreeBlock over Z[i]: 1-6 columns and ncols to 4 ncols rows,
+    some square, some with one column a Z[i] multiple of another (a nonzero
+    kernel at every t)."""
+    n = draw(st.integers(1, 6))
+    nrows = draw(st.one_of(st.just(n), st.integers(n, 4 * n)))
+    cells = draw(st.lists(st.tuples(_GAUSSIAN, _GAUSSIAN),
+                          min_size=n * nrows, max_size=n * nrows))
+    grid = [cells[r * n:(r + 1) * n] for r in range(nrows)]
+    if n > 1 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(n)))[:2]
+        m_re, m_im = draw(_GAUSSIAN)
+        for row in grid:
+            row[dst] = tuple(
+                (m_re * x - m_im * y, m_re * y + m_im * x) for x, y in row[src]
+            )
+    entries = [
+        (r, c, b[0], b[1], t[0], t[1])
+        for r, row in enumerate(grid)
+        for c, (b, t) in enumerate(row)
+        if any(b) or any(t)
+    ]
+    columns = tuple(UnknownIndex(0, 0, k) for k in range(n))
+    arrays = list(zip(*entries)) or [()] * 6
+    degree = draw(st.integers(0, 20))
+    return DegreeBlock(degree, columns, [0] * nrows, range(nrows), *arrays)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_small_blocks())
+def test_screen_certificate_implies_zero_exact_kernel(block):
+    # soundness for any compressor: a certified c has an empty exact kernel
+    for c in (Q(-2), Q(0), Q(1), Q(7, 3), QI(1, 1)):
+        if screen_block_zero_kernel(block, c):
+            assert exact_block_kernel(block, c) == [], c
 
 
 # ---------------------------------------------------------------------------
