@@ -187,9 +187,10 @@ def record_to_text(rec: dict) -> list[str]:
     if kind == "kernel":
         return []  # per-degree detail is carried in json-lines output only
     if kind == "counterexample":
+        flags = " ".join(f"{k}={rec[k]}" for k in
+                         ("shape_ok", "constraints_ok", "conditions_ok") if k in rec)
         return [
-            f"COUNTEREXAMPLE t={rec['t_scalar']} degree={rec['degree']} "
-            f"shape_ok={rec['shape_ok']} constraints_ok={rec['constraints_ok']}",
+            f"COUNTEREXAMPLE t={rec['t_scalar']} degree={rec['degree']} {flags}",
             f"  T-coords: {rec['vector_T']}",
             f"  m-coords: {rec['vector_m']}",
         ]
@@ -427,6 +428,7 @@ def cmd_verify_bound(ns: argparse.Namespace) -> tuple[list[dict], bool]:
                     "degree",
                     "shape_ok",
                     "constraints_ok",
+                    "conditions_ok",
                     "vector_T",
                     "vector_m",
                 )
@@ -450,9 +452,15 @@ def cmd_find_singular(ns: argparse.Namespace) -> tuple[list[dict], bool]:
         per_t = singular_vectors(
             module, k_max=ns.kmax, t_scan=scan, include_S0=ns.with_s0
         )
+    failed = []  # assembled kernel vectors that fail the re-check
     for c, vectors in zip(scan, per_t):
         c_text = scalar_to_text(c)
-        recs = [_vector_record(c_text, v) for v in vectors]
+        failed.extend(
+            {"record": "counterexample", "t_scalar": c_text, "degree": v["degree"],
+             "conditions_ok": False, "vector_T": v["vector_T"], "vector_m": v["vector_m"]}
+            for v in vectors if not v["conditions_ok"]
+        )
+        recs = [_vector_record(c_text, v) for v in vectors if v["conditions_ok"]]
         records.extend(recs)
         dims: dict[str, int] = {}
         for rec in recs:
@@ -466,8 +474,9 @@ def cmd_find_singular(ns: argparse.Namespace) -> tuple[list[dict], bool]:
                 "kernel_dims": dims,
             }
         )
-    records.append(summary_record(True))
-    return records, True
+    records.extend(failed)
+    records.append(summary_record(not failed))
+    return records, not failed
 
 
 # ---------------------------------------------------------------------------

@@ -571,11 +571,25 @@ def _fam(funcs, name, p):
     return funcs.get((name, p), {})
 
 
+def _accumulate(out, flat, coeff) -> None:
+    """out += coeff * flat, in place, dropping zero entries."""
+    for mask, fv in flat.items():
+        tgt = out.setdefault(mask, {})
+        for c, v in fv.items():
+            s = tgt.get(c, ZERO) + v * coeff
+            if s:
+                tgt[c] = s
+            else:
+                tgt.pop(c, None)
+        if not tgt:
+            out.pop(mask)
+
+
 def _combo(funcs, *parts):
     """parts: (coefficient, family, p).  Returns the flat combination."""
     out: dict = {}
     for coeff, name, p in parts:
-        out = flat_add(out, flat_scale(_fam(funcs, name, p), coeff))
+        _accumulate(out, _fam(funcs, name, p), coeff)
     return out
 
 
@@ -624,7 +638,8 @@ def audit_technical_identities(vv: VermaVector, check_all_L3: bool = True) -> di
         for p, (blk, dblk) in enumerate(
             zip(blocks(funcs, dual=False), blocks(funcs, dual=True))
         ):
-            expect_zero(("ii", word, p), flat_add(blk, flat_scale(dblk, MINUS_I)))
+            _accumulate(blk, dblk, MINUS_I)
+            expect_zero(("ii", word, p), blk)
         lam0 = [
             _combo(funcs, (ONE, "b", 0), (MINUS_I, "bd", 0)),
         ]
@@ -709,8 +724,10 @@ def _scan_kernels(module: ModuleSpec, k_max: int, t_scan: list, include_S0: bool
     in scan order (so its screen eliminates at the first t and evaluates
     the pencil from the second on), and is dropped before the next block
     is assembled.  Yields (t position, degree, screened, vectors); the
-    vectors are the exact kernel basis, each re-checked against the
-    conditions through the object-level action.
+    vectors are (vector, solves) for each vector of the exact kernel basis,
+    where solves is its re-check against the conditions through the
+    object-level action.  A False there means that the assembled block is
+    wrong; the callers report it instead of raising.
     """
     specs = [
         ModuleSpec(module.dim, c, module.xi_action, name=module.name)
@@ -722,15 +739,11 @@ def _scan_kernels(module: ModuleSpec, k_max: int, t_scan: list, include_S0: bool
             if screen_block_zero_kernel(block, c):
                 yield pos, degree, True, []
                 continue
-            vectors = []
-            for vec in exact_block_kernel(block, c):
-                vv = kernel_vector_to_verma(vec, spec)
-                if not conditions_hold(vv, include_S0=include_S0):
-                    raise AssertionError(
-                        "assembled kernel fails direct condition re-check"
-                    )
-                vectors.append(vv)
-            yield pos, degree, False, vectors
+            vectors = [kernel_vector_to_verma(vec, spec)
+                       for vec in exact_block_kernel(block, c)]
+            yield pos, degree, False, [
+                (vv, conditions_hold(vv, include_S0=include_S0)) for vv in vectors
+            ]
         del block  # one block alive at a time
 
 
@@ -751,7 +764,9 @@ def verify_bound(
     main bound.
 
     Returns a report; report["ok"] is True iff every homogeneous kernel
-    component complies and (when audit) all coefficient identities hold.
+    component solves the conditions when re-checked through the
+    object-level action, complies, and (when audit) satisfies all
+    coefficient identities.
     Counterexamples are listed t by t in scan order, degrees ascending.
     With ``include_S0`` the highest-weight rows are added as well, which can
     only shrink each kernel.
@@ -771,9 +786,9 @@ def verify_bound(
             "constraints_ok": True,
             "audit_ok": True,
         }
-        for vv in vectors:
+        for vv, solves in vectors:
             shape_ok, item_ok = shape_compliant(vv)
-            ok_here = shape_ok and item_ok
+            ok_here = solves and shape_ok and item_ok
             audit_rep = None
             if audit and ok_here:
                 audit_rep = audit_technical_identities(vv)
@@ -791,6 +806,7 @@ def verify_bound(
                     "degree": d,
                     "shape_ok": shape_ok,
                     "constraints_ok": item_ok,
+                    "conditions_ok": solves,
                     "audit_failures": audit_rep["failures"] if audit_rep else [],
                     "vector_T": render_vermavector(vv),
                     "vector_m": render_vermavector(t_inverse(vv)),
@@ -817,7 +833,8 @@ def singular_vectors(
     """Explicit kernel vectors of the full system (with S0 by default) at
     each t of the scan (default -10..10), with degrees, weights, and both
     coordinate renderings: one list per t, in scan order, degrees
-    ascending within each list."""
+    ascending within each list.  "conditions_ok" is False on a vector of
+    the assembled kernel that fails the object-level re-check."""
     t_scan = _as_scan(t_scan)
     out: list[list[dict]] = [[] for _ in t_scan]
     for pos, degree, _, vectors in _scan_kernels(module, k_max, t_scan, include_S0):
@@ -828,8 +845,9 @@ def singular_vectors(
                 "vector": vv,
                 "vector_T": render_vermavector(vv),
                 "vector_m": render_vermavector(t_inverse(vv)),
+                "conditions_ok": solves,
             }
-            for vv in vectors
+            for vv, solves in vectors
         )
     return out
 

@@ -712,109 +712,106 @@ def flat_scale(x: FlatElement, c: GaussianRational) -> FlatElement:
     return {mask: {cc: v * c for cc, v in fv.items()} for mask, fv in x.items()}
 
 
-def _functionals_for_mask(l_mask: int, m: VermaVector, p: int) -> dict[str, FlatElement]:
-    """The four families a, b, B, C of xi_L at Theta-level p, literal sums."""
-    module = m.module
+@lru_cache(maxsize=None)
+def _functional_terms(l_mask: int, i_mask: int) -> tuple[tuple[str, int, tuple, int], ...]:
+    """The terms that eta_I (x) v contributes to the families a, b, B, C of
+    xi_L at its own Theta-level, derived by their literal defining sums.
+
+    Each term is (family, output mask, op, integer coefficient): the family
+    gains coefficient * op(v) at the output mask, where op is OP_ID, OP_T,
+    or ('x', a, b), the ordered module action of xi_a xi_b.  The terms
+    depend on signs only, never on the module or on v, so one table serves
+    every vector; they are independent of ``action_terms``.
+    """
     l = l_mask.bit_count()
     minus_l = -1 if l & 1 else 1
-    out = {"a": {}, "b": {}, "B": {}, "C": {}}
+    terms: list[tuple[str, int, tuple, int]] = []
 
-    def put(family: str, mask: int, fvec: Fvec, c: int) -> None:
-        if not c or not fvec:
-            return
-        tgt = out[family].setdefault(mask, {})
-        for cc, v in fvec.items():
-            sv = tgt.get(cc, ZERO) + v * Q(c)
-            if sv:
-                tgt[cc] = sv
-            else:
-                tgt.pop(cc, None)
-        if not tgt:
-            out[family].pop(mask)
+    def put(family: str, mask: int, op: tuple, c: int) -> None:
+        if c:
+            terms.append((family, mask, op, c))
 
-    for i_mask in ALL_MASKS:
-        v = m.data.get((p, i_mask))
-        if not v:
+    size_i = i_mask.bit_count()
+    g_sign = triangle_sign(l) * (-1 if (l * size_i) & 1 else 1)
+    disjoint = not l_mask & i_mask
+    union = l_mask | i_mask
+
+    # a_p: (l-2)(xi_L * eta_I) (x) v
+    if disjoint and l != 2:
+        put("a", union, OP_ID, (l - 2) * merge_sign(l_mask, i_mask) * g_sign)
+
+    # b_p: -(-1)^l sum_i (d_i xi_L * d_i eta_I) (x) v
+    for i in word_of(l_mask & i_mask):
+        s1, lm = derive_mask(i, l_mask)
+        s2, im = derive_mask(i, i_mask)
+        if lm & im:
             continue
-        size_i = i_mask.bit_count()
-        g_sign = triangle_sign(l) * (-1 if (l * size_i) & 1 else 1)
-        disjoint = not l_mask & i_mask
-        union = l_mask | i_mask
-
-        # a_p: (l-2)(xi_L * eta_I) (x) v
-        if disjoint and l != 2:
-            put("a", union, v, (l - 2) * merge_sign(l_mask, i_mask) * g_sign)
-
-        # b_p: -(-1)^l sum_i (d_i xi_L * d_i eta_I) (x) v
-        for i in word_of(l_mask & i_mask):
-            s1, lm = derive_mask(i, l_mask)
-            s2, im = derive_mask(i, i_mask)
-            if lm & im:
+        put("b", lm | im, OP_ID, -minus_l * s1 * s2 * merge_sign(lm, im) * g_sign)
+    #      - sum_{r<s} (d_r d_s xi_L * eta_I) (x) xi_s xi_r . v
+    l_word = word_of(l_mask)
+    for ai in range(len(l_word)):
+        for bi in range(ai + 1, len(l_word)):
+            rr, ss = l_word[ai], l_word[bi]
+            s_s, l1 = derive_mask(ss, l_mask)
+            s_r, l2 = derive_mask(rr, l1)
+            if l2 & i_mask:
                 continue
-            put("b", lm | im, v, -minus_l * s1 * s2 * merge_sign(lm, im) * g_sign)
-        #      - sum_{r<s} (d_r d_s xi_L * eta_I) (x) xi_s xi_r . v
-        l_word = word_of(l_mask)
-        for ai in range(len(l_word)):
-            for bi in range(ai + 1, len(l_word)):
-                rr, ss = l_word[ai], l_word[bi]
-                s_s, l1 = derive_mask(ss, l_mask)
-                s_r, l2 = derive_mask(rr, l1)
-                if l2 & i_mask:
-                    continue
-                w = module.act_xi_pair(ss, rr, v)
-                put("b", l2 | i_mask, w, -s_s * s_r * merge_sign(l2, i_mask) * g_sign)
+            put("b", l2 | i_mask, ("x", ss, rr),
+                -s_s * s_r * merge_sign(l2, i_mask) * g_sign)
 
-        # B_p: (xi_L * eta_I) (x) t.v
-        if disjoint:
-            put("B", union, module.act_t(v), merge_sign(l_mask, i_mask) * g_sign)
-        #      -(-1)^l sum_i d_i(xi_{L i} * eta_I) (x) v
-        for i in range(1, N_INDICES + 1):
-            bit = 1 << (i - 1)
-            if l_mask & bit or i_mask & bit or (l_mask & i_mask):
+    # B_p: (xi_L * eta_I) (x) t.v
+    if disjoint:
+        put("B", union, OP_T, merge_sign(l_mask, i_mask) * g_sign)
+    #      -(-1)^l sum_i d_i(xi_{L i} * eta_I) (x) v
+    for i in range(1, N_INDICES + 1):
+        bit = 1 << (i - 1)
+        if l_mask & bit or i_mask & bit or (l_mask & i_mask):
+            continue
+        append_sign = merge_sign(l_mask, bit)
+        star_sign = merge_sign(l_mask | bit, i_mask)
+        d_sign, om = derive_mask(i, l_mask | bit | i_mask)
+        put("B", om, OP_ID, -minus_l * append_sign * star_sign * d_sign * g_sign)
+    #      +(-1)^l sum_{i != j} (d_i xi_{L j} * eta_I) (x) xi_j xi_i . v
+    for j in range(1, N_INDICES + 1):
+        bit_j = 1 << (j - 1)
+        if l_mask & bit_j:
+            continue
+        append_sign = merge_sign(l_mask, bit_j)
+        lj = l_mask | bit_j
+        for i in word_of(l_mask):
+            s_i, mj = derive_mask(i, lj)
+            if mj & i_mask:
                 continue
-            append_sign = merge_sign(l_mask, bit)
-            star_sign = merge_sign(l_mask | bit, i_mask)
-            d_sign, om = derive_mask(i, l_mask | bit | i_mask)
-            put("B", om, v, -minus_l * append_sign * star_sign * d_sign * g_sign)
-        #      +(-1)^l sum_{i != j} (d_i xi_{L j} * eta_I) (x) xi_j xi_i . v
-        for j in range(1, N_INDICES + 1):
+            put("B", mj | i_mask, ("x", j, i),
+                minus_l * append_sign * s_i * merge_sign(mj, i_mask) * g_sign)
+
+    # C_p: -sum_{i<j} (xi_{L i j} * eta_I) (x) xi_j xi_i . v
+    for i in range(1, N_INDICES + 1):
+        bit_i = 1 << (i - 1)
+        if l_mask & bit_i:
+            continue
+        for j in range(i + 1, N_INDICES + 1):
             bit_j = 1 << (j - 1)
             if l_mask & bit_j:
                 continue
-            append_sign = merge_sign(l_mask, bit_j)
-            lj = l_mask | bit_j
-            for i in word_of(l_mask):
-                s_i, mj = derive_mask(i, lj)
-                if mj & i_mask:
-                    continue
-                w = module.act_xi_pair(j, i, v)
-                put("B", mj | i_mask, w,
-                    minus_l * append_sign * s_i * merge_sign(mj, i_mask) * g_sign)
-
-        # C_p: -sum_{i<j} (xi_{L i j} * eta_I) (x) xi_j xi_i . v
-        for i in range(1, N_INDICES + 1):
-            bit_i = 1 << (i - 1)
-            if l_mask & bit_i:
+            lij = l_mask | bit_i | bit_j
+            if lij & i_mask:
                 continue
-            for j in range(i + 1, N_INDICES + 1):
-                bit_j = 1 << (j - 1)
-                if l_mask & bit_j:
-                    continue
-                lij = l_mask | bit_i | bit_j
-                if lij & i_mask:
-                    continue
-                append_sign = merge_sign(l_mask, bit_i | bit_j)
-                w = module.act_xi_pair(j, i, v)
-                put("C", lij | i_mask, w,
-                    -append_sign * merge_sign(lij, i_mask) * g_sign)
-    return out
+            append_sign = merge_sign(l_mask, bit_i | bit_j)
+            put("C", lij | i_mask, ("x", j, i),
+                -append_sign * merge_sign(lij, i_mask) * g_sign)
+    return tuple(terms)
 
 
 def coefficient_functionals(L: Iterable[int], m: VermaVector) -> dict[tuple[str, int], FlatElement]:
     """The eight families a_p, b_p, B_p, C_p, ad_p, bd_p, Bd_p, Cd_p for
-    0 <= p <= 4, computed literally from their defining sums.
+    0 <= p <= 4, from their defining sums.
 
     The dual families apply the same definitions to the Hodge dual of xi_L.
+    The signs come from the per-(xi_L, eta_I) tables of
+    ``_functional_terms``, which are derived by the literal sums; the sign
+    of L and of its dual are folded into each integer coefficient, and each
+    module action is applied once per input coefficient.
     Raises UnsupportedDegreeError when the input has Theta-degree > 4.
     """
     if m.theta_degree() > 4:
@@ -827,14 +824,34 @@ def coefficient_functionals(L: Iterable[int], m: VermaVector) -> dict[tuple[str,
         raise ValueError(f"repeated index in L: {word}")
     l_mask = mask_of(sword)
     dual_sign, dual_mask = hodge_modified(l_mask)
+    module = m.module
+    levels: list[list[tuple[int, Fvec]]] = [[] for _ in range(5)]
+    for (k, i_mask), v in sorted(m.data.items(), key=lambda item: item[0][1]):
+        levels[k].append((i_mask, v))
     out: dict[tuple[str, int], FlatElement] = {}
-    for p in range(5):
-        fams = _functionals_for_mask(l_mask, m, p)
-        for fam, val in fams.items():
-            out[(fam, p)] = flat_scale(val, Q(sign))
-        dfams = _functionals_for_mask(dual_mask, m, p)
-        for fam, val in dfams.items():
-            out[(fam + "d", p)] = flat_scale(val, Q(sign * dual_sign))
+    for p, level in enumerate(levels):
+        acted: dict[tuple[int, tuple], Fvec] = {}
+        for lm, suffix, s in ((l_mask, "", sign), (dual_mask, "d", sign * dual_sign)):
+            fams = {fam: {} for fam in ("a", "b", "B", "C")}
+            for i_mask, v in level:
+                for fam, om, op, c in _functional_terms(lm, i_mask):
+                    w = acted.get((i_mask, op))
+                    if w is None:
+                        w = acted[i_mask, op] = _apply_op(module, op, v)
+                    if not w:
+                        continue
+                    c = Q(s * c)
+                    tgt = fams[fam].setdefault(om, {})
+                    for cc, val in w.items():
+                        sv = tgt.get(cc, ZERO) + val * c
+                        if sv:
+                            tgt[cc] = sv
+                        else:
+                            tgt.pop(cc, None)
+                    if not tgt:
+                        fams[fam].pop(om)
+            for fam, val in fams.items():
+                out[(fam + suffix, p)] = val
     return out
 
 

@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from e16verma import cli, contact, singular
+from e16verma import cli, contact, singular, verma
 from e16verma.contact import ContactElement, contact_bracket
 from e16verma.exactnum import Q
 from e16verma.gmodule import builtin, module_to_text
+from e16verma.grassmann import mask_of
 
 DATA = Path(__file__).parent / "data"
 
@@ -264,6 +265,48 @@ def test_find_singular_assembles_each_block_once(capsys, monkeypatch):
     assert "vector t=" in out
     # m-degrees 0 .. 2*kmax + 6, one assembly each for the whole scan
     assert calls == list(range(2 * 1 + 7))
+
+
+def _flip_object_level_t_term(monkeypatch):
+    """Flip the sign of the lambda t-term of xi_1 on eta_{23456} in the
+    object-level action only: the assembled blocks keep the true signs, so
+    the re-check of the vector module's t = 5 singular vector disagrees."""
+    real = verma.action_terms
+
+    def flipped(l_mask, i_mask):
+        terms = real(l_mask, i_mask)
+        if (l_mask, i_mask) == (mask_of((1,)), mask_of((2, 3, 4, 5, 6))):
+            terms = tuple((j, dth, om, op, -c if op == verma.OP_T else c)
+                          for j, dth, om, op, c in terms)
+        return terms
+
+    monkeypatch.setattr(verma, "action_terms", flipped)
+
+
+def test_failed_recheck_is_a_counterexample_not_a_traceback(capsys, monkeypatch):
+    argv = ["--module", "vector", "--kmax", "1", "--t-scan", "5",
+            "--format", "json-lines"]
+    _flip_object_level_t_term(monkeypatch)
+    rc, out, _ = run_cli(capsys, ["verify-bound"] + argv)
+    assert rc == 1
+    recs = json_records(out)
+    ces = [r for r in recs if r["record"] == "counterexample"]
+    assert [(r["t_scalar"], r["degree"], r["conditions_ok"]) for r in ces] == [
+        ("5", 1, False)]
+    assert recs[-1] == {"record": "summary", "ok": False, "exit": 1,
+                        "schema": "e16verma/1"}
+    rc, out, _ = run_cli(capsys, ["find-singular"] + argv)
+    assert rc == 1
+    recs = json_records(out)
+    assert [(r["t_scalar"], r["degree"]) for r in recs
+            if r["record"] == "counterexample"] == [("5", 1)]
+    assert not any(r["record"] == "vector" and r["degree"] == 1 for r in recs)
+    assert recs[-1]["ok"] is False
+    # the text rendering names the failed re-check
+    rc, out, _ = run_cli(capsys, ["verify-bound"] + argv[:-2])
+    assert rc == 1
+    assert "COUNTEREXAMPLE t=5 degree=1 shape_ok=True constraints_ok=True " \
+           "conditions_ok=False" in out
 
 
 # ---------------------------------------------------------------------------
