@@ -22,7 +22,7 @@ from typing import Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .exactnum import GaussianRational, ONE, ZERO
+from .exactnum import GaussianRational, ONE, accumulate
 
 __all__ = [
     "ExactRREF",
@@ -53,18 +53,10 @@ class ExactRREF:
     def reduce(self, row: dict[ColKey, GaussianRational]) -> dict[ColKey, GaussianRational]:
         """Return the residue of ``row`` modulo the current row space."""
         row = {c: v for c, v in row.items() if v}
+        # each pivot row is 1 on its pivot column and 0 on every other pivot
+        # column, so subtracting it clears that column and no other
         for col in sorted(set(row) & set(self.pivot_rows)):
-            factor = row.pop(col, None)
-            if not factor:
-                continue
-            for c2, v2 in self.pivot_rows[col].items():
-                if c2 == col:
-                    continue
-                s = row.get(c2, ZERO) - factor * v2
-                if s:
-                    row[c2] = s
-                else:
-                    row.pop(c2, None)
+            accumulate(row, self.pivot_rows[col].items(), -row[col])
         return row
 
     def add_row(self, row: dict[ColKey, GaussianRational]) -> bool:
@@ -78,14 +70,8 @@ class ExactRREF:
         # keep full RREF: clear the new pivot column from every stored row
         for prow in self.pivot_rows.values():
             factor = prow.get(pivot)
-            if not factor:
-                continue
-            for c2, v2 in red.items():
-                s = prow.get(c2, ZERO) - factor * v2
-                if s:
-                    prow[c2] = s
-                else:
-                    prow.pop(c2, None)
+            if factor:
+                accumulate(prow, red.items(), -factor)
         self.pivot_rows[pivot] = red
         return True
 

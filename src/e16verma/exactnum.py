@@ -9,6 +9,12 @@ Conventions
   ``.re`` and ``.im`` give the parts as :class:`fractions.Fraction` in lowest
   terms, and ``.triple`` gives (a, b, d) for code that clears denominators.
   There is no floating-point mode anywhere in this package.
+* Sparse vectors over Q(i) are maps ``{key: GaussianRational}`` that never
+  store a zero value, so two maps are equal exactly when the vectors are.
+  ``accumulate(out, terms, c)`` is the one in-place sum on them: it adds
+  c * value for each (key, value) pair and drops every key whose value
+  cancels.  Every layer (brackets, module matrices, the lambda-action, the
+  coefficient ledger, exact elimination) sums through it.
 * ``rebase_cells`` rewrites an exponent map from the ``(lam, theta)`` basis
   to the ``(lam, mu)`` basis where ``mu = lam + theta`` (substitute
   ``theta = mu - lam``), or back.
@@ -19,7 +25,7 @@ from __future__ import annotations
 import re as _re
 from fractions import Fraction
 from math import comb, gcd
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 __all__ = [
     "GaussianRational",
@@ -30,6 +36,7 @@ __all__ = [
     "IUNIT",
     "scalar_to_text",
     "scalar_from_text",
+    "accumulate",
     "rebase_cells",
 ]
 
@@ -317,6 +324,37 @@ def scalar_from_text(text: str) -> GaussianRational:
             seen_im = True
         pos = m.end()
     return GaussianRational(re_part, im_part)
+
+
+# ---------------------------------------------------------------------------
+# sparse sums
+# ---------------------------------------------------------------------------
+
+K = TypeVar("K")
+
+
+def accumulate(
+    out: dict[K, GaussianRational],
+    terms: Iterable[tuple[K, GaussianRational]],
+    c=None,
+) -> dict[K, GaussianRational]:
+    """out += c * terms in place, over (key, value) pairs; c = None means 1.
+
+    A key whose sum cancels is removed, so ``out`` never holds a zero; a key
+    new to ``out`` goes last.  Returns ``out``.
+    """
+    if c is not None:
+        if not c:
+            return out
+        terms = [(k, c * v) for k, v in terms]
+    get = out.get
+    for k, v in terms:
+        s = get(k, ZERO) + v
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
 
 
 # ---------------------------------------------------------------------------

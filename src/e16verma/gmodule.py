@@ -21,20 +21,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from ._linalg import ExactRREF, nullspace
+from ._linalg import nullspace
 from .contact import ContactElement, contact_bracket, root_datum
 from .exactnum import (
     GaussianRational,
     ONE,
     Q,
-    QI,
-    ZERO,
+    accumulate,
     scalar_from_text,
     scalar_to_text,
 )
-from .grassmann import N_INDICES, mask_of, word_of
+from .grassmann import N_INDICES, word_of
 
 __all__ = [
     "ModuleSpec",
@@ -108,22 +107,8 @@ class ModuleSpec:
         a == b, and xi_b xi_a = -xi_a xi_b."""
         if a == b:
             return {}
-        sign = 1
-        if a > b:
-            a, b = b, a
-            sign = -1
-        mat = self.xi_action[(a, b)]
-        out: Vec = {}
-        for (r, c), m in mat.items():
-            v = vec.get(c)
-            if v is None:
-                continue
-            s = out.get(r, ZERO) + (m * v if sign > 0 else -(m * v))
-            if s:
-                out[r] = s
-            else:
-                out.pop(r, None)
-        return out
+        out = _mat_vec(self.xi_action[min(a, b), max(a, b)], vec)
+        return out if a < b else {r: -v for r, v in out.items()}
 
     def act_t(self, vec: Vec) -> Vec:
         if not self.t_scalar:
@@ -133,47 +118,16 @@ class ModuleSpec:
     def act_element(self, x: ContactElement, vec: Vec) -> Vec:
         """Action of a degree-zero contact element (a combination of t and
         the xi_(ij)); raises on anything outside C t + so(6)."""
-        out: Vec = {}
-
-        def accumulate(delta: Vec, scale: GaussianRational) -> None:
-            for r, v in delta.items():
-                s = out.get(r, ZERO) + v * scale
-                if s:
-                    out[r] = s
-                else:
-                    out.pop(r, None)
-
-        for (k, mask), coef in x.data.items():
-            if k == 1 and mask == 0:
-                accumulate(self.act_t(vec), coef)
-            elif k == 0 and mask.bit_count() == 2:
-                a, b = word_of(mask)
-                accumulate(self.act_xi_pair(a, b, vec), coef)
-            else:
-                raise ValueError("element is not in the degree-zero part C t + so(6)")
-        return out
+        return _mat_vec(self.matrix_of(x), vec)
 
     def matrix_of(self, x: ContactElement) -> Mat:
         """Dense-enough sparse matrix of a degree-zero element."""
         out: Mat = {}
         for (k, mask), coef in x.data.items():
             if k == 1 and mask == 0:
-                if coef * self.t_scalar:
-                    for d in range(self.dim):
-                        key = (d, d)
-                        s = out.get(key, ZERO) + coef * self.t_scalar
-                        if s:
-                            out[key] = s
-                        else:
-                            out.pop(key, None)
+                accumulate(out, (((d, d), self.t_scalar) for d in range(self.dim)), coef)
             elif k == 0 and mask.bit_count() == 2:
-                a, b = word_of(mask)
-                for key, v in self.xi_action[(a, b)].items():
-                    s = out.get(key, ZERO) + coef * v
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
+                accumulate(out, self.xi_action[word_of(mask)].items(), coef)
             else:
                 raise ValueError("element is not in the degree-zero part C t + so(6)")
         return out
@@ -193,33 +147,16 @@ class WeightVector:
 
 
 def _mat_vec(mat: Mat, vec: Vec) -> Vec:
-    out: Vec = {}
-    for (r, c), m in mat.items():
-        v = vec.get(c)
-        if v is None:
-            continue
-        s = out.get(r, ZERO) + m * v
-        if s:
-            out[r] = s
-        else:
-            out.pop(r, None)
-    return out
+    return accumulate({}, ((r, m * vec[c]) for (r, c), m in mat.items() if c in vec))
 
 
 def _mat_mul(a: Mat, b: Mat) -> Mat:
     by_row: dict[int, list[tuple[int, GaussianRational]]] = {}
     for (r, c), v in b.items():
         by_row.setdefault(r, []).append((c, v))
-    out: Mat = {}
-    for (r, c), va in a.items():
-        for c2, vb in by_row.get(c, ()):  # a[r,c] * b[c,c2]
-            key = (r, c2)
-            s = out.get(key, ZERO) + va * vb
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
+    # sum of a[r,c] * b[c,c2] at (r, c2)
+    return accumulate({}, (((r, c2), va * vb) for (r, c), va in a.items()
+                           for c2, vb in by_row.get(c, ())))
 
 
 def validate(spec: ModuleSpec) -> dict:
@@ -236,13 +173,7 @@ def validate(spec: ModuleSpec) -> dict:
             bracket = contact_bracket(bx, by)
             lhs = _mat_mul(mats[x_pair], mats[y_pair])
             rhs = _mat_mul(mats[y_pair], mats[x_pair])
-            comm = dict(lhs)
-            for key, v in rhs.items():
-                s = comm.get(key, ZERO) - v
-                if s:
-                    comm[key] = s
-                else:
-                    comm.pop(key, None)
+            comm = accumulate(dict(lhs), rhs.items(), -ONE)
             expected = spec.matrix_of(bracket) if bracket else {}
             report["pairs_checked"] += 1
             if comm != expected:
@@ -360,13 +291,7 @@ def _eigen_subbasis(h: Mat, basis: list[Vec], cand: GaussianRational) -> list[Ve
     images = [_mat_vec(h, b) for b in basis]
     rows_by_ambient: dict[int, dict[int, GaussianRational]] = {}
     for kcol, (b, hb) in enumerate(zip(basis, images)):
-        delta: Vec = dict(hb)
-        for r, v in b.items():
-            s = delta.get(r, ZERO) - cand * v
-            if s:
-                delta[r] = s
-            else:
-                delta.pop(r, None)
+        delta = accumulate(dict(hb), b.items(), -cand)
         for r, v in delta.items():
             rows_by_ambient.setdefault(r, {})[kcol] = v
     combos = nullspace(list(rows_by_ambient.values()), list(range(len(basis))))
@@ -374,12 +299,7 @@ def _eigen_subbasis(h: Mat, basis: list[Vec], cand: GaussianRational) -> list[Ve
     for combo in combos:
         vec: Vec = {}
         for kcol, coef in combo.items():
-            for r, v in basis[kcol].items():
-                s = vec.get(r, ZERO) + coef * v
-                if s:
-                    vec[r] = s
-                else:
-                    vec.pop(r, None)
+            accumulate(vec, basis[kcol].items(), coef)
         if vec:
             out.append(vec)
     return out

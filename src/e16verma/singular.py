@@ -69,6 +69,7 @@ from .verma import (
     mixed_cells,
     render_vermavector,
     t_inverse,
+    _accumulate_nested,
     _op_matrices,
     _expand_ops,
 )
@@ -571,25 +572,11 @@ def _fam(funcs, name, p):
     return funcs.get((name, p), {})
 
 
-def _accumulate(out, flat, coeff) -> None:
-    """out += coeff * flat, in place, dropping zero entries."""
-    for mask, fv in flat.items():
-        tgt = out.setdefault(mask, {})
-        for c, v in fv.items():
-            s = tgt.get(c, ZERO) + v * coeff
-            if s:
-                tgt[c] = s
-            else:
-                tgt.pop(c, None)
-        if not tgt:
-            out.pop(mask)
-
-
 def _combo(funcs, *parts):
     """parts: (coefficient, family, p).  Returns the flat combination."""
     out: dict = {}
     for coeff, name, p in parts:
-        _accumulate(out, _fam(funcs, name, p), coeff)
+        _accumulate_nested(out, _fam(funcs, name, p), coeff)
     return out
 
 
@@ -638,7 +625,7 @@ def audit_technical_identities(vv: VermaVector, check_all_L3: bool = True) -> di
         for p, (blk, dblk) in enumerate(
             zip(blocks(funcs, dual=False), blocks(funcs, dual=True))
         ):
-            _accumulate(blk, dblk, MINUS_I)
+            _accumulate_nested(blk, dblk, MINUS_I)
             expect_zero(("ii", word, p), blk)
         lam0 = [
             _combo(funcs, (ONE, "b", 0), (MINUS_I, "bd", 0)),
@@ -871,16 +858,7 @@ def _sym_x(a, b, k, mask):
 
 
 def _flat_put(out, mask, sym, coeff):
-    if not coeff:
-        return
-    tgt = out.setdefault(mask, {})
-    cur = tgt.get(sym, ZERO) + coeff
-    if cur:
-        tgt[sym] = cur
-    else:
-        tgt.pop(sym, None)
-        if not tgt:
-            out.pop(mask, None)
+    _accumulate_nested(out, {mask: {sym: coeff}})
 
 
 def _sign_1_plus_I(size: int) -> int:

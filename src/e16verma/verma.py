@@ -48,7 +48,7 @@ from .exactnum import (
     GaussianRational,
     ONE,
     Q,
-    ZERO,
+    accumulate,
     rebase_cells,
     scalar_to_text,
 )
@@ -74,19 +74,15 @@ __all__ = [
     "ActionPolynomial",
     "FormalModule",
     "UnsupportedDegreeError",
-    "eta_word_normalize",
     "mdeg",
     "ind_monomials",
     "lambda_action_T",
     "action_terms",
-    "commutator_oracle",
     "coefficient_functionals",
     "reconstruct_from_functionals",
-    "FUNCTIONAL_FAMILIES",
     "action_cells",
     "flat_add",
     "flat_scale",
-    "fvec_scale",
     "t_inverse",
     "render_vermavector",
     "coord_to_text",
@@ -98,10 +94,13 @@ __all__ = [
 Fvec = dict  # {coordinate key: GaussianRational}
 
 
-def fvec_scale(a: Fvec, c: GaussianRational) -> Fvec:
-    if not c:
-        return {}
-    return {key: val * c for key, val in a.items()}
+def _accumulate_nested(out: dict, nested: Mapping, c=None) -> dict:
+    """out += c * nested, in place, for two-level maps {key: Fvec}; a key
+    whose Fvec cancels is removed (``accumulate`` on each Fvec)."""
+    for key, fv in nested.items():
+        if not accumulate(out.setdefault(key, {}), fv.items(), c):
+            del out[key]
+    return out
 
 
 def mdeg(k: int, mask: int) -> int:
@@ -143,14 +142,6 @@ class VermaVector:
         self.data = clean
 
     @classmethod
-    def zero(cls, module) -> "VermaVector":
-        return cls(module)
-
-    @classmethod
-    def term(cls, module, k: int, mask: int, fvec: Fvec) -> "VermaVector":
-        return cls(module, {(k, mask): fvec})
-
-    @classmethod
     def unit(cls, module, k: int, mask: int, coord) -> "VermaVector":
         return cls(module, {(k, mask): {coord: ONE}})
 
@@ -163,20 +154,9 @@ class VermaVector:
         return self.data == other.data
 
     def __add__(self, other: "VermaVector") -> "VermaVector":
-        out = {k: dict(v) for k, v in self.data.items()}
-        for key, fvec in other.data.items():
-            tgt = out.setdefault(key, {})
-            for c, v in fvec.items():
-                s = tgt.get(c, ZERO) + v
-                if s:
-                    tgt[c] = s
-                else:
-                    tgt.pop(c, None)
-            if not tgt:
-                out.pop(key)
         res = VermaVector.__new__(VermaVector)
         res.module = self.module
-        res.data = out
+        res.data = _accumulate_nested({k: dict(v) for k, v in self.data.items()}, other.data)
         return res
 
     def __neg__(self) -> "VermaVector":
@@ -220,35 +200,6 @@ class VermaVector:
 
     def __repr__(self) -> str:
         return render_vermavector(self)
-
-
-# ---------------------------------------------------------------------------
-# eta rewriting
-# ---------------------------------------------------------------------------
-
-def eta_word_normalize(word: Iterable[int]) -> tuple[int, int, int]:
-    """Normalize an eta word with repetitions: (sign, Theta-power, mask).
-
-    Processes left to right; inserting eta_x past the elements currently
-    greater than x contributes (-1) per swap, and meeting an existing eta_x
-    turns the pair into a central Theta.
-    """
-    sign = 1
-    theta = 0
-    mask = 0
-    for x in word:
-        if not 1 <= x <= N_INDICES:
-            raise ValueError(f"eta index out of range: {x}")
-        bit = 1 << (x - 1)
-        greater = mask & ~((bit << 1) - 1)
-        if greater.bit_count() & 1:
-            sign = -sign
-        if mask & bit:
-            mask &= ~bit
-            theta += 1
-        else:
-            mask |= bit
-    return sign, theta, mask
 
 
 # ---------------------------------------------------------------------------
@@ -509,19 +460,10 @@ def lambda_action_T(L: Iterable[int], m: VermaVector) -> ActionPolynomial:
             w = _apply_op(module, op, fvec)
             if not w:
                 continue
-            base = fvec_scale(w, Q(c * sign))
             # multiply by (lambda + Theta)^k
             for r in range(k + 1):
-                coef = comb(k, r)
-                target = out.setdefault(j + r, {}).setdefault(
-                    (dth + k - r, out_mask), {}
-                )
-                for cc, v in base.items():
-                    s = target.get(cc, ZERO) + v * Q(coef)
-                    if s:
-                        target[cc] = s
-                    else:
-                        target.pop(cc, None)
+                target = out.setdefault(j + r, {}).setdefault((dth + k - r, out_mask), {})
+                accumulate(target, w.items(), Q(c * sign * comb(k, r)))
     coeffs = {}
     for j, data in out.items():
         vv = VermaVector(module, data)
@@ -583,102 +525,6 @@ def formal_state(n_max: int, masks: Iterable[int] | None = None) -> VermaVector:
 
 
 # ---------------------------------------------------------------------------
-# commutator oracle
-# ---------------------------------------------------------------------------
-
-def commutator_oracle(f: Iterable[int], g: Iterable[int], m: VermaVector) -> dict:
-    """Check [Phi_f(lambda), Phi_g(mu)] m = Phi_{[f_lambda g]}(lambda+mu) m
-    as an exact identity of (lambda, mu)-polynomials with values in Ind(F).
-
-    The lambda-bracket of the monomials f = xi_F (|F| = r), g = xi_G:
-        [f_lambda g] = (r-2) d(f g) + (-1)^r sum_i (d_i f)(d_i g)
-                       + lambda (r+s-4) f g,
-    and a t-derivative d acts on the lambda side as multiplication by
-    -(lambda); after substituting lambda -> lambda + mu this gives the
-    right-hand side assembled below.
-    """
-    f_word, g_word = tuple(f), tuple(g)
-    sf, fw = normalize(f_word)
-    sg, gw = normalize(g_word)
-    if sf == 0 or sg == 0:
-        raise ValueError("repeated indices in a monomial word")
-    f_mask, g_mask = mask_of(fw), mask_of(gw)
-    r, s = f_mask.bit_count(), g_mask.bit_count()
-    module = m.module
-
-    # LHS cells {(a, b): VermaVector}
-    lhs: dict[tuple[int, int], VermaVector] = {}
-
-    def acc(store, key, vv):
-        if not vv:
-            return
-        cur = store.get(key)
-        cur = vv if cur is None else cur + vv
-        if cur:
-            store[key] = cur
-        else:
-            store.pop(key, None)
-
-    inner_g = lambda_action_T(g_word, m)
-    for b, vv in inner_g.coeffs.items():
-        outer = lambda_action_T(f_word, vv)
-        for a, vv2 in outer.coeffs.items():
-            acc(lhs, (a, b), vv2)
-    sgn = Q(-1 if (r & 1) and (s & 1) else 1)
-    inner_f = lambda_action_T(f_word, m)
-    for a, vv in inner_f.coeffs.items():
-        outer = lambda_action_T(g_word, vv)
-        for b, vv2 in outer.coeffs.items():
-            acc(lhs, (a, b), vv2.scale(-sgn))
-
-    # RHS cells
-    rhs: dict[tuple[int, int], VermaVector] = {}
-
-    def add_shifted(poly: ActionPolynomial, weight: GaussianRational,
-                    dl: int, dm: int) -> None:
-        """weight * lambda^dl mu^dm * poly(lambda+mu), spread binomially."""
-        for n, vv in poly.coeffs.items():
-            for a in range(n + 1):
-                c = weight * Q(comb(n, a))
-                acc(rhs, (a + dl, n - a + dm), vv.scale(c))
-
-    s_fg, k_mask = mono_product(f_mask, g_mask)
-    if s_fg:
-        poly = lambda_action_T(word_of(k_mask), m).scale(Q(s_fg))
-        if r != 2:
-            # (r-2) d(fg): the derivative contributes -(lambda+mu)
-            add_shifted(poly, Q(-(r - 2)), 1, 0)
-            add_shifted(poly, Q(-(r - 2)), 0, 1)
-        if r + s != 4:
-            add_shifted(poly, Q(r + s - 4), 1, 0)
-    for i in word_of(f_mask & g_mask):
-        s1, fm = derive_mask(i, f_mask)
-        s2, gm = derive_mask(i, g_mask)
-        s3, km = mono_product(fm, gm)
-        if not s3:
-            continue
-        c = (-1 if r & 1 else 1) * s1 * s2 * s3
-        poly = lambda_action_T(word_of(km), m)
-        add_shifted(poly, Q(c), 0, 0)
-
-    # overall word-normalization signs
-    total_sign = Q(sf * sg)
-    rhs = {key: vv.scale(total_sign) for key, vv in rhs.items()}
-
-    diff_cells = []
-    for key in sorted(set(lhs) | set(rhs)):
-        a = lhs.get(key, VermaVector(module))
-        bb = rhs.get(key, VermaVector(module))
-        if a != bb:
-            diff_cells.append(key)
-    return {
-        "ok": not diff_cells,
-        "cells_compared": len(set(lhs) | set(rhs)),
-        "mismatched_cells": diff_cells,
-    }
-
-
-# ---------------------------------------------------------------------------
 # coefficient functionals and mixed-basis extraction
 # ---------------------------------------------------------------------------
 
@@ -686,24 +532,11 @@ class UnsupportedDegreeError(ValueError):
     """The functional view only covers Theta-degree <= 4."""
 
 
-FUNCTIONAL_FAMILIES = ("a", "b", "B", "C", "ad", "bd", "Bd", "Cd")
-
 FlatElement = dict  # {eta-mask: Fvec}
 
 
 def flat_add(x: FlatElement, y: FlatElement) -> FlatElement:
-    out = {mask: dict(fv) for mask, fv in x.items()}
-    for mask, fv in y.items():
-        tgt = out.setdefault(mask, {})
-        for c, v in fv.items():
-            s = tgt.get(c, ZERO) + v
-            if s:
-                tgt[c] = s
-            else:
-                tgt.pop(c, None)
-        if not tgt:
-            out.pop(mask)
-    return out
+    return _accumulate_nested({mask: dict(fv) for mask, fv in x.items()}, y)
 
 
 def flat_scale(x: FlatElement, c: GaussianRational) -> FlatElement:
@@ -840,16 +673,8 @@ def coefficient_functionals(L: Iterable[int], m: VermaVector) -> dict[tuple[str,
                         w = acted[i_mask, op] = _apply_op(module, op, v)
                     if not w:
                         continue
-                    c = Q(s * c)
-                    tgt = fams[fam].setdefault(om, {})
-                    for cc, val in w.items():
-                        sv = tgt.get(cc, ZERO) + val * c
-                        if sv:
-                            tgt[cc] = sv
-                        else:
-                            tgt.pop(cc, None)
-                    if not tgt:
-                        fams[fam].pop(om)
+                    if not accumulate(fams[fam].setdefault(om, {}), w.items(), Q(s * c)):
+                        del fams[fam][om]
             for fam, val in fams.items():
                 out[(fam + suffix, p)] = val
     return out
@@ -871,13 +696,7 @@ def reconstruct_from_functionals(
             j = lam + rpow
             th = theta_base + binom_power - rpow
             for mask, fv in flat.items():
-                tgt = out.setdefault(j, {}).setdefault((th, mask), {})
-                for cc, v in fv.items():
-                    s = tgt.get(cc, ZERO) + v * Q(c)
-                    if s:
-                        tgt[cc] = s
-                    else:
-                        tgt.pop(cc, None)
+                accumulate(out.setdefault(j, {}).setdefault((th, mask), {}), fv.items(), Q(c))
 
     def fam(name: str, p: int) -> FlatElement:
         return funcs.get((name, p), {})
@@ -942,14 +761,7 @@ def t_inverse(vv: VermaVector) -> VermaVector:
         comp = mask ^ FULL_MASK
         bar_sign, back = eta_bar(comp)
         assert back == mask
-        inv = Q(bar_sign).inverse()
-        tgt = out.setdefault((k, comp), {})
-        for cc, v in fv.items():
-            s = tgt.get(cc, ZERO) + v * inv
-            if s:
-                tgt[cc] = s
-            else:
-                tgt.pop(cc, None)
+        accumulate(out.setdefault((k, comp), {}), fv.items(), Q(bar_sign).inverse())
     return VermaVector(vv.module, out)
 
 

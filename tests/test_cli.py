@@ -87,6 +87,27 @@ def test_check_algebra_fault_injection_detected_and_restored(capsys):
     assert contact_bracket(x12, x1) == ContactElement.monomial(0, (2,))
 
 
+def test_check_algebra_grading_fault_fails_both_grading_records(capsys, monkeypatch):
+    # [t, b] = 2 b becomes 3 b for one degree-2 basis element, the fault of
+    # test_contact::test_wrong_grading_eigenvalue_fails_grading
+    t, b = contact._basis_elements_at_degree(0)[0], contact._basis_elements_at_degree(2)[5]
+    assert t == contact.GRADING_T
+    orig = contact.contact_bracket
+
+    def patched(f, g):
+        out = orig(f, g)
+        return out.scale(Q(3, 2)) if f == t and g == b else out
+
+    monkeypatch.setattr(contact, "contact_bracket", patched)
+    rc, out, _ = run_cli(capsys, ["check-algebra", "--max-degree", "2",
+                                  "--format", "json-lines"])
+    assert rc == 1
+    checks = {r["name"]: r for r in json_records(out) if r["record"] == "check"}
+    assert checks["grading"]["ok"] is False
+    assert checks["t-grading"]["ok"] is False
+    assert checks["t-grading"]["counts"] == {"degree": 6}
+
+
 def _scipy_modules_after(commands):
     """Run cli.main on each argv in a fresh interpreter, writing to the null
     device; returns the last stdout line: the exit codes and every scipy

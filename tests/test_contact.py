@@ -190,7 +190,6 @@ def test_theta_rank_check_catches_a_repeated_image(monkeypatch):
 
     monkeypatch.setattr(contact, "contact_bracket", repeated)
     report = check_L1_L2_L3(4)
-    assert report["grading_ok"]
     assert not report["theta_ok"]
     assert report["failures"] == [("theta_rank", 2, 15, 16)]
 

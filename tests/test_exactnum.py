@@ -24,6 +24,7 @@ from e16verma.exactnum import (
     Q,
     QI,
     ZERO,
+    accumulate,
     rebase_cells,
     scalar_from_text,
     scalar_to_text,
@@ -425,3 +426,36 @@ def test_bipoly_rebase_round_trip_and_evaluation_property():
         lam = _random_scalar(rng)
         th = _random_scalar(rng)
         assert _evaluate(p, lam, th) == _evaluate(r, lam, lam + th)
+
+
+# ---------------------------------------------------------------------------
+# the sparse accumulator against a dense reference sum
+# ---------------------------------------------------------------------------
+
+_KEYS = 6
+# small Z[i] values on few keys, so that sums cancel often
+_zi = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+_sparse = st.dictionaries(st.integers(0, _KEYS - 1), _zi)
+_terms = st.lists(st.tuples(st.integers(0, _KEYS - 1), _zi), max_size=12)
+_scale = st.one_of(st.none(), st.sampled_from([0, 1, -1]),
+                   _parts.map(lambda p: GaussianRational(*p)))
+
+
+@settings(deadline=None)
+@given(_sparse, _terms, _scale)
+def test_accumulate_matches_dense_reference(start, terms, c):
+    out = {k: QI(*v) for k, v in start.items() if v != (0, 0)}
+    dense = [RefGaussian(*start.get(k, (0, 0))) for k in range(_KEYS)]
+    if isinstance(c, GaussianRational):
+        ref_c = RefGaussian(c.re, c.im)
+    else:
+        ref_c = RefGaussian(1 if c is None else c)
+    for k, (a, b) in terms:
+        dense[k] = dense[k] + ref_c * RefGaussian(a, b)
+
+    got = accumulate(out, ((k, QI(*v)) for k, v in terms), c)
+
+    assert got is out
+    assert all(v for v in got.values())
+    assert {k: (v.re, v.im) for k, v in got.items()} == {
+        k: (r.re, r.im) for k, r in enumerate(dense) if r}

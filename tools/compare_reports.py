@@ -1,0 +1,69 @@
+"""Compare the CLI reports of two source checkouts byte for byte.
+
+    python3 tools/compare_reports.py PARENT_DIR CHANGE_DIR
+
+Each report of ``REPORTS`` runs in a fresh interpreter with
+``PYTHONPATH=<dir>/src``, once per checkout, as json-lines on stdout.  A
+report is identical when both its stdout bytes and its exit code agree.
+Prints one line per report and the ``src/`` line count of each side; exits
+1 when any report differs, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+from typing import Iterator
+
+SCAN = ["--kmax", "5", "--t-scan=-10..10"]
+REPORTS: dict[str, list[str]] = {
+    "verify-bound vector": ["verify-bound", "--module", "vector", *SCAN],
+    "verify-bound adjoint": ["verify-bound", "--module", "adjoint", *SCAN],
+    "find-singular vector": ["find-singular", "--module", "vector", *SCAN],
+    "reproduce-proof": ["reproduce-proof"],
+    "reproduce-proof --verbose": ["reproduce-proof", "--verbose"],
+    "check-algebra": ["check-algebra"],
+    "check-algebra --inject-fault": ["check-algebra", "--inject-fault"],
+}
+
+
+def run_report(tree: Path, argv: list[str]) -> tuple[int, bytes]:
+    """(exit code, stdout) of one json-lines report of the checkout."""
+    env = {**os.environ, "PYTHONPATH": str(Path(tree) / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "e16verma.cli", *argv, "--format", "json-lines"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, check=False)
+    return proc.returncode, proc.stdout
+
+
+def src_lines(tree: Path) -> int:
+    """Lines of the Python files under the checkout's ``src/``."""
+    return sum(len(p.read_bytes().splitlines())
+               for p in sorted((Path(tree) / "src").rglob("*.py")))
+
+
+def compare(parent: Path, change: Path,
+            reports: dict[str, list[str]] = REPORTS) -> Iterator[tuple[str, bool]]:
+    """(report name, identical) per report, as each pair of runs ends."""
+    for name, argv in reports.items():
+        yield name, run_report(parent, argv) == run_report(change, argv)
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print("usage: compare_reports.py PARENT_DIR CHANGE_DIR", file=sys.stderr)
+        return 2
+    parent, change = map(Path, args)
+    same = True
+    for name, ok in compare(parent, change):
+        same &= ok
+        print(f"{'identical' if ok else 'DIFFERENT'}  {name}", flush=True)
+    print(f"src/ lines: parent {src_lines(parent)}, change {src_lines(change)}")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
