@@ -343,12 +343,12 @@ def accumulate(
     A key whose sum cancels is removed, so ``out`` never holds a zero; a key
     new to ``out`` goes last.  Returns ``out``.
     """
-    if c is not None:
-        if not c:
-            return out
-        terms = [(k, c * v) for k, v in terms]
+    if c is not None and not c:
+        return out
     get = out.get
     for k, v in terms:
+        if c is not None:
+            v = c * v
         s = get(k, ZERO) + v
         if s:
             out[k] = s
