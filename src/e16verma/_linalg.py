@@ -8,11 +8,25 @@ directions.
 
 Modular side: the screening prime SCREEN_P = 1 (mod 4) and the root
 SCREEN_R of -1 give the ring map a + b i -> a + SCREEN_R b (mod p) of Z[i]
-onto F_p (``_modp_image`` for scalars).  ``_check_int64_sum`` guards every
-int64 product sum.  Forward elimination, back substitution, the Hessenberg
-form and its characteristic polynomial give det(B + gamma T) of a pencil
-over F_p as a polynomial in gamma (``_pencil_determinant``).  How a degree
-block is compressed to a pencil, and when it is screened, is ``singular``'s.
+onto F_p (``_modp_image`` for scalars).  Forward elimination, back
+substitution, the Hessenberg form and its characteristic polynomial give
+det(B + gamma T) of a pencil over F_p as a polynomial in gamma
+(``_pencil_determinant``).  How a degree block is compressed to a pencil,
+and when it is screened, is ``singular``'s.
+
+Forward elimination and back substitution are blocked and run on float64
+words (Dumas, Giorgi & Pernet, "Dense linear algebra over word-size prime
+fields: the FFLAS and FFPACK packages", ACM TOMS 35(3), 2008).  Each panel of
+_PANEL columns is eliminated column by column, and the rest of the matrix
+gets the panel's update as one product.  Only the factors of a product are
+reduced mod p; an entry accumulates up to n unreduced products, each below
+(p - 1)^2, and every such integer is exact in float64 while n (p - 1)^2 <
+2^53 (``_check_float64_sum``: n <= 8191 at SCREEN_P).  The products are
+``np.einsum`` calls, never a float64 BLAS product (``@``, ``np.dot``,
+``np.matmul``, ``np.tensordot``): a multi-threaded BLAS can spend many times
+the CPU of one einsum on these panel shapes, and the screen sets no thread
+count.  The Hessenberg form and its characteristic polynomial stay int64,
+guarded by ``_check_int64_sum``.
 """
 
 from __future__ import annotations
@@ -37,10 +51,11 @@ ColKey = Hashable
 class ExactRREF:
     """Incrementally maintained reduced row echelon form over Q(i).
 
-    Invariant after every ``add_row``: each stored row has coefficient 1 on
-    its pivot column, and no stored row contains any other row's pivot
-    column.  Pivot columns are chosen as the minimum (by sort order) column
-    of the reduced row, which makes the result deterministic.
+    Invariant after every ``add_row``: each stored row is 1 on its pivot
+    column, and no stored row contains any other row's pivot column.  The
+    pivot entry itself is not stored, so ``pivot_rows[c]`` holds the row
+    minus e_c.  Pivot columns are chosen as the minimum (by sort order)
+    column of the reduced row, which makes the result deterministic.
     """
 
     def __init__(self) -> None:
@@ -53,10 +68,10 @@ class ExactRREF:
     def reduce(self, row: dict[ColKey, GaussianRational]) -> dict[ColKey, GaussianRational]:
         """Return the residue of ``row`` modulo the current row space."""
         row = {c: v for c, v in row.items() if v}
-        # each pivot row is 1 on its pivot column and 0 on every other pivot
-        # column, so subtracting it clears that column and no other
+        # each stored row holds no pivot column, so subtracting it after
+        # popping its pivot's coefficient clears that column and no other
         for col in sorted(set(row) & set(self.pivot_rows)):
-            accumulate(row, self.pivot_rows[col].items(), -row[col])
+            accumulate(row, self.pivot_rows[col].items(), -row.pop(col))
         return row
 
     def add_row(self, row: dict[ColKey, GaussianRational]) -> bool:
@@ -65,11 +80,11 @@ class ExactRREF:
         if not red:
             return False
         pivot = min(red)
-        inv = red[pivot].inverse()
+        inv = red.pop(pivot).inverse()
         red = {c: v * inv for c, v in red.items()}
         # keep full RREF: clear the new pivot column from every stored row
         for prow in self.pivot_rows.values():
-            factor = prow.get(pivot)
+            factor = prow.pop(pivot, None)
             if factor:
                 accumulate(prow, red.items(), -factor)
         self.pivot_rows[pivot] = red
@@ -181,52 +196,82 @@ def _check_int64_sum(terms: int) -> None:
         )
 
 
+def _check_float64_sum(terms: int) -> None:
+    """Raise OverflowError unless a sum of ``terms`` products, each below
+    (SCREEN_P - 1)^2, is certain to stay an exact integer in float64."""
+    if terms * (SCREEN_P - 1) ** 2 >= 1 << 53:
+        raise OverflowError(
+            f"a sum of {terms} products mod {SCREEN_P} can leave float64's "
+            "exact integers"
+        )
+
+
+# columns per panel of the blocked elimination
+_PANEL = 32
+
+
 def _forward_eliminate(m: np.ndarray) -> int:
     """Determinant mod SCREEN_P of the leading n x n part of the n-row
-    residue matrix ``m``, by forward elimination in place.
+    float64 residue matrix ``m``, by blocked forward elimination in place.
 
-    Each pivot step reduces only its pivot row and column and updates only
-    the trailing submatrix; the other entries accumulate unreduced products
-    (at most n of them, checked against int64).  Returns 0 at the first
-    column without a pivot.  Otherwise the upper triangle of the leading
-    part holds U, reduced, and any further columns of ``m`` carry the same
-    row operations, reduced too.
+    Panel by panel of _PANEL columns: factorise the panel with row pivoting
+    (the first nonzero residue, L kept below the diagonal), solve its rows
+    of the trailing columns for U12 through L's unit lower triangle, and
+    subtract L21 U12 from the trailing rows as one product.  Every factor is
+    reduced before it is multiplied, and the other entries accumulate
+    unreduced products (at most n of them, checked against float64).
+    Returns 0 at the first column without a pivot.  Otherwise the upper
+    triangle of the leading part holds U, reduced, and any further columns
+    of ``m`` carry the same row operations, reduced too.
     """
     p = SCREEN_P
     n = m.shape[0]
-    _check_int64_sum(n)
+    _check_float64_sum(n)
     det = 1
-    for k in range(n):
-        col = m[k:, k] % p
-        nz = np.flatnonzero(col)
-        if not nz.size:
-            return 0
-        piv = int(nz[0])
-        if piv:
-            m[[k, k + piv], k:] = m[[k + piv, k], k:]
-            col[[0, piv]] = col[[piv, 0]]
-            det = -det
-        row = m[k, k:] % p
-        m[k, k:] = row
-        pivot = int(row[0])
-        det = det * pivot % p
-        if k + 1 < n:
+    for k0 in range(0, n, _PANEL):
+        k1 = min(k0 + _PANEL, n)
+        for k in range(k0, k1):
+            col = m[k:, k] % p
+            nz = np.flatnonzero(col)
+            if not nz.size:
+                return 0
+            piv = int(nz[0])
+            if piv:
+                m[[k, k + piv], k0:] = m[[k + piv, k], k0:]
+                col[[0, piv]] = col[[piv, 0]]
+                det = -det
+            row = m[k, k:k1] % p
+            m[k, k:k1] = row
+            pivot = int(row[0])
+            det = det * pivot % p
             mult = col[1:] * pow(pivot, p - 2, p) % p
-            m[k + 1:, k + 1:] -= np.multiply.outer(mult, row[1:])
+            m[k + 1:, k] = mult
+            m[k + 1:, k + 1:k1] -= np.multiply.outer(mult, row[1:])
+        u12 = m[k0:k1, k1:]
+        for i in range(k1 - k0):
+            u12[i] %= p
+            u12[i + 1:] -= np.multiply.outer(m[k0 + i + 1:k1, k0 + i], u12[i])
+        if k1 < n:
+            # einsum, not a BLAS product: see the module docstring
+            m[k1:, k1:] -= np.einsum("ik,kj->ij", m[k1:, k0:k1], u12)
     return det
 
 
 def _back_substitute(m: np.ndarray) -> np.ndarray:
-    """U^{-1} C mod SCREEN_P for a matrix [U | C] that ``_forward_eliminate``
-    left with a nonzero determinant; C is overwritten and returned."""
+    """U^{-1} C mod SCREEN_P for a float64 matrix [U | C] that
+    ``_forward_eliminate`` left with a nonzero determinant, panel by panel
+    from the last; C is overwritten, reduced, and returned."""
     p = SCREEN_P
     n = m.shape[0]
-    _check_int64_sum(n)
+    _check_float64_sum(n)
     x = m[:, n:]
-    for k in range(n - 1, -1, -1):
-        x[k] = x[k] % p * pow(int(m[k, k]), p - 2, p) % p
-        if k:
-            x[:k] -= np.multiply.outer(m[:k, k], x[k])
+    for k0 in reversed(range(0, n, _PANEL)):
+        k1 = min(k0 + _PANEL, n)
+        for k in range(k1 - 1, k0 - 1, -1):
+            x[k] = x[k] % p * pow(int(m[k, k]), p - 2, p) % p
+            x[k0:k] -= np.multiply.outer(m[k0:k, k], x[k])
+        if k0:
+            x[:k0] -= np.einsum("ik,kj->ij", m[:k0, k0:k1], x[k0:k1])
     return x
 
 
@@ -307,13 +352,14 @@ def _pencil_determinant(B: np.ndarray, T: np.ndarray, base_points):
     p = SCREEN_P
     n = B.shape[0]
     for base in base_points:
-        aug = np.hstack(((B + base * T) % p, T))
+        aug = np.hstack(((B + base * T) % p, T)).astype(np.float64)
         det0 = _forward_eliminate(aug)
         if det0:
             break
     else:
         return None
-    charpoly = _hessenberg_charpoly(_hessenberg(_back_substitute(aug)))
+    x = _back_substitute(aug).astype(np.int64)
+    charpoly = _hessenberg_charpoly(_hessenberg(x))
     coeffs = tuple(
         det0 * int(charpoly[n - j]) * (-1) ** j % p for j in range(n + 1)
     )

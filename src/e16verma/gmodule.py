@@ -115,11 +115,6 @@ class ModuleSpec:
             return {}
         return {r: v * self.t_scalar for r, v in vec.items()}
 
-    def act_element(self, x: ContactElement, vec: Vec) -> Vec:
-        """Action of a degree-zero contact element (a combination of t and
-        the xi_(ij)); raises on anything outside C t + so(6)."""
-        return _mat_vec(self.matrix_of(x), vec)
-
     def matrix_of(self, x: ContactElement) -> Mat:
         """Dense-enough sparse matrix of a degree-zero element."""
         out: Mat = {}

@@ -278,44 +278,63 @@ def _row_keys(codes: np.ndarray, out_coords: np.ndarray) -> tuple:
     return tuple(zip(*fields, out_coords.tolist()))
 
 
+@lru_cache(maxsize=None)
+def _structure_table(i_mask: int) -> np.ndarray:
+    """Every condition monomial's ``_combined_terms`` on eta_I, one int64
+    row per term: the S1, S2 and S3 row-code prefixes of L, |L|, the lambda
+    power j, the Theta power dth, the output mask, the op index, re and im.
+    Module-free and read-only."""
+    rows = []
+    for l_mask in CONDITION_MASKS:
+        l_size = l_mask.bit_count()
+        prefixes = [_row_code(_TAG_INDEX[tag], l_size, l_mask, 0, 0, 0)
+                    for tag in ("S1", "S2", "S3")]
+        for (j, dth, om, op, c_re, c_im) in _combined_terms(l_mask, i_mask):
+            rows.append((*prefixes, l_size, j, dth, om, _OP_INDEX[op], c_re, c_im))
+    table = np.array(rows, dtype=np.int64).reshape(-1, 10)
+    table.flags.writeable = False
+    return table
+
+
 def _block_structure(monos, include_S0: bool):
     """The module-free part of a block: one row per structural entry
     (row code, monomial position, op index, re, im), as an int64 array.
 
     An entry says that the condition row ``code`` receives re + i im times
     the op's module matrix applied to the unknowns of monomial ``monos[m]``.
+    A term of lambda power j on Theta^k eta_I splits into the k + 1 terms
+    binom(k, r) lambda^(j + r) Theta^(k - r); ``_condition_tag``'s rule
+    picks the tag of each, or drops it.
     """
-    flat: list[int] = []
-    emit = flat.extend
     j_shift, k_shift = _ROW_SHIFTS[3:5]
-    # per condition monomial L: |L| and the code prefix of each tag
-    cond = [
-        (l_mask, l_mask.bit_count(),
-         {tag: _row_code(n, l_mask.bit_count(), l_mask, 0, 0, 0)
-          for tag, n in _TAG_INDEX.items()})
-        for l_mask in CONDITION_MASKS
-    ]
+    parts = []
+    for k in sorted({k for k, _ in monos}):
+        sel = [m for m, (km, _) in enumerate(monos) if km == k]
+        tables = [_structure_table(monos[m][1]) for m in sel]
+        s1, s2, s3, l_size, j, dth, om, op, c_re, c_im = np.concatenate(tables).T
+        mono = np.repeat(sel, [len(t) for t in tables])
+        j_total = j + np.arange(k + 1)[:, None]
+        is_s1 = j_total >= 2
+        is_s2 = (j_total == 1) & (l_size >= 1)  # every L here has |L| <= 3
+        is_s3 = (j_total == 0) & (l_size == 3)
+        r, t = np.nonzero(is_s1 | is_s2 | is_s3)
+        prefix = np.where(is_s1[r, t], s1[t], np.where(is_s2[r, t], s2[t], s3[t]))
+        code = (prefix | j_total[r, t] << j_shift
+                | (dth[t] + k - r) << k_shift | om[t])
+        w = np.array([comb(k, n) for n in range(k + 1)], dtype=np.int64)[r]
+        parts.append(np.stack((code, mono[t], op[t], c_re[t] * w, c_im[t] * w), axis=1))
+    flat: list[int] = []
     root_pairs = _positive_root_pairs() if include_S0 else ()
     for m, (k, i_mask) in enumerate(monos):
-        weights = [comb(k, r) for r in range(k + 1)]
-        for l_mask, l_size, prefix in cond:
-            for (j, dth, om, op, c_re, c_im) in _combined_terms(l_mask, i_mask):
-                o = _OP_INDEX[op]
-                for r, w in enumerate(weights):
-                    tag = _condition_tag(l_size, j + r)
-                    if tag is None:
-                        continue
-                    code = (prefix[tag] | (j + r) << j_shift
-                            | (dth + k - r) << k_shift | om)
-                    emit((code, m, o, c_re * w, c_im * w))
         for idx, combo in root_pairs:
             for a, b, coeff in combo:
                 ga, gi, _ = coeff.triple
                 for (j, dth, om, op, c) in action_terms(mask_of((a, b)), i_mask):
                     if j == 0:
                         code = _row_code(0, idx, 0, 0, dth + k, om)
-                        emit((code, m, _OP_INDEX[op], ga * c, gi * c))
-    return np.array(flat, dtype=np.int64).reshape(-1, 5)
+                        flat.extend((code, m, _OP_INDEX[op], ga * c, gi * c))
+    parts.append(np.array(flat, dtype=np.int64).reshape(-1, 5))
+    return np.concatenate(parts)
 
 
 def assemble_degree_block(
@@ -454,7 +473,8 @@ class _BlockScreen:
         if self.det is not None:
             return self.det(gamma) != 0
         B, T = self.images
-        if _linalg._forward_eliminate((B + gamma * T) % _linalg.SCREEN_P):
+        m = ((B + gamma * T) % _linalg.SCREEN_P).astype(np.float64)
+        if _linalg._forward_eliminate(m):
             self.regular = gamma
             return True
         return False
@@ -489,22 +509,18 @@ def screen_block_zero_kernel(block: DegreeBlock, c: GaussianRational) -> bool:
 
 
 def exact_block_kernel(block: DegreeBlock, c: GaussianRational):
-    """Exact Q(i) kernel basis of the block at t-eigenvalue c, as a list of
-    {UnknownIndex: value} maps; back-multiplication re-checked."""
-    rows = block.exact_rows(c)
-    cols = list(range(block.ncols))
-    basis = nullspace([row for _, row in rows], cols)
+    """Exact Q(i) kernel basis of the block at t-eigenvalue c: one pair
+    ({UnknownIndex: value}, residual_ok) per basis vector, residual_ok
+    False when the block does not annihilate the vector (an eliminator
+    fault, which the scan reports as a counterexample)."""
+    rows = [row for _, row in block.exact_rows(c)]
     out = []
-    for vec in basis:
-        for _, row in rows:
-            acc = ZERO
-            for cpos, val in row.items():
-                x = vec.get(cpos)
-                if x is not None:
-                    acc = acc + val * x
-            if acc:
-                raise AssertionError("kernel residual is nonzero")
-        out.append({block.columns[cpos]: val for cpos, val in vec.items()})
+    for vec in nullspace(rows, list(range(block.ncols))):
+        residual_ok = not any(
+            sum((val * vec[cpos] for cpos, val in row.items() if cpos in vec), ZERO)
+            for row in rows
+        )
+        out.append(({block.columns[cpos]: val for cpos, val in vec.items()}, residual_ok))
     return out
 
 
@@ -712,9 +728,11 @@ def _scan_kernels(module: ModuleSpec, k_max: int, t_scan: list, include_S0: bool
     the pencil from the second on), and is dropped before the next block
     is assembled.  Yields (t position, degree, screened, vectors); the
     vectors are (vector, solves) for each vector of the exact kernel basis,
-    where solves is its re-check against the conditions through the
-    object-level action.  A False there means that the assembled block is
-    wrong; the callers report it instead of raising.
+    where solves is False when the block does not annihilate the vector (a
+    nonzero residual) or when it fails the re-check against the conditions
+    through the object-level action.  A False there means that the
+    eliminator or the assembled block is wrong; the callers report it
+    instead of raising.
     """
     specs = [
         ModuleSpec(module.dim, c, module.xi_action, name=module.name)
@@ -726,10 +744,11 @@ def _scan_kernels(module: ModuleSpec, k_max: int, t_scan: list, include_S0: bool
             if screen_block_zero_kernel(block, c):
                 yield pos, degree, True, []
                 continue
-            vectors = [kernel_vector_to_verma(vec, spec)
-                       for vec in exact_block_kernel(block, c)]
+            vectors = [(kernel_vector_to_verma(vec, spec), residual_ok)
+                       for vec, residual_ok in exact_block_kernel(block, c)]
             yield pos, degree, False, [
-                (vv, conditions_hold(vv, include_S0=include_S0)) for vv in vectors
+                (vv, residual_ok and conditions_hold(vv, include_S0=include_S0))
+                for vv, residual_ok in vectors
             ]
         del block  # one block alive at a time
 
@@ -751,9 +770,9 @@ def verify_bound(
     main bound.
 
     Returns a report; report["ok"] is True iff every homogeneous kernel
-    component solves the conditions when re-checked through the
-    object-level action, complies, and (when audit) satisfies all
-    coefficient identities.
+    component is annihilated by its block, solves the conditions when
+    re-checked through the object-level action, complies, and (when audit)
+    satisfies all coefficient identities.
     Counterexamples are listed t by t in scan order, degrees ascending.
     With ``include_S0`` the highest-weight rows are added as well, which can
     only shrink each kernel.
@@ -821,7 +840,8 @@ def singular_vectors(
     each t of the scan (default -10..10), with degrees, weights, and both
     coordinate renderings: one list per t, in scan order, degrees
     ascending within each list.  "conditions_ok" is False on a vector of
-    the assembled kernel that fails the object-level re-check."""
+    the exact kernel that its block does not annihilate or that fails the
+    object-level re-check."""
     t_scan = _as_scan(t_scan)
     out: list[list[dict]] = [[] for _ in t_scan]
     for pos, degree, _, vectors in _scan_kernels(module, k_max, t_scan, include_S0):

@@ -161,7 +161,8 @@ def test_a7_coefficient_identities_on_kernel_vectors():
         block = assemble_degree_block(mod, 2, degree)
         basis = exact_block_kernel(block, c)
         assert len(basis) == expected_dim, (name, str(c), degree, len(basis))
-        for vec in basis:
+        for vec, residual_ok in basis:
+            assert residual_ok
             vv = kernel_vector_to_verma(vec, mod)
             report = audit_technical_identities(vv)
             assert report["ok"], (name, str(c), degree, report["failures"][:3])

@@ -1,6 +1,7 @@
 """The degree-block assembler against the per-column loop it replaced (kept
-here as the reference), denominator clearing for non-integral modules, and
-the int64 overflow guard."""
+here as the reference), the vectorised block structure against its loop,
+denominator clearing for non-integral modules, and the int64 overflow
+guard."""
 
 import json
 from math import comb
@@ -22,13 +23,17 @@ from e16verma.grassmann import ALL_MASKS, N_INDICES, mask_of
 from e16verma.singular import (
     CONDITION_MASKS,
     UnknownIndex,
+    _ROW_SHIFTS,
+    _TAG_INDEX,
+    _block_structure,
     _combined_terms,
     _condition_tag,
     _positive_root_pairs,
+    _row_code,
     assemble_degree_block,
     verify_bound,
 )
-from e16verma.verma import ActionMatrixSlice, action_terms, mdeg
+from e16verma.verma import _OP_INDEX, ActionMatrixSlice, action_terms, mdeg
 
 DATA = Path(__file__).parent / "data"
 
@@ -181,6 +186,62 @@ def test_adjoint_kmax3_blocks_equal_reference_assembler():
     module = builtin("adjoint", Q(2))
     for degree, include_S0 in ((0, True), (5, False), (9, True), (12, False)):
         _assert_same_block(module, 3, degree, include_S0)
+
+
+# ---------------------------------------------------------------------------
+# the vectorised block structure against the loop it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_block_structure(monos, include_S0: bool):
+    """The per-term loop that ``_block_structure`` replaced: one row
+    (row code, monomial position, op index, re, im) per structural entry."""
+    flat: list[int] = []
+    emit = flat.extend
+    j_shift, k_shift = _ROW_SHIFTS[3:5]
+    cond = [
+        (l_mask, l_mask.bit_count(),
+         {tag: _row_code(n, l_mask.bit_count(), l_mask, 0, 0, 0)
+          for tag, n in _TAG_INDEX.items()})
+        for l_mask in CONDITION_MASKS
+    ]
+    root_pairs = _positive_root_pairs() if include_S0 else ()
+    for m, (k, i_mask) in enumerate(monos):
+        weights = [comb(k, r) for r in range(k + 1)]
+        for l_mask, l_size, prefix in cond:
+            for (j, dth, om, op, c_re, c_im) in _combined_terms(l_mask, i_mask):
+                o = _OP_INDEX[op]
+                for r, w in enumerate(weights):
+                    tag = _condition_tag(l_size, j + r)
+                    if tag is None:
+                        continue
+                    code = (prefix[tag] | (j + r) << j_shift
+                            | (dth + k - r) << k_shift | om)
+                    emit((code, m, o, c_re * w, c_im * w))
+        for idx, combo in root_pairs:
+            for a, b, coeff in combo:
+                ga, gi, _ = coeff.triple
+                for (j, dth, om, op, c) in action_terms(mask_of((a, b)), i_mask):
+                    if j == 0:
+                        code = _row_code(0, idx, 0, 0, dth + k, om)
+                        emit((code, m, _OP_INDEX[op], ga * c, gi * c))
+    return np.array(flat, dtype=np.int64).reshape(-1, 5)
+
+
+def _lexsorted(rows):
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+@pytest.mark.parametrize("include_S0", [False, True], ids=["no-S0", "S0"])
+def test_block_structure_equals_reference_loop(include_S0):
+    # the same multiset of rows: the assembler sums cells in any order
+    for k_max in range(4):
+        for degree in range(2 * k_max + N_INDICES + 1):
+            monos = sorted((k, mask) for k in range(k_max + 1)
+                           for mask in ALL_MASKS if mdeg(k, mask) == degree)
+            got = _block_structure(monos, include_S0)
+            want = _reference_block_structure(monos, include_S0)
+            assert got.dtype == np.int64
+            assert np.array_equal(_lexsorted(got), _lexsorted(want)), (k_max, degree)
 
 
 # ---------------------------------------------------------------------------

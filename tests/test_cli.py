@@ -330,6 +330,38 @@ def test_failed_recheck_is_a_counterexample_not_a_traceback(capsys, monkeypatch)
            "conditions_ok=False" in out
 
 
+def test_nonzero_residual_is_a_counterexample_not_a_traceback(capsys, monkeypatch):
+    """A wrong exact kernel: ``nullspace`` doubles the first entry of each
+    basis vector.  The object-level re-check is made to accept everything,
+    so only the block residual can see the fault."""
+    real = singular.nullspace
+
+    def wrong(rows, columns):
+        return [{**vec, min(vec): vec[min(vec)] * 2} for vec in real(rows, columns)]
+
+    monkeypatch.setattr(singular, "nullspace", wrong)
+    monkeypatch.setattr(singular, "conditions_hold", lambda vv, include_S0=False: True)
+    argv = ["--module", "vector", "--kmax", "1", "--t-scan", "5",
+            "--format", "json-lines"]
+    rc, out, _ = run_cli(capsys, ["verify-bound"] + argv)
+    assert rc == 1
+    recs = json_records(out)
+    ces = [r for r in recs if r["record"] == "counterexample"]
+    # the row-less degree-0 block annihilates every vector; degree 1 holds
+    # the t = 5 singular vector
+    assert [(r["t_scalar"], r["degree"], r["conditions_ok"]) for r in ces] == [
+        ("5", 1, False)]
+    assert recs[-1]["ok"] is False
+    # find-singular adds the S0 rows, so degree 0 has rows too, and every
+    # kernel vector is a counterexample
+    rc, out, _ = run_cli(capsys, ["find-singular"] + argv)
+    assert rc == 1
+    recs = json_records(out)
+    assert [(r["t_scalar"], r["degree"]) for r in recs
+            if r["record"] == "counterexample"] == [("5", 0), ("5", 1)]
+    assert not any(r["record"] == "vector" for r in recs)
+
+
 # ---------------------------------------------------------------------------
 # shared report plumbing
 # ---------------------------------------------------------------------------

