@@ -288,6 +288,8 @@ def _bracket_fault():
 
 
 def cmd_check_algebra(ns: argparse.Namespace) -> tuple[list[dict], bool]:
+    if ns.max_degree < -2:
+        raise UsageError(f"--max-degree {ns.max_degree} is below -2, the lowest degree")
     jacobi_degree = ns.max_degree
     closure_degree = max(6, ns.max_degree)
     config = {

@@ -34,9 +34,10 @@ Conventions
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -607,43 +608,52 @@ def _signed_sum(terms):
     return sum(re * s for re, _, s in terms), sum(im * s for _, im, s in terms)
 
 
-def _compose_tables(left, right, order: str):
-    """Contract two (re, im, den) integer tensors as complex products.
+_Grouped = namedtuple("_Grouped", "key a b re im starts absmax den")
 
-    ``order`` is einsum notation with the left's last axis contracted.  The
-    contraction is one matrix product of the left as [re | im], (p*q, 2e),
-    and the right as [[re, im], [-im, re]], (2e, 2*s*f); the (p, q, s, f)
-    axes of each half are then put in output order.  The tables are sparse,
-    so only the rows, columns and contracted indices that hold a nonzero
-    enter the product.  Falls back to exact Python-integer (object dtype)
-    arrays whenever the int64 product bound could be exceeded: each entry
-    sums 2e terms below lmax * rmax.
+
+def _grouped_entries(table, axis: int) -> _Grouped:
+    """The nonzero entries of an (re, im, den) table sorted by their index
+    ``key`` along ``axis``, with (a, b) their other two indices in axis
+    order: the entries with key e are starts[e]:starts[e + 1]."""
+    re, im, den = table
+    idx = np.nonzero((re != 0) | (im != 0))
+    order = np.argsort(idx[axis], kind="stable")
+    key, a, b = (idx[k][order] for k in (axis, *(k for k in range(3) if k != axis)))
+    starts = np.searchsorted(key, np.arange(re.shape[axis] + 1))
+    return _Grouped(key, a, b, re[idx][order], im[idx][order], starts,
+                    _absmax(re, im), den)
+
+
+def _joined_sum(terms, shape: tuple[int, int, int, int]):
+    """Exact sum over the terms (left, right, axes, sign) of sign * (left .
+    right) / (left.den * right.den), where left . right pairs the entries of
+    two grouped tables that share a key (Gustavson's row-by-row sparse
+    product) and ``axes`` gives the output axes of left's (a, b) and right's
+    (a, b).  Returns flat (re, im) over ``shape`` in C order and their
+    common denominator.  A cell sums 2 * (contracted length) products per
+    term: int64 while those times left.absmax * right.absmax * |scale| (at
+    least |scale|) sum below 2**62, Python integers (object dtype) past it.
     """
-    lre, lim, lden = left
-    rre, rim, rden = right
-    contracted = max(lre.shape[-1], 1)
-    inputs, output = order.split("->")
-    lsub, rsub = inputs.split(",")
-    e_axis = rsub.index(lsub[2])
-    kept = lsub[:2] + rsub.replace(lsub[2], "")
-    perm = [kept.index(ch) for ch in output]
-    p, q, ne = lre.shape
-    s, nf = rre.shape[1 - e_axis], rre.shape[2]
-    if e_axis:
-        rre, rim = rre.transpose(1, 0, 2), rim.transpose(1, 0, 2)
-    rre, rim = rre.reshape(ne, s * nf), rim.reshape(ne, s * nf)
-    lhs = np.hstack([lre.reshape(p * q, ne), lim.reshape(p * q, ne)])
-    rhs = np.block([[rre, rim], [-rim, rre]])
-    rows = np.flatnonzero(lhs.any(axis=1))
-    cols = np.flatnonzero(rhs.any(axis=0))
-    mid = np.flatnonzero(lhs.any(axis=0) & rhs.any(axis=1))
-    if _absmax(lre, lim) * _absmax(rre, rim) * contracted >= 2**62:
-        lhs, rhs = lhs.astype(object), rhs.astype(object)
-    flat = np.zeros((p * q, 2 * s * nf), dtype=lhs.dtype)
-    flat[np.ix_(rows, cols)] = lhs[np.ix_(rows, mid)] @ rhs[np.ix_(mid, cols)]
-    re, im = (half.reshape(p, q, s, nf).transpose(perm)
-              for half in (flat[:, :s * nf], flat[:, s * nf:]))
-    return re, im, lden * rden
+    dens = [left.den * right.den for left, right, _, _ in terms]
+    den = math.lcm(*dens)
+    scales = [sign * (den // d) for (*_, sign), d in zip(terms, dens)]
+    bound = sum(max(2 * (right.starts.size - 1) * left.absmax * right.absmax, 1) * abs(s)
+                for (left, right, *_), s in zip(terms, scales))
+    dtype = np.int64 if bound < 2**62 else object
+    strides = [math.prod(shape[k + 1:]) for k in range(4)]
+    acc_re, acc_im = (np.zeros(math.prod(shape), dtype=dtype) for _ in range(2))
+    for (left, right, axes, _), scale in zip(terms, scales):
+        counts = np.diff(right.starts)[left.key]
+        li = np.repeat(np.arange(left.key.size), counts)
+        skip = right.starts[left.key] - np.cumsum(counts) + counts
+        ri = np.repeat(skip, counts) + np.arange(li.size)
+        flat = ((left.a * strides[axes[0]] + left.b * strides[axes[1]])[li]
+                + (right.a * strides[axes[2]] + right.b * strides[axes[3]])[ri])
+        lre, lim = left.re[li].astype(dtype), left.im[li].astype(dtype)
+        rre, rim = right.re[ri].astype(dtype), right.im[ri].astype(dtype)
+        np.add.at(acc_re, flat, scale * (lre * rre - lim * rim))
+        np.add.at(acc_im, flat, scale * (lre * rim + lim * rre))
+    return acc_re, acc_im, den
 
 
 def check_jacobi_closure(jacobi_degree: int = 4, closure_degree: int = 6) -> dict:
@@ -655,8 +665,9 @@ def check_jacobi_closure(jacobi_degree: int = 4, closure_degree: int = 6) -> dic
     * closure: every ordered basis pair with degree sum <= closure_degree
       brackets into E(1,6) at that degree (exact membership);
     * super-Jacobi on all ordered basis triples with degrees <=
-      jacobi_degree, by integer tensor contraction: T1 - T2 - sgn T3 summed
-      in one pass, in int64 or, past its bound, in Python integers;
+      jacobi_degree, by a sparse join over the nonzero table entries
+      (``_joined_sum``): T1 - T2 - sgn T3 summed in one flat accumulator, in
+      int64 or, past its bound, in Python integers;
     * super-skew [x, y] = -(-1)^(p(x) p(y)) [y, x] on every degree pair whose
       two orders are both tabled, compared in exact integers;
     * [t, b] = deg(b) b on every basis element of degree <= span =
@@ -709,28 +720,20 @@ def check_jacobi_closure(jacobi_degree: int = 4, closure_degree: int = 6) -> dic
         if (0, d) in failed or np.any(g_re) or np.any(g_im):
             report["grading_ok"] = False
 
-    # super-Jacobi per ordered degree triple, integer tensor contraction:
+    # super-Jacobi per ordered degree triple, a sparse join of the tables:
     # [a,[b,c]] - [[a,b],c] - (-1)^(p(a)p(b)) [b,[a,c]] = 0
+    grouped = cache(lambda d1, d2, axis: _grouped_entries(tables.table(d1, d2), axis))
     rng = range(-2, jacobi_degree + 1)
     for d1, d2, d3 in ((a, b, c) for a in rng for b in rng for c in rng):
         sgn = -1 if (d1 & 1) and (d2 & 1) else 1
-        # T1[x,y,z,f] = sum_e C23[y,z,e] C1(23)[x,e,f]
-        T1 = _compose_tables(
-            tables.table(d2, d3), tables.table(d1, d2 + d3), "yze,xef->xyzf"
-        )
-        # T2[x,y,z,f] = sum_e C12[x,y,e] C(12)3[e,z,f]
-        T2 = _compose_tables(
-            tables.table(d1, d2), tables.table(d1 + d2, d3), "xye,ezf->xyzf"
-        )
-        # T3[x,y,z,f] = sum_e C13[x,z,e] C2(13)[y,e,f]
-        T3 = _compose_tables(
-            tables.table(d1, d3), tables.table(d2, d1 + d3), "xze,yef->xyzf"
-        )
-        lcm = math.lcm(T1[2], T2[2], T3[2])
-        acc_re, acc_im = _signed_sum([
-            (re, im, s * (lcm // dv))
-            for (re, im, dv), s in zip((T1, T2, T3), (1, -1, -sgn)) if re.size
-        ])
+        acc_re, acc_im, _ = _joined_sum([
+            # T1[x,y,z,f] = sum_e C23[y,z,e] C1(23)[x,e,f]
+            (grouped(d2, d3, 2), grouped(d1, d2 + d3, 1), (1, 2, 0, 3), 1),
+            # T2[x,y,z,f] = sum_e C12[x,y,e] C(12)3[e,z,f]
+            (grouped(d1, d2, 2), grouped(d1 + d2, d3, 0), (0, 1, 2, 3), -1),
+            # T3[x,y,z,f] = sum_e C13[x,z,e] C2(13)[y,e,f]
+            (grouped(d1, d3, 2), grouped(d2, d1 + d3, 1), (0, 2, 1, 3), -sgn),
+        ], (_dim(d1), _dim(d2), _dim(d3), _dim(d1 + d2 + d3)))
         report["triples_checked"] += _dim(d1) * _dim(d2) * _dim(d3)
         nz = np.flatnonzero((acc_re != 0) | (acc_im != 0))
         reads = {(d2, d3), (d1, d2 + d3), (d1, d2), (d1 + d2, d3), (d1, d3),

@@ -108,6 +108,20 @@ def test_check_algebra_grading_fault_fails_both_grading_records(capsys, monkeypa
     assert checks["t-grading"]["counts"] == {"degree": 6}
 
 
+def test_check_algebra_rejects_a_max_degree_below_the_grading(capsys):
+    # degree -2 is the lowest of E(1,6): -2 checks the one triple
+    # (Theta, Theta, Theta), and anything lower would check none
+    rc, out, err = run_cli(capsys, ["check-algebra", "--max-degree", "-3"])
+    assert rc == 2 and not out
+    assert "--max-degree -3 is below -2" in err
+    rc, out, _ = run_cli(capsys, ["check-algebra", "--max-degree", "-2",
+                                  "--format", "json-lines"])
+    assert rc == 0
+    checks = {r["name"]: r for r in json_records(out) if r["record"] == "check"}
+    assert checks["jacobi"]["ok"] is True
+    assert checks["jacobi"]["counts"] == {"degree": -2, "triples_checked": 1}
+
+
 def _scipy_modules_after(commands):
     """Run cli.main on each argv in a fresh interpreter, writing to the null
     device; returns the last stdout line: the exit codes and every scipy

@@ -1,11 +1,13 @@
 """Unit tests for the contact superalgebra and E(1,6)."""
 
+import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
-from e16verma import contact
+from e16verma import cli, contact
 from e16verma.contact import (
     ContactElement,
     GRADING_T,
@@ -22,7 +24,8 @@ from e16verma.contact import (
     root_datum,
     _basis_elements_at_degree,
     _basis_generators,
-    _compose_tables,
+    _grouped_entries,
+    _joined_sum,
     _signed_sum,
 )
 from e16verma.exactnum import IUNIT, ONE, Q, QI
@@ -222,11 +225,11 @@ def test_root_system_report():
 
 
 # ---------------------------------------------------------------------------
-# Jacobi tensor contraction
+# Jacobi sparse join
 # ---------------------------------------------------------------------------
 
 def _einsum_compose(left, right, order):
-    """The four-einsum contraction the matrix product replaced (reference)."""
+    """Dense four-einsum contraction of two (re, im, den) tables (reference)."""
     lre, lim, lden = left
     rre, rim, rden = right
     lmax = max(int(np.abs(lre).max(initial=0)), int(np.abs(lim).max(initial=0)))
@@ -240,8 +243,23 @@ def _einsum_compose(left, right, order):
     return re, im, lden * rden
 
 
+def _join_compose(left, right, order):
+    """left . right by _joined_sum, for einsum ``order`` with the left's last
+    axis contracted: one term of sign 1, reshaped to the output axes."""
+    inputs, output = order.split("->")
+    lsub, rsub = inputs.split(",")
+    e_axis = rsub.index(lsub[2])
+    kept = lsub[:2] + rsub.replace(lsub[2], "")
+    size = dict(zip(lsub + rsub, left[0].shape + right[0].shape))
+    shape = tuple(size[ch] for ch in output)
+    re, im, den = _joined_sum(
+        [(_grouped_entries(left, 2), _grouped_entries(right, e_axis),
+          tuple(output.index(ch) for ch in kept), 1)], shape)
+    return re.reshape(shape), im.reshape(shape), den
+
+
 @pytest.mark.parametrize("scale", [1, 2**29])
-def test_compose_tables_matches_einsum_reference(scale):
+def test_joined_sum_matches_einsum_reference(scale):
     rng = np.random.default_rng(6)
 
     def table(shape):
@@ -259,7 +277,7 @@ def test_compose_tables_matches_einsum_reference(scale):
     ]
     for order, lshape, rshape in cases:
         left, right = table(lshape), table(rshape)
-        got = _compose_tables(left, right, order)
+        got = _join_compose(left, right, order)
         want = _einsum_compose(left, right, order)
         assert got[2] == want[2]
         for g, w in zip(got[:2], want[:2]):
@@ -341,3 +359,53 @@ def test_wrong_grading_eigenvalue_fails_grading(monkeypatch):
     jc = check_jacobi_closure(1, 2)
     assert not jc["grading_ok"] and not jc["ok"]
     assert jc["closure_ok"]
+
+
+def _dense_jacobi_failures(tables, jacobi_degree):
+    """check_jacobi_closure's Jacobi verdict recomputed by dense einsum
+    contractions of the same tables (reference for the sparse join)."""
+    failures = []
+    for d1, d2, d3 in product(range(-2, jacobi_degree + 1), repeat=3):
+        sgn = -1 if (d1 & 1) and (d2 & 1) else 1
+        terms = [
+            (_einsum_compose(tables.table(d2, d3), tables.table(d1, d2 + d3),
+                             "yze,xef->xyzf"), 1),
+            (_einsum_compose(tables.table(d1, d2), tables.table(d1 + d2, d3),
+                             "xye,ezf->xyzf"), -1),
+            (_einsum_compose(tables.table(d1, d3), tables.table(d2, d1 + d3),
+                             "xze,yef->xyzf"), -sgn),
+        ]
+        lcm = math.lcm(*(den for (_, _, den), _ in terms))
+        # a term below the grading floor is an empty array of another shape
+        terms = [(t, s * (lcm // t[2])) for t, s in terms if t[0].size]
+        re = sum(s * t_re for (t_re, _, _), s in terms)
+        im = sum(s * t_im for (_, t_im, _), s in terms)
+        nz = np.flatnonzero((re != 0) | (im != 0))
+        reads = {(d2, d3), (d1, d2 + d3), (d1, d2), (d1 + d2, d3), (d1, d3),
+                 (d2, d1 + d3)}
+        if nz.size or reads & tables.failed_pairs:
+            failures.append(((d1, d2, d3), nz[:5].tolist()))
+    return failures
+
+
+@pytest.mark.parametrize("fault", ["cli-hook", "doubled-cell"])
+def test_jacobi_failures_match_dense_reference(monkeypatch, fault):
+    # the sparse join names the same failing triples and the same first
+    # flat indices as dense einsum contractions of the very same tables
+    built = []
+    tables_cls = contact._StructureTables
+    monkeypatch.setattr(contact, "_StructureTables",
+                        lambda pairs: built.append(tables_cls(pairs)) or built[-1])
+    if fault == "cli-hook":
+        with cli._bracket_fault():
+            jc = check_jacobi_closure(4, 6)
+            assert not built[0].failures
+    else:
+        # [xi_12, xi_2] = xi_1 doubled: still in E(1,6), so the table
+        # holds the wrong cell and no membership failure flags it
+        _patch_bracket(monkeypatch, 0, 1, -1, 1, lambda out: out.scale(Q(2)))
+        jc = check_jacobi_closure(4, 6)
+        assert not built[0].failures
+    assert len(built) == 1
+    assert not jc["jacobi_ok"]
+    assert jc["jacobi_failures"] == _dense_jacobi_failures(built[0], 4)
