@@ -720,19 +720,40 @@ def weight_of(vv: VermaVector) -> tuple | None:
 # the main verification entry point
 # ---------------------------------------------------------------------------
 
-def _scan_kernels(module: ModuleSpec, k_max: int, t_scan: list, include_S0: bool):
+def _scan_kernels(module: ModuleSpec, k_max: int, t_scan: list, include_S0: bool,
+                  audit: bool = False):
     """The one scan loop behind ``verify_bound`` and ``singular_vectors``.
 
     Degree-outer: each block is assembled once, meets every t of the scan
     in scan order (so its screen eliminates at the first t and evaluates
     the pencil from the second on), and is dropped before the next block
-    is assembled.  Yields (t position, degree, screened, vectors); the
-    vectors are (vector, solves) for each vector of the exact kernel basis,
-    where solves is False when the block does not annihilate the vector (a
-    nonzero residual) or when it fails the re-check against the conditions
-    through the object-level action.  A False there means that the
-    eliminator or the assembled block is wrong; the callers report it
+    is assembled.  Yields (t position, degree, screened, vectors, proven);
+    the vectors are (vector, solves) for each vector of the exact kernel
+    basis, where solves is False when the block does not annihilate the
+    vector (a nonzero residual) or when it fails the re-check against the
+    conditions through the object-level action.  A False there means that
+    the eliminator or the assembled block is wrong; the callers report it
     instead of raising.
+
+    A block without rows is re-checked, and with ``audit`` audited, at two
+    t of the scan only, its first two (the scan holds distinct t, as
+    ``_as_scan`` makes it).  When every kernel vector passes
+    ``conditions_hold`` and ``audit_technical_identities`` at both, the
+    verdict holds at every t and ``proven`` is True at each t of the
+    block; otherwise the block takes the per-t path.  Two points suffice:
+
+    - a block without rows has the same exact kernel at every t: the unit
+      vectors of all its columns;
+    - the module's t enters the object-level action only through
+      ``_apply_op(OP_T)``, which is ``ModuleSpec.act_t`` (v -> c*v), once
+      per term;
+    - every re-checked quantity (condition coefficients, S0 parts, the
+      ledger families and the audit combinations) is a Q(i)-linear
+      combination of op images of t-free coefficients;
+    - so each has the form X + c*Y, of degree <= 1 in c, and one that
+      vanishes at two distinct c vanishes at every c.
+
+    A scan of one t runs the per-t path.
     """
     specs = [
         ModuleSpec(module.dim, c, module.xi_action, name=module.name)
@@ -740,21 +761,42 @@ def _scan_kernels(module: ModuleSpec, k_max: int, t_scan: list, include_S0: bool
     ]
     for degree in range(2 * k_max + N_INDICES + 1):
         block = assemble_degree_block(module, k_max, degree, include_S0=include_S0)
+        proven = (block.nrows == 0 and len(specs) > 1
+                  and _checks_hold(block, specs[:2], include_S0, audit))
         for pos, (c, spec) in enumerate(zip(t_scan, specs)):
             if screen_block_zero_kernel(block, c):
-                yield pos, degree, True, []
+                yield pos, degree, True, [], False
                 continue
             vectors = [(kernel_vector_to_verma(vec, spec), residual_ok)
                        for vec, residual_ok in exact_block_kernel(block, c)]
             yield pos, degree, False, [
-                (vv, residual_ok and conditions_hold(vv, include_S0=include_S0))
+                (vv, residual_ok and (proven or conditions_hold(vv, include_S0=include_S0)))
                 for vv, residual_ok in vectors
-            ]
+            ], proven
         del block  # one block alive at a time
 
 
+def _checks_hold(block: DegreeBlock, specs: list, include_S0: bool, audit: bool) -> bool:
+    """True when every exact kernel vector of the block passes the residual,
+    ``conditions_hold`` and (with ``audit``) the audit at each spec's t."""
+    return all(
+        residual_ok and conditions_hold(vv, include_S0=include_S0)
+        and (not audit or audit_technical_identities(vv)["ok"])
+        for spec in specs
+        for vec, residual_ok in exact_block_kernel(block, spec.t_scalar)
+        for vv in (kernel_vector_to_verma(vec, spec),)
+    )
+
+
 def _as_scan(t_scan) -> list[GaussianRational]:
-    return [Q(n) for n in range(-10, 11)] if t_scan is None else list(t_scan)
+    """The scan as a list (default -10..10), duplicates dropped by their
+    text, order kept."""
+    if t_scan is None:
+        return [Q(n) for n in range(-10, 11)]
+    first: dict[str, GaussianRational] = {}
+    for c in t_scan:
+        first.setdefault(scalar_to_text(c), c)
+    return list(first.values())
 
 
 def verify_bound(
@@ -773,6 +815,11 @@ def verify_bound(
     component is annihilated by its block, solves the conditions when
     re-checked through the object-level action, complies, and (when audit)
     satisfies all coefficient identities.
+    On a block without rows the re-check and the audit run at the scan's
+    first two t only: both are of degree <= 1 in t, so passing at two t
+    proves them at every t (``_scan_kernels``).  A failure at either falls
+    back to the per-t checks, whose records are the same as a one-t scan's.
+    Duplicate t are dropped, order kept.
     Counterexamples are listed t by t in scan order, degrees ascending.
     With ``include_S0`` the highest-weight rows are added as well, which can
     only shrink each kernel.
@@ -781,7 +828,8 @@ def verify_bound(
     texts = [scalar_to_text(c) for c in t_scan]
     entries = [{"degrees": {}, "kernel_total": 0} for _ in t_scan]
     found = []  # (t position, degree, counterexample)
-    for pos, d, screened, vectors in _scan_kernels(module, k_max, t_scan, include_S0):
+    for pos, d, screened, vectors, proven in _scan_kernels(
+            module, k_max, t_scan, include_S0, audit=audit):
         if screened:
             entries[pos]["degrees"][d] = {"kernel_dim": 0, "screened": True}
             continue
@@ -796,7 +844,7 @@ def verify_bound(
             shape_ok, item_ok = shape_compliant(vv)
             ok_here = solves and shape_ok and item_ok
             audit_rep = None
-            if audit and ok_here:
+            if audit and ok_here and not proven:
                 audit_rep = audit_technical_identities(vv)
                 if not audit_rep["ok"]:
                     ok_here = False
@@ -844,7 +892,7 @@ def singular_vectors(
     object-level re-check."""
     t_scan = _as_scan(t_scan)
     out: list[list[dict]] = [[] for _ in t_scan]
-    for pos, degree, _, vectors in _scan_kernels(module, k_max, t_scan, include_S0):
+    for pos, degree, _, vectors, _ in _scan_kernels(module, k_max, t_scan, include_S0):
         out[pos].extend(
             {
                 "degree": degree,

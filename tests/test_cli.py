@@ -56,6 +56,22 @@ def test_reproduce_proof_s0_flag_changes_nothing(capsys):
     assert body1 == body2
 
 
+@pytest.mark.parametrize("helper, fake, failed", [
+    ("_sign_1_plus_I", lambda size: 1,
+     {"alfa", "beta", "gamma", "delta", "b2-linear-independence"}),
+    ("_theta_layer", lambda vv, p: {}, {"s2-blocks-threeway"}),
+])
+def test_reproduce_proof_fails_on_a_faulty_extraction(capsys, monkeypatch,
+                                                      helper, fake, failed):
+    monkeypatch.setattr(singular, helper, fake)
+    rc, out, _ = run_cli(capsys, ["reproduce-proof", "--format", "json-lines"])
+    assert rc == 1
+    recs = json_records(out)
+    assert {r["name"] for r in recs if r["record"] == "step" and not r["ok"]} == failed
+    assert recs[-1] == {"record": "summary", "ok": False, "exit": 1,
+                        "schema": "e16verma/1"}
+
+
 # ---------------------------------------------------------------------------
 # check-algebra
 # ---------------------------------------------------------------------------
@@ -342,6 +358,25 @@ def test_failed_recheck_is_a_counterexample_not_a_traceback(capsys, monkeypatch)
     assert rc == 1
     assert "COUNTEREXAMPLE t=5 degree=1 shape_ok=True constraints_ok=True " \
            "conditions_ok=False" in out
+
+
+def test_failed_recheck_on_a_multi_t_scan(capsys, monkeypatch):
+    """The object-side flip on a scan of seven t: the row-less degree-0
+    block is checked at two t only, and the records are those of the
+    per-t scan: six failed vectors at t = -1 and one at t = 5, all in
+    degree 1."""
+    argv = ["--module", "vector", "--kmax", "1", "--t-scan=-1..5",
+            "--format", "json-lines"]
+    _flip_object_level_t_term(monkeypatch)
+    rc, out, _ = run_cli(capsys, ["verify-bound"] + argv)
+    assert rc == 1
+    ces = [r for r in json_records(out) if r["record"] == "counterexample"]
+    assert [(r["t_scalar"], r["degree"], r["conditions_ok"], r["audit_failures"])
+            for r in ces] == [("-1", 1, False, [])] * 6 + [("5", 1, False, [])]
+    rc, out, _ = run_cli(capsys, ["find-singular"] + argv)
+    assert rc == 1
+    assert [(r["t_scalar"], r["degree"]) for r in json_records(out)
+            if r["record"] == "counterexample"] == [("-1", 1), ("5", 1)]
 
 
 def test_nonzero_residual_is_a_counterexample_not_a_traceback(capsys, monkeypatch):

@@ -6,10 +6,11 @@ import pytest
 
 from e16verma import singular
 from e16verma._linalg import nullspace
-from e16verma.exactnum import ONE, Q, QI, ZERO
-from e16verma.gmodule import builtin
-from e16verma.grassmann import FULL_MASK, MASKS_BY_SIZE, N_INDICES, mask_of
+from e16verma.exactnum import ONE, Q, QI, ZERO, scalar_to_text
+from e16verma.gmodule import ModuleSpec, builtin
+from e16verma.grassmann import FULL_MASK, MASKS_BY_SIZE, N_INDICES, mask_of, word_of
 from e16verma.singular import (
+    CONDITION_MASKS,
     SHAPE_SUPPORT,
     UnknownIndex,
     assemble_degree_block,
@@ -24,8 +25,9 @@ from e16verma.singular import (
     singular_vectors,
     verify_bound,
     weight_of,
+    _positive_root_pairs,
 )
-from e16verma.verma import VermaVector, lambda_action_T, mdeg
+from e16verma.verma import VermaVector, coefficient_functionals, lambda_action_T, mdeg
 
 C = Q(7, 3)
 
@@ -308,3 +310,135 @@ def test_combined_action_needs_small_L():
         combined_action((1, 2, 3, 4), vv)
     with pytest.raises(ValueError):
         combined_action((1, 1), vv)
+
+
+# ---------------------------------------------------------------------------
+# the row-less block: checked at two t of a scan, valid at every t
+# ---------------------------------------------------------------------------
+
+MIXED_SCAN = [Q(-1), Q(0), Q(2), Q(5), C, QI(1, 1)]
+
+
+def _records_at(report, t):
+    return (report["per_c"][t],
+            [ce for ce in report["counterexamples"] if ce["t_scalar"] == t])
+
+
+def _per_t_reports(module, t_scan, **kwargs):
+    return {scalar_to_text(c): verify_bound(module, t_scan=[c], **kwargs) for c in t_scan}
+
+
+def test_duplicate_t_is_scanned_once(monkeypatch):
+    monkeypatch.setattr(singular, "shape_compliant", lambda vv: (False, False))
+    triv = builtin("trivial", Q(0))
+    rep = verify_bound(triv, k_max=0, t_scan=[Q(2), Q(2)])
+    once = verify_bound(triv, k_max=0, t_scan=[Q(2)])
+    assert rep["t_scan"] == ["2"]
+    assert len(rep["counterexamples"]) == 11
+    assert rep == once
+    assert singular._as_scan([Q(2), C, QI(2, 0), Q(14, 6), Q(0)]) == [Q(2), C, Q(0)]
+
+
+def test_rowless_block_is_checked_at_two_t(monkeypatch):
+    calls = {"conditions_hold": 0, "audit_technical_identities": 0}
+    for name in calls:
+        real = getattr(singular, name)
+
+        def counted(vv, *args, _real=real, _name=name, **kwargs):
+            calls[_name] += min(vv.mdegrees()) == 0
+            return _real(vv, *args, **kwargs)
+
+        monkeypatch.setattr(singular, name, counted)
+    rep = verify_bound(builtin("vector", Q(0)), k_max=1,
+                       t_scan=[Q(n) for n in range(-3, 4)])
+    assert rep["ok"]
+    assert all(rep["per_c"][t]["degrees"][0]["kernel_dim"] == 6 for t in rep["t_scan"])
+    # six degree-0 vectors at the first two t, none at the other five
+    assert calls == {"conditions_hold": 12, "audit_technical_identities": 12}
+
+
+@pytest.mark.parametrize("name", ["trivial", "vector"])
+def test_scan_records_equal_one_t_scans(name):
+    module = builtin(name, Q(0))
+    rep = verify_bound(module, k_max=2, t_scan=MIXED_SCAN)
+    for t, single in _per_t_reports(module, MIXED_SCAN, k_max=2).items():
+        assert _records_at(rep, t) == _records_at(single, t)
+    found = singular_vectors(module, k_max=2, t_scan=MIXED_SCAN)
+    for c, vectors in zip(MIXED_SCAN, found):
+        (single,) = singular_vectors(module, k_max=2, t_scan=[c])
+        assert [{**v, "vector": None} for v in vectors] == \
+            [{**v, "vector": None} for v in single]
+
+
+@pytest.mark.parametrize("check", ["conditions_hold", "audit_technical_identities"])
+@pytest.mark.parametrize("bad_pos", [0, 1])
+def test_rowless_fault_at_one_of_two_t_gives_per_t_records(monkeypatch, check, bad_pos):
+    """A check that fails only at the first, or only at the second, t of the
+    scan sends the row-less block back to the per-t path: the records are
+    those of one-t scans under the same fault."""
+    t_scan = [Q(5), Q(-1), Q(2)]
+    bad = t_scan[bad_pos]
+    real = getattr(singular, check)
+    if check == "conditions_hold":
+        def faulty(vv, include_S0=False):
+            return vv.module.t_scalar != bad and real(vv, include_S0=include_S0)
+    else:
+        def faulty(vv, check_all_L3=True):
+            if vv.module.t_scalar == bad:
+                return {"ok": False, "failures": [("fault",)]}
+            return real(vv, check_all_L3)
+    monkeypatch.setattr(singular, check, faulty)
+    vec = builtin("vector", Q(0))
+    rep = verify_bound(vec, k_max=1, t_scan=t_scan)
+    singles = _per_t_reports(vec, t_scan, k_max=1)
+    assert rep["counterexamples"] == [
+        ce for single in singles.values() for ce in single["counterexamples"]]
+    for t, single in singles.items():
+        assert _records_at(rep, t) == _records_at(single, t)
+    failed = {(ce["t_scalar"], ce["degree"]) for ce in rep["counterexamples"]}
+    assert (scalar_to_text(bad), 0) in failed
+    assert {t for t, _ in failed} == {scalar_to_text(bad)}
+
+
+def _flat_values(module, vec, c):
+    """Every quantity that the re-check and the audit read off the row-less
+    kernel vector vec at t = c, as {key: value}."""
+    vv = kernel_vector_to_verma(vec, ModuleSpec(module.dim, c, module.xi_action))
+    out = {}
+    for l_mask in CONDITION_MASKS:
+        for j, coeff in combined_action(word_of(l_mask), vv).coeffs.items():
+            for key, fv in coeff.data.items():
+                out.update({("cond", l_mask, j, key, x): v for x, v in fv.items()})
+    for idx, combo in _positive_root_pairs():
+        for a, b, _ in combo:
+            part = lambda_action_T((min(a, b), max(a, b)), vv).coefficient(0)
+            for key, fv in part.data.items():
+                out.update({("S0", idx, a, b, key, x): v for x, v in fv.items()})
+    words = [()] + [(j,) for j in range(1, N_INDICES + 1)] + [
+        word_of(m) for m in MASKS_BY_SIZE[3]]
+    for word in words:
+        for fam, flat in coefficient_functionals(word, vv).items():
+            for mask, fv in flat.items():
+                out.update({("func", word, fam, mask, x): v for x, v in fv.items()})
+    return out
+
+
+@pytest.mark.parametrize("name", ["trivial", "vector", "adjoint"])
+def test_rowless_checks_are_of_degree_one_in_t(name):
+    """The two-point proof of ``_scan_kernels`` rests on every re-checked
+    quantity of a row-less kernel vector being X + c*Y in the t-eigenvalue
+    c: f(c) = f(0) + c*(f(1) - f(0)) exactly, at non-integer and Gaussian c
+    too."""
+    module = builtin(name, Q(0))
+    block = assemble_degree_block(module, 2, 0)
+    assert block.nrows == 0
+    kernel = exact_block_kernel(block, Q(0))
+    assert len(kernel) == module.dim
+    for vec, residual_ok in kernel:
+        assert residual_ok
+        f0, f1 = (_flat_values(module, vec, c) for c in (ZERO, ONE))
+        for c in (C, QI(1, 1)):
+            fc = _flat_values(module, vec, c)
+            for key in f0.keys() | f1.keys() | fc.keys():
+                x, y = f0.get(key, ZERO), f1.get(key, ZERO)
+                assert fc.get(key, ZERO) == x + c * (y - x), key

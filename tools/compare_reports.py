@@ -19,8 +19,12 @@ from typing import Iterator
 
 SCAN = ["--kmax", "5", "--t-scan=-10..10"]
 REPORTS: dict[str, list[str]] = {
+    "verify-bound trivial": ["verify-bound", "--module", "trivial", *SCAN],
     "verify-bound vector": ["verify-bound", "--module", "vector", *SCAN],
     "verify-bound adjoint": ["verify-bound", "--module", "adjoint", *SCAN],
+    "verify-bound vector, non-integer t": [
+        "verify-bound", "--module", "vector", "--kmax", "3", "--t-scan=7/3,1+i,-1,5"],
+    "find-singular trivial": ["find-singular", "--module", "trivial", *SCAN],
     "find-singular vector": ["find-singular", "--module", "vector", *SCAN],
     "reproduce-proof": ["reproduce-proof"],
     "reproduce-proof --verbose": ["reproduce-proof", "--verbose"],
