@@ -6,12 +6,12 @@ hashable values (integers, tuples); ``nullspace`` takes an explicit column
 universe so that completely unconstrained columns still show up as free
 directions.
 
-Modular side: the screening prime SCREEN_P = 1 (mod 4) and the root
-SCREEN_R of -1 give the ring map a + b i -> a + SCREEN_R b (mod p) of Z[i]
-onto F_p (``_modp_image`` for scalars).  Forward elimination, back
-substitution, the Hessenberg form and its characteristic polynomial give
-det(B + gamma T) of a pencil over F_p as a polynomial in gamma
-(``_pencil_determinant``).  How a degree block is compressed to a pencil,
+Modular side: the constant screening prime SCREEN_P = 1 (mod 4) and the
+root SCREEN_R of -1 mod SCREEN_P give the ring map a + b i -> a + SCREEN_R b
+(mod p) of Z[i] onto F_p (``_modp_image`` for scalars).  Forward
+elimination, back substitution, the Hessenberg form and its characteristic
+polynomial give det(B + gamma T) of a pencil over F_p as a polynomial in
+gamma (``_pencil_determinant``).  How a degree block is compressed to a pencil,
 and when it is screened, is ``singular``'s.
 
 Forward elimination and back substitution are blocked and run on float64
@@ -31,7 +31,6 @@ guarded by ``_check_int64_sum``.
 
 from __future__ import annotations
 
-import random
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -125,56 +124,10 @@ def nullspace(
 # the modular screen over F_p: prime, ring map, int64 guard, elimination
 # ---------------------------------------------------------------------------
 
-def _is_probable_prime(n: int, rounds: int = 32) -> bool:
-    """Miller-Rabin with fixed small bases plus random rounds."""
-    if n < 2:
-        return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for p in small:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    rng = random.Random(0xE16)
-    bases = list(small) + [rng.randrange(2, n - 1) for _ in range(rounds)]
-    for a in bases:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _sqrt_minus_one(p: int) -> int:
-    """A square root of -1 mod p, for prime p = 1 (mod 4)."""
-    if p % 4 != 1:
-        raise ValueError("need p = 1 (mod 4)")
-    for a in range(2, 1000):
-        r = pow(a, (p - 1) // 4, p)
-        if r * r % p == p - 1:
-            return r
-    raise ValueError("no fourth-power nonresidue found in range")
-
-
-# a < 2^21 prime congruent to 1 mod 4, small enough that the screen's
-# int64 product sums stay far inside int64 (see _check_int64_sum)
-def _screening_prime() -> tuple[int, int]:
-    p = (1 << 20) + 1
-    while True:
-        if p % 4 == 1 and _is_probable_prime(p):
-            return p, _sqrt_minus_one(p)
-        p += 2
-
-
-SCREEN_P, SCREEN_R = _screening_prime()
+# a prime below 2^21 congruent to 1 mod 4, and a square root of -1 mod it:
+# small enough that the screen's int64 product sums stay far inside int64
+# (see _check_int64_sum) and its float64 sums exact (see _check_float64_sum)
+SCREEN_P, SCREEN_R = 1048589, 1009596
 
 
 def _modp_image(c: GaussianRational) -> int | None:

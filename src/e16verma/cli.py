@@ -42,7 +42,7 @@ from .gmodule import (
     validate,
 )
 from .grassmann import mask_of
-from .singular import reproduce_proof_steps, singular_vectors, verify_bound
+from .singular import _as_scan, reproduce_proof_steps, singular_vectors, verify_bound
 
 SCHEMA = "e16verma/1"
 DEFAULTS = {"kmax": 5, "t-scan": "-10..10", "max-degree": 4}
@@ -60,16 +60,9 @@ class UsageError(Exception):
 
 def parse_t_scan(text: str) -> list[GaussianRational]:
     """Parse a comma-separated scan: exact scalars ('7/3', '1+2*i') and/or
-    inclusive integer ranges ('a..b').  Duplicates are dropped, order kept."""
+    inclusive integer ranges ('a..b'), in order.  Duplicates are kept; the
+    scans of ``singular`` drop them."""
     values: list[GaussianRational] = []
-    seen: set[str] = set()
-
-    def push(v: GaussianRational) -> None:
-        key = scalar_to_text(v)
-        if key not in seen:
-            seen.add(key)
-            values.append(v)
-
     for raw in text.split(","):
         token = raw.strip()
         if not token:
@@ -82,11 +75,10 @@ def parse_t_scan(text: str) -> list[GaussianRational]:
                 raise UsageError(f"bad range {token!r} in t-scan (want a..b)") from None
             if lo > hi:
                 raise UsageError(f"descending range {token!r} in t-scan")
-            for n in range(lo, hi + 1):
-                push(Q(n))
+            values.extend(Q(n) for n in range(lo, hi + 1))
         else:
             try:
-                push(scalar_from_text(token))
+                values.append(scalar_from_text(token))
             except ValueError as e:
                 raise UsageError(f"bad scalar {token!r} in t-scan: {e}") from None
     if not values:
@@ -448,7 +440,7 @@ def cmd_verify_bound(ns: argparse.Namespace) -> tuple[list[dict], bool]:
 
 def cmd_find_singular(ns: argparse.Namespace) -> tuple[list[dict], bool]:
     module = load_module(ns.module)
-    scan = parse_t_scan(ns.t_scan)
+    scan = _as_scan(parse_t_scan(ns.t_scan))
     records = [header_record("find-singular", _scan_config(ns, module))]
     with _overflow_is_input_error():
         per_t = singular_vectors(

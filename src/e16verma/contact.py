@@ -147,9 +147,6 @@ class ContactElement:
         }
         return res
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def __repr__(self) -> str:
         if not self.data:
             return "0"
@@ -384,10 +381,6 @@ class RootDatum:
     @property
     def positive_roots(self) -> list[Root]:
         return [r for r in sorted(self.root_vectors, reverse=True) if _is_positive(r)]
-
-    @property
-    def simple_roots(self) -> list[Root]:
-        return [(1, -1, 0), (0, 1, -1), (0, 1, 1)]
 
 
 def _is_positive(root: Root) -> bool:

@@ -1,5 +1,5 @@
-"""Exact arithmetic over the Gaussian rationals Q(i), and the change of basis
-on sparse exponent maps in two commuting formal variables.
+"""Exact arithmetic over the Gaussian rationals Q(i), and the one in-place sum
+on sparse vectors over it.
 
 Conventions
 -----------
@@ -15,17 +15,14 @@ Conventions
   c * value for each (key, value) pair and drops every key whose value
   cancels.  Every layer (brackets, module matrices, the lambda-action, the
   coefficient ledger, exact elimination) sums through it.
-* ``rebase_cells`` rewrites an exponent map from the ``(lam, theta)`` basis
-  to the ``(lam, mu)`` basis where ``mu = lam + theta`` (substitute
-  ``theta = mu - lam``), or back.
 """
 
 from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from math import comb, gcd
-from typing import Callable, Iterable, TypeVar
+from math import gcd
+from typing import Iterable, TypeVar
 
 __all__ = [
     "GaussianRational",
@@ -37,7 +34,6 @@ __all__ = [
     "scalar_to_text",
     "scalar_from_text",
     "accumulate",
-    "rebase_cells",
 ]
 
 
@@ -354,44 +350,4 @@ def accumulate(
             out[k] = s
         else:
             out.pop(k, None)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# change of basis on sparse exponent maps
-# ---------------------------------------------------------------------------
-
-V = TypeVar("V")
-
-
-def rebase_cells(
-    cells: dict[tuple[int, int], V],
-    vadd: Callable[[V, V], V],
-    vscale: Callable[[int, V], V],
-    is_zero: Callable[[V], bool],
-    inverse: bool = False,
-) -> dict[tuple[int, int], V]:
-    """Change of basis on a sparse exponent map.
-
-    Forward direction: cells are ``(lam-exp, theta-exp) -> value`` and the
-    result is ``(lam-exp, mu-exp) -> value`` with ``mu = lam + theta``
-    (substitute ``theta = mu - lam`` i.e. spread ``theta^t`` into
-    ``sum_r C(t,r) (-1)^r lam^r mu^(t-r)``).  With ``inverse=True`` the roles
-    are swapped (substitute ``mu = lam + theta``).
-
-    Value-type agnostic: scalar polynomials and module-valued coefficient
-    maps share this code path.
-    """
-    out: dict[tuple[int, int], V] = {}
-    for (a, t), val in cells.items():
-        for r in range(t + 1):
-            c = comb(t, r) if inverse else comb(t, r) * (-1) ** r
-            key = (a + r, t - r)
-            piece = vscale(c, val)
-            if key in out:
-                piece = vadd(out[key], piece)
-            if is_zero(piece):
-                out.pop(key, None)
-            else:
-                out[key] = piece
     return out

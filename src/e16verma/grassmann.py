@@ -9,8 +9,8 @@ Conventions
   with repetitions; its canonical form is a strictly increasing tuple plus
   the sign of the sorting permutation (0 if an index repeats): ``normalize``.
 * Every canonical monomial is a 6-bit mask: bit (i-1) set means xi_i is
-  present (``mask_of``, ``word_of``).  Index sets in reports use the text
-  forms "xi[135]" / "eta[135]"; the empty monomial renders as "1".
+  present (``mask_of``, ``word_of``).  A xi-monomial in a report has the
+  text form "xi[135]" (``monomial_to_text``); the empty one renders as "1".
 * Product of monomials: ``mono_product`` (sign from ``merge_sign``, 0 when
   the sets meet).  The same signs give the star products between xi- and
   eta-monomials with disjoint index sets, xi_I * eta_J = eta_I eta_J and
@@ -139,18 +139,16 @@ def derive_mask(i: int, mask: int) -> tuple[int, int]:
 # Hodge duals (xi-side and eta-side) as (sign, complement mask) pairs
 # ---------------------------------------------------------------------------
 
-def hodge_modified(mask_or_word) -> tuple[int, int]:
+def hodge_modified(mask: int) -> tuple[int, int]:
     """xi*_I: (sign, complement mask) with xi_I xi*_I = xi_full."""
-    mask = mask_or_word if isinstance(mask_or_word, int) else mask_of(mask_or_word)
     comp = FULL_MASK & ~mask
     # xi_I xi_comp = merge_sign(I, comp) xi_full, so the dual carries the
     # same sign (it squares to 1).
     return _MERGE_SIGN[mask][comp], comp
 
 
-def eta_bar(mask_or_word) -> tuple[int, int]:
+def eta_bar(mask: int) -> tuple[int, int]:
     """bar(eta_I) = (-1)^|I| eta*_I: (sign, complement mask)."""
-    mask = mask_or_word if isinstance(mask_or_word, int) else mask_of(mask_or_word)
     sign, comp = hodge_modified(mask)
     if mask.bit_count() & 1:
         sign = -sign
@@ -166,11 +164,8 @@ def triangle_sign(l: int) -> int:
 # text forms
 # ---------------------------------------------------------------------------
 
-def monomial_to_text(mask: int, kind: str = "xi") -> str:
-    if kind not in ("xi", "eta"):
-        raise ValueError("kind must be 'xi' or 'eta'")
+def monomial_to_text(mask: int) -> str:
     if mask == 0:
         return "1"
-    digits = "".join(str(i) for i in word_of(mask))
-    return f"{kind}[{digits}]"
+    return f"xi[{''.join(str(i) for i in word_of(mask))}]"
 

@@ -599,7 +599,21 @@ def _combo(funcs, *parts):
 MINUS_I = QI(0, -1)
 
 
-def audit_technical_identities(vv: VermaVector, check_all_L3: bool = True) -> dict:
+def _s2_blocks(funcs, dual: bool = False) -> list[dict]:
+    """The five S2 blocks of one xi_L's families (of the dual families when
+    ``dual``): B0+b1, B1+a1+2b2, 2a2+B2+3b3, 3a3+B3+4b4, 4a4+B4."""
+    suffix = "d" if dual else ""
+    a, b, B = "a" + suffix, "b" + suffix, "B" + suffix
+    return [
+        _combo(funcs, (ONE, B, 0), (ONE, b, 1)),
+        _combo(funcs, (ONE, B, 1), (ONE, a, 1), (Q(2), b, 2)),
+        _combo(funcs, (Q(2), a, 2), (ONE, B, 2), (Q(3), b, 3)),
+        _combo(funcs, (Q(3), a, 3), (ONE, B, 3), (Q(4), b, 4)),
+        _combo(funcs, (Q(4), a, 4), (ONE, B, 4)),
+    ]
+
+
+def audit_technical_identities(vv: VermaVector) -> dict:
     """The coefficient identities that hold on any S1-S3 solution:
 
     (i)   for L = (j): B0+b1 = B1+a1+2b2 = 2a2+B2+3b3 = 3a3+B3+4b4
@@ -618,29 +632,17 @@ def audit_technical_identities(vv: VermaVector, check_all_L3: bool = True) -> di
         if flat:
             failures.append(label)
 
-    def blocks(funcs, dual: bool):
-        suffix = "d" if dual else ""
-        a, b, B = "a" + suffix, "b" + suffix, "B" + suffix
-        yield _combo(funcs, (ONE, B, 0), (ONE, b, 1))
-        yield _combo(funcs, (ONE, B, 1), (ONE, a, 1), (Q(2), b, 2))
-        yield _combo(funcs, (Q(2), a, 2), (ONE, B, 2), (Q(3), b, 3))
-        yield _combo(funcs, (Q(3), a, 3), (ONE, B, 3), (Q(4), b, 4))
-        yield _combo(funcs, (Q(4), a, 4), (ONE, B, 4))
-
     # (i)
     for j in range(1, N_INDICES + 1):
         funcs = coefficient_functionals((j,), vv)
-        for p, blk in enumerate(blocks(funcs, dual=False)):
+        for p, blk in enumerate(_s2_blocks(funcs)):
             expect_zero(("i", j, p), blk)
 
     # (ii) + (iii)
-    l3 = MASKS_BY_SIZE[3] if check_all_L3 else MASKS_BY_SIZE[3][:4]
-    for l_mask in l3:
+    for l_mask in MASKS_BY_SIZE[3]:
         word = word_of(l_mask)
         funcs = coefficient_functionals(word, vv)
-        for p, (blk, dblk) in enumerate(
-            zip(blocks(funcs, dual=False), blocks(funcs, dual=True))
-        ):
+        for p, (blk, dblk) in enumerate(zip(_s2_blocks(funcs), _s2_blocks(funcs, dual=True))):
             _accumulate_nested(blk, dblk, MINUS_I)
             expect_zero(("ii", word, p), blk)
         lam0 = [
@@ -1158,40 +1160,29 @@ def reproduce_proof_steps(verbose: bool = False) -> dict:
     m4 = formal_state(4)
     empty = 0
 
-    def s2_blocks(funcs):
-        return [
-            _combo(funcs, (ONE, "B", 0), (ONE, "b", 1)),
-            _combo(funcs, (ONE, "B", 1), (ONE, "a", 1), (Q(2), "b", 2)),
-            _combo(funcs, (Q(2), "a", 2), (ONE, "B", 2), (Q(3), "b", 3)),
-            _combo(funcs, (Q(3), "a", 3), (ONE, "B", 3), (Q(4), "b", 4)),
-            _combo(funcs, (Q(4), "a", 4), (ONE, "B", 4)),
-        ]
-
     ok_threeway = True
-    funcs_j = {}
+    blocks_j = {}
     for j in range(1, N_INDICES + 1):
-        funcs = coefficient_functionals((j,), m4)
-        funcs_j[j] = funcs
+        blocks_j[j] = _s2_blocks(coefficient_functionals((j,), m4))
         lam1 = lambda_action_T((j,), m4).coefficient(1)
-        for p, blk in enumerate(s2_blocks(funcs)):
+        for p, blk in enumerate(blocks_j[j]):
             if not _flat_eq(_theta_layer(lam1, p), blk):
                 ok_threeway = False
     record("s2-blocks-threeway", ok_threeway)
 
     # -- tecres rows --------------------------------------------------------
-    ok_t1 = ok_t2 = ok_t3 = True
+    # the t-eigenvalue row of Theta-layer p, -t_p + (5 + p) v_p (as
+    # extracted, each is minus the displayed row)
+    tec_rows = {p: {_sym_t(p, empty): -ONE, _sym_v(p, empty): Q(5 + p)} for p in range(3)}
+    ok_tec = {p: True for p in tec_rows}
     ok_vj1 = ok_vj2 = ok_vjl1 = True
     for j in range(1, N_INDICES + 1):
         jm = 1 << (j - 1)
-        blks = s2_blocks(funcs_j[j])
-        # coefficient of eta_j: the three t-eigenvalue rows (as extracted,
-        # each is minus the displayed row)
-        if blks[1].get(jm, {}) != {_sym_t(1, empty): -ONE, _sym_v(1, empty): Q(6)}:
-            ok_t1 = False
-        if blks[0].get(jm, {}) != {_sym_t(0, empty): -ONE, _sym_v(0, empty): Q(5)}:
-            ok_t2 = False
-        if blks[2].get(jm, {}) != {_sym_t(2, empty): -ONE, _sym_v(2, empty): Q(7)}:
-            ok_t3 = False
+        blks = blocks_j[j]
+        # coefficient of eta_j: the three t-eigenvalue rows
+        for p, row in tec_rows.items():
+            if blks[p].get(jm, {}) != row:
+                ok_tec[p] = False
         # coefficient of the empty monomial: v_{j,1} and 2 v_{j,2}
         if blks[0].get(empty, {}) != {_sym_v(1, jm): ONE}:
             ok_vj1 = False
@@ -1215,9 +1206,9 @@ def reproduce_proof_steps(verbose: bool = False) -> dict:
                 cv = got.get(v_sym, ZERO)
                 if cv not in (ONE, -ONE) or set(got) != {v_sym, sym_x}:
                     ok_vjl1 = False
-    record("tecres", ok_t1)
-    record("tecres2", ok_t2)
-    record("tecres3", ok_t3)
+    record("tecres", ok_tec[1])
+    record("tecres2", ok_tec[0])
+    record("tecres3", ok_tec[2])
     record("row-vj1", ok_vj1)
     record("row-vj2", ok_vj2)
     record("row-vjl1", ok_vjl1)
@@ -1229,29 +1220,18 @@ def reproduce_proof_steps(verbose: bool = False) -> dict:
         l_mask = mask_of(lw)
         funcs3 = coefficient_functionals(lw, m4)
         mixed = mixed_cells(lambda_action_T(lw, m4))
-        rows_l3 = {}
         for p in range(3):
             bp_ap = _combo(funcs3, (ONE, "B", p), (-ONE, "a", p))
             # mixed cell (lambda^1, mu^p) must equal B_p - a_p
             if not _flat_eq(mixed.get((1, p), {}), bp_ap):
                 ok_l3 = False
-            rows_l3[p] = bp_ap.get(l_mask, {})
-        if rows_l3[1] != {_sym_t(1, empty): ONE, _sym_v(1, empty): Q(-4)}:
-            ok_l3 = False
-        if rows_l3[0] != {_sym_t(0, empty): ONE, _sym_v(0, empty): Q(-4)}:
-            ok_l3 = False
-        if rows_l3[2] != {_sym_t(2, empty): ONE, _sym_v(2, empty): Q(-4)}:
-            ok_l3 = False
-        # pairing with the tecres rows (t-eigenvalues 5, 6, 7 against 4)
-        tec_rows = {
-            0: {_sym_t(0, empty): -ONE, _sym_v(0, empty): Q(5)},
-            1: {_sym_t(1, empty): -ONE, _sym_v(1, empty): Q(6)},
-            2: {_sym_t(2, empty): -ONE, _sym_v(2, empty): Q(7)},
-        }
-        for p in range(3):
+            row = bp_ap.get(l_mask, {})
+            if row != {_sym_t(p, empty): ONE, _sym_v(p, empty): Q(-4)}:
+                ok_l3 = False
+            # pairing with the tecres row (t-eigenvalue 5 + p against 4)
             rref = ExactRREF()
-            rref.add_row(dict(tec_rows[p]))
-            rref.add_row(dict(rows_l3[p]))
+            rref.add_row(tec_rows[p])
+            rref.add_row(row)
             if rref.rank != 2:
                 ok_force = False
     record("l3-rows", ok_l3)

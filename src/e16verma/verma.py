@@ -49,7 +49,6 @@ from .exactnum import (
     ONE,
     Q,
     accumulate,
-    rebase_cells,
     scalar_to_text,
 )
 from .grassmann import (
@@ -80,7 +79,6 @@ __all__ = [
     "action_terms",
     "coefficient_functionals",
     "reconstruct_from_functionals",
-    "action_cells",
     "flat_add",
     "flat_scale",
     "t_inverse",
@@ -108,12 +106,12 @@ def mdeg(k: int, mask: int) -> int:
     return 2 * k + N_INDICES - mask.bit_count()
 
 
-def ind_monomials(max_mdeg: int, kmax: int | None = None) -> list[tuple[int, int]]:
+def ind_monomials(max_mdeg: int) -> list[tuple[int, int]]:
     """All (Theta-exponent, eta-mask) with m-degree <= max_mdeg, ordered by
     (m-degree, k, mask)."""
     out = []
     k = 0
-    while 2 * k <= max_mdeg and (kmax is None or k <= kmax):
+    while 2 * k <= max_mdeg:
         for mask in ALL_MASKS:
             if mdeg(k, mask) <= max_mdeg:
                 out.append((k, mask))
@@ -183,14 +181,6 @@ class VermaVector:
 
     def mdegrees(self) -> set[int]:
         return {mdeg(k, mask) for (k, mask) in self.data}
-
-    def homogeneous_component(self, degree: int) -> "VermaVector":
-        res = VermaVector.__new__(VermaVector)
-        res.module = self.module
-        res.data = {
-            key: dict(fv) for key, fv in self.data.items() if mdeg(*key) == degree
-        }
-        return res
 
     def coefficient(self, k: int, mask: int) -> Fvec:
         return dict(self.data.get((k, mask), {}))
@@ -725,25 +715,19 @@ def reconstruct_from_functionals(
 # mixed (lambda, mu = lambda + Theta) coefficient extraction
 # ---------------------------------------------------------------------------
 
-def action_cells(P: ActionPolynomial) -> dict[tuple[int, int], FlatElement]:
-    """Flatten an ActionPolynomial into {(lambda-power, Theta-power):
-    Lambda(6)-F element}."""
+def mixed_cells(P: ActionPolynomial) -> dict[tuple[int, int], FlatElement]:
+    """All (lambda, mu = lambda + Theta) cells of P, as {(lambda-power,
+    mu-power): Lambda(6)-F element}: substituting Theta = mu - lambda spreads
+    lambda^j Theta^k into sum_r C(k,r) (-1)^r lambda^(j+r) mu^(k-r)."""
     cells: dict[tuple[int, int], FlatElement] = {}
     for j, vv in P.coeffs.items():
         for (k, mask), fv in vv.data.items():
-            if fv:
-                cells.setdefault((j, k), {})[mask] = dict(fv)
+            for r in range(k + 1):
+                key = (j + r, k - r)
+                if not _accumulate_nested(cells.setdefault(key, {}), {mask: fv},
+                                          Q((-1) ** r * comb(k, r))):
+                    del cells[key]
     return cells
-
-
-def mixed_cells(P: ActionPolynomial) -> dict[tuple[int, int], FlatElement]:
-    """All (lambda, mu = lambda + Theta) cells of the rebased polynomial."""
-    return rebase_cells(
-        action_cells(P),
-        vadd=flat_add,
-        vscale=lambda c, val: flat_scale(val, Q(c)),
-        is_zero=lambda x: not x,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from e16verma.exactnum import (
     QI,
     ZERO,
     accumulate,
-    rebase_cells,
     scalar_from_text,
     scalar_to_text,
 )
@@ -366,66 +365,6 @@ def test_text_matches_reference_and_round_trips(xp):
     back = scalar_from_text(text)
     assert back == x and back.triple == x.triple
     assert pickle.loads(pickle.dumps(x)).triple == x.triple
-
-
-# ---------------------------------------------------------------------------
-# change of basis on scalar exponent maps (the production ``rebase_cells``)
-# ---------------------------------------------------------------------------
-
-def _rebase(cells, inverse=False):
-    return rebase_cells(
-        cells,
-        vadd=lambda x, y: x + y,
-        vscale=lambda c, v: v * c,
-        is_zero=lambda v: not v,
-        inverse=inverse,
-    )
-
-
-def _evaluate(cells, lam, second):
-    total = ZERO
-    for (a, t), v in sorted(cells.items()):
-        total = total + v * lam**a * second**t
-    return total
-
-
-def test_bipoly_no_zero_coefficients():
-    # lam + theta -> lam + (mu - lam) = mu: the lam cell cancels and is dropped
-    out = _rebase({(1, 0): Q(1), (0, 1): Q(1)})
-    assert out == {(0, 1): Q(1)}
-    assert _rebase({}) == {}
-
-
-def test_bipoly_rebase_theta():
-    # theta -> mu - lam
-    assert _rebase({(0, 1): ONE}) == {(0, 1): Q(1), (1, 0): Q(-1)}
-
-
-def test_bipoly_rebase_theta_squared():
-    # theta^2 -> mu^2 - 2 lam mu + lam^2
-    assert _rebase({(0, 2): ONE}) == {(0, 2): Q(1), (1, 1): Q(-2), (2, 0): Q(1)}
-
-
-def test_bipoly_rebase_evaluation_example():
-    # lam*theta + theta^2 at (lam=2, theta=3) == rebased at (lam=2, mu=5) == 15
-    p = {(1, 1): Q(1), (0, 2): Q(1)}
-    assert _evaluate(p, Q(2), Q(3)) == Q(15)
-    assert _evaluate(_rebase(p), Q(2), Q(5)) == Q(15)
-
-
-def test_bipoly_rebase_round_trip_and_evaluation_property():
-    rng = random.Random(777)
-    for _ in range(50):
-        p = {}
-        for _ in range(rng.randint(0, 8)):
-            v = _random_scalar(rng)
-            if v:
-                p[(rng.randint(0, 4), rng.randint(0, 4))] = v
-        r = _rebase(p)
-        assert _rebase(r, inverse=True) == p
-        lam = _random_scalar(rng)
-        th = _random_scalar(rng)
-        assert _evaluate(p, lam, th) == _evaluate(r, lam, lam + th)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 
-import pytest
 
 from e16verma.grassmann import (
     ALL_MASKS,
@@ -136,11 +135,11 @@ def test_derive_seq_order():
 
 
 def test_hodge_modified_examples():
-    sign, comp = hodge_modified((1, 2))
+    sign, comp = hodge_modified(mask_of((1, 2)))
     assert (sign, word_of(comp)) == (1, (3, 4, 5, 6))
-    sign, comp = hodge_modified((1, 3))
+    sign, comp = hodge_modified(mask_of((1, 3)))
     assert (sign, word_of(comp)) == (-1, (2, 4, 5, 6))
-    sign, comp = hodge_modified((1,))
+    sign, comp = hodge_modified(mask_of((1,)))
     assert (sign, word_of(comp)) == (1, (2, 3, 4, 5, 6))
 
 
@@ -197,15 +196,11 @@ def test_star_order_swap_parity():
 
 def test_monomial_text_round_trip():
     assert monomial_to_text(mask_of((1, 3, 5))) == "xi[135]"
-    assert monomial_to_text(mask_of((1, 3, 5)), kind="eta") == "eta[135]"
     assert monomial_to_text(0) == "1"
     for mask in ALL_MASKS[1:]:
-        for kind in ("xi", "eta"):
-            text = monomial_to_text(mask, kind=kind)
-            assert text.startswith(kind + "[") and text.endswith("]")
-            assert mask_of(int(ch) for ch in text[len(kind) + 1:-1]) == mask
-    with pytest.raises(ValueError):
-        monomial_to_text(1, kind="zeta")
+        text = monomial_to_text(mask)
+        assert text.startswith("xi[") and text.endswith("]")
+        assert mask_of(int(ch) for ch in text[3:-1]) == mask
 
 
 def test_merge_sign_matches_normalize():

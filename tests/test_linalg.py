@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+import sympy
 
 from e16verma._linalg import (
     SCREEN_P,
@@ -14,9 +15,7 @@ from e16verma._linalg import (
     _back_substitute,
     _check_float64_sum,
     _forward_eliminate,
-    _is_probable_prime,
     _modp_image,
-    _sqrt_minus_one,
     nullspace,
 )
 from e16verma.exactnum import ONE, Q, QI, ZERO
@@ -87,14 +86,11 @@ def test_exact_rref_kernel_matches_brute_force():
 
 
 def test_primality_and_sqrt_minus_one():
-    assert _is_probable_prime(2147483629)
-    assert not _is_probable_prime(2147483629 - 2)  # even
-    assert _is_probable_prime(13)
-    r = _sqrt_minus_one(13)
-    assert r * r % 13 == 12
-    assert _is_probable_prime(SCREEN_P)
+    assert sympy.isprime(SCREEN_P)
     assert SCREEN_P % 4 == 1
     assert SCREEN_R * SCREEN_R % SCREEN_P == SCREEN_P - 1
+    # the float64 guard's documented n <= 8191 keeps every sum exact
+    assert 8191 * (SCREEN_P - 1) ** 2 < 1 << 53
 
 
 def test_modp_matches_exact_rank_generically():

@@ -383,10 +383,10 @@ def test_rowless_fault_at_one_of_two_t_gives_per_t_records(monkeypatch, check, b
         def faulty(vv, include_S0=False):
             return vv.module.t_scalar != bad and real(vv, include_S0=include_S0)
     else:
-        def faulty(vv, check_all_L3=True):
+        def faulty(vv):
             if vv.module.t_scalar == bad:
                 return {"ok": False, "failures": [("fault",)]}
-            return real(vv, check_all_L3)
+            return real(vv)
     monkeypatch.setattr(singular, check, faulty)
     vec = builtin("vector", Q(0))
     rep = verify_bound(vec, k_max=1, t_scan=t_scan)

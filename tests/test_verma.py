@@ -496,37 +496,41 @@ def test_mixed_cells_evaluation_consistency():
     m = vec("vector")
     rng = random.Random(99)
     x = _random_state(m, rng, 3)
-    P = lambda_action_T((1, 4), x)
-    cells = mixed_cells(P)
-    for lam0, mu0 in [(Q(2), Q(5)), (QI(1, 1), Q(-3)), (Q(0), Q(1, 2))]:
-        theta0 = mu0 - lam0
-        # direct: evaluate lambda, then substitute Theta numerically
-        direct: dict[int, dict] = {}
-        ev = P.evaluate_lambda(lam0)
-        for (k, mask), fv in ev.data.items():
-            acc = direct.setdefault(mask, {})
-            scale = theta0 ** k if k else ONE
-            for c, v in fv.items():
-                s = acc.get(c, ZERO) + v * scale
-                if s:
-                    acc[c] = s
-                else:
-                    acc.pop(c, None)
-        direct = {mask: fv for mask, fv in direct.items() if fv}
-        # via cells
-        via: dict[int, dict] = {}
-        for (a, s_), flat in cells.items():
-            w = (lam0 ** a if a else ONE) * (mu0 ** s_ if s_ else ONE)
-            for mask, fv in flat.items():
-                acc = via.setdefault(mask, {})
+    # the action of xi_14, and random lambda-powers over Theta-powers up to 4
+    polys = [lambda_action_T((1, 4), x),
+             ActionPolynomial(m, {j: _random_state(m, rng, 4) for j in range(4)})]
+    points = [(Q(2), Q(5)), (QI(1, 1), Q(-3)), (Q(0), Q(1, 2)), (Q(-7, 3), QI(2, -5) * Q(1, 4))]
+    for P in polys:
+        cells = mixed_cells(P)
+        for lam0, mu0 in points:
+            theta0 = mu0 - lam0
+            # direct: evaluate lambda, then substitute Theta numerically
+            direct: dict[int, dict] = {}
+            ev = P.evaluate_lambda(lam0)
+            for (k, mask), fv in ev.data.items():
+                acc = direct.setdefault(mask, {})
+                scale = theta0 ** k if k else ONE
                 for c, v in fv.items():
-                    t = acc.get(c, ZERO) + v * w
-                    if t:
-                        acc[c] = t
+                    s = acc.get(c, ZERO) + v * scale
+                    if s:
+                        acc[c] = s
                     else:
                         acc.pop(c, None)
-        via = {mask: fv for mask, fv in via.items() if fv}
-        assert direct == via
+            direct = {mask: fv for mask, fv in direct.items() if fv}
+            # via cells, at (lambda, mu = lambda + Theta)
+            via: dict[int, dict] = {}
+            for (a, s_), flat in cells.items():
+                w = (lam0 ** a if a else ONE) * (mu0 ** s_ if s_ else ONE)
+                for mask, fv in flat.items():
+                    acc = via.setdefault(mask, {})
+                    for c, v in fv.items():
+                        t = acc.get(c, ZERO) + v * w
+                        if t:
+                            acc[c] = t
+                        else:
+                            acc.pop(c, None)
+            via = {mask: fv for mask, fv in via.items() if fv}
+            assert direct == via
 
 
 # ---------------------------------------------------------------------------

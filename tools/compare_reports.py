@@ -3,7 +3,8 @@
     python3 tools/compare_reports.py PARENT_DIR CHANGE_DIR
 
 Each report of ``REPORTS`` runs in a fresh interpreter with
-``PYTHONPATH=<dir>/src``, once per checkout, as json-lines on stdout.  A
+``PYTHONPATH=<dir>/src`` and ``<dir>`` as working directory, once per
+checkout, as json-lines on stdout; a module file is named relative to it.  A
 report is identical when both its stdout bytes and its exit code agree.
 Prints one line per report and the ``src/`` line count of each side; exits
 1 when any report differs, 0 otherwise.
@@ -30,15 +31,25 @@ REPORTS: dict[str, list[str]] = {
     "reproduce-proof --verbose": ["reproduce-proof", "--verbose"],
     "check-algebra": ["check-algebra"],
     "check-algebra --inject-fault": ["check-algebra", "--inject-fault"],
+    # repeated t, then a new one: a report that pairs its results with the
+    # scan before duplicates are dropped shifts every t after the repeats
+    "verify-bound vector, repeated t": [
+        "verify-bound", "--module", "vector", "--kmax", "2", "--t-scan=5,-1..5,5,6"],
+    "find-singular vector, repeated t": [
+        "find-singular", "--module", "vector", "--kmax", "2", "--t-scan=5,-1..5,5,6"],
+    "verify-bound module file --with-s0": [
+        "verify-bound", "--module", "tests/data/vector_scaled.json", "--kmax", "1",
+        "--t-scan=5", "--with-s0"],
 }
 
 
 def run_report(tree: Path, argv: list[str]) -> tuple[int, bytes]:
     """(exit code, stdout) of one json-lines report of the checkout."""
-    env = {**os.environ, "PYTHONPATH": str(Path(tree) / "src")}
+    env = {**os.environ, "PYTHONPATH": str(Path(tree).resolve() / "src")}
     proc = subprocess.run(
         [sys.executable, "-m", "e16verma.cli", *argv, "--format", "json-lines"],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, check=False)
+        cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        check=False)
     return proc.returncode, proc.stdout
 
 
