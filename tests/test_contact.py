@@ -1,5 +1,6 @@
 """Unit tests for the contact superalgebra and E(1,6)."""
 
+import json
 import math
 from fractions import Fraction
 from itertools import product
@@ -7,7 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from e16verma import cli, contact
+from e16verma import cli, contact, gmodule
 from e16verma.contact import (
     ContactElement,
     GRADING_T,
@@ -26,9 +27,8 @@ from e16verma.contact import (
     _basis_generators,
     _grouped_entries,
     _joined_sum,
-    _signed_sum,
 )
-from e16verma.exactnum import IUNIT, ONE, Q, QI
+from e16verma.exactnum import IUNIT, Q, QI
 from e16verma.grassmann import MASKS_BY_SIZE, mask_of
 
 C = ContactElement.monomial
@@ -114,6 +114,11 @@ def test_membership_frozen_examples():
     res = e16_membership(half_i, 8)
     assert not res.ok
 
+    # a lone generator monomial: its coordinate is 1, and the residual is
+    # what its basis element adds, i A(t^4 xi_1)
+    res = e16_membership(C(4, (1,)), 8)
+    assert not res.ok and res.residual == op_A(C(4, (1,))).scale(IUNIT)
+
 
 def test_membership_reconstructs_coordinates():
     basis = e16_basis(4)
@@ -134,19 +139,18 @@ def test_membership_reconstructs_coordinates():
 
 
 def test_degree_solver_rejects_a_dependent_basis(monkeypatch):
-    basis = contact._basis_elements_at_degree
-
-    def repeated(degree):
-        elements = basis(degree)
-        return elements + elements[-1:]
-
-    contact._degree_solver.cache_clear()
-    monkeypatch.setattr(contact, "_basis_elements_at_degree", repeated)
+    # with every 3-set kept, complementary 3-sets give proportional basis
+    # elements, and each one carries the other's generator monomial
+    gens = contact._basis_generators
+    without_1 = tuple((1, mask) for mask in MASKS_BY_SIZE[3] if not mask & 1)
+    monkeypatch.setattr(contact, "_basis_generators",
+                        lambda d: gens(d) + without_1 if d == 3 else gens(d))
+    contact._basis_elements_at_degree.cache_clear()
     try:
-        with pytest.raises(AssertionError, match="dependent"):
-            contact._degree_solver(2)
+        with pytest.raises(AssertionError, match="not unitriangular"):
+            contact._basis_elements_at_degree(3)
     finally:
-        contact._degree_solver.cache_clear()
+        contact._basis_elements_at_degree.cache_clear()
 
 
 def test_complement_three_sets_are_proportional():
@@ -224,9 +228,52 @@ def test_root_system_report():
     assert report["ok"], report["failures"]
 
 
+def test_so6_dictionary_fault_fails_root_system(monkeypatch, capsys):
+    # xi_12 acts on the vector module as -E_(12) - E_(21): symmetric, so
+    # [xi_12, xi_13] = xi_23 no longer holds for the matrices
+    builtin = gmodule.builtin
+
+    def flipped(name, t_scalar):
+        spec = builtin(name, t_scalar)
+        action = {**spec.xi_action, (1, 2): {**spec.xi_action[(1, 2)], (1, 0): Q(-1)}}
+        return gmodule.ModuleSpec(spec.dim, spec.t_scalar, action, name=spec.name)
+
+    monkeypatch.setattr(gmodule, "builtin", flipped)
+    assert check_root_system() == {
+        "ok": False, "failures": [("so6_dictionary", "[xi[12], xi[13]]")]}
+    rc = cli.main(["check-algebra", "--max-degree", "-2", "--format", "json-lines"])
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert rc == 1
+    assert [r for r in records if r["record"] == "check" and not r["ok"]] == [
+        {"record": "check", "name": "root-system", "ok": False, "counts": {},
+         "failures": ["('so6_dictionary', '[xi[12], xi[13]]')"],
+         "schema": "e16verma/1"}]
+
+
 # ---------------------------------------------------------------------------
 # Jacobi sparse join
 # ---------------------------------------------------------------------------
+
+def _cells(re, im, den):
+    """The cell table {(x, y): {e: (re + i im) / den}} of a dense table."""
+    cells = {}
+    for x, y, e in zip(*np.nonzero((re != 0) | (im != 0))):
+        value = QI(Fraction(int(re[x, y, e]), den), Fraction(int(im[x, y, e]), den))
+        cells.setdefault((int(x), int(y)), {})[int(e)] = value
+    return cells
+
+
+def _dense(cells, shape):
+    """A cell table as dense (re, im, den) int64 arrays over the lcm of its
+    denominators (reference)."""
+    den = math.lcm(1, *(v.triple[2] for cell in cells.values() for v in cell.values()))
+    re, im = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)
+    for (x, y), cell in cells.items():
+        for e, v in cell.items():
+            a, b, d = v.triple
+            re[x, y, e], im[x, y, e] = a * (den // d), b * (den // d)
+    return re, im, den
+
 
 def _einsum_compose(left, right, order):
     """Dense four-einsum contraction of two (re, im, den) tables (reference)."""
@@ -243,17 +290,19 @@ def _einsum_compose(left, right, order):
     return re, im, lden * rden
 
 
-def _join_compose(left, right, order):
-    """left . right by _joined_sum, for einsum ``order`` with the left's last
-    axis contracted: one term of sign 1, reshaped to the output axes."""
+def _join_compose(left, right, order, lshape, rshape):
+    """left . right of two cell tables of shapes lshape and rshape by
+    _joined_sum, for einsum ``order`` with the left's last axis contracted:
+    one term of sign 1, reshaped to the output axes."""
     inputs, output = order.split("->")
     lsub, rsub = inputs.split(",")
     e_axis = rsub.index(lsub[2])
     kept = lsub[:2] + rsub.replace(lsub[2], "")
-    size = dict(zip(lsub + rsub, left[0].shape + right[0].shape))
+    size = dict(zip(lsub + rsub, lshape + rshape))
     shape = tuple(size[ch] for ch in output)
     re, im, den = _joined_sum(
-        [(_grouped_entries(left, 2), _grouped_entries(right, e_axis),
+        [(_grouped_entries(left, lshape[2], 2),
+          _grouped_entries(right, rshape[e_axis], e_axis),
           tuple(output.index(ch) for ch in kept), 1)], shape)
     return re.reshape(shape), im.reshape(shape), den
 
@@ -265,7 +314,7 @@ def test_joined_sum_matches_einsum_reference(scale):
     def table(shape):
         re, im = (rng.integers(-40, 40, shape) * (rng.random(shape) < 0.3) * scale
                   for _ in range(2))
-        return re, im, int(rng.integers(1, 9))
+        return _cells(re, im, int(rng.integers(1, 9)))
 
     cases = [
         ("yze,xef->xyzf", (3, 4, 5), (6, 5, 7)),
@@ -277,28 +326,14 @@ def test_joined_sum_matches_einsum_reference(scale):
     ]
     for order, lshape, rshape in cases:
         left, right = table(lshape), table(rshape)
-        got = _join_compose(left, right, order)
-        want = _einsum_compose(left, right, order)
+        got = _join_compose(left, right, order, lshape, rshape)
+        want = _einsum_compose(_dense(left, lshape), _dense(right, rshape), order)
         assert got[2] == want[2]
         for g, w in zip(got[:2], want[:2]):
             assert g.shape == w.shape and g.dtype == w.dtype, order
             assert np.array_equal(g, w), order
     # the large scale drives the 16^3 case onto exact Python integers
     assert (got[0].dtype == object) == (scale > 1)
-
-
-@pytest.mark.parametrize("big", [1, 2**40])
-def test_signed_sum_is_exact_past_int64(big):
-    re = np.array([[3 * big, -big], [0, 7]], dtype=np.int64)
-    im = np.array([[big, 0], [-5, 2 * big]], dtype=np.int64)
-    scales = (2**21, -(2**21) - 1)
-    got_re, got_im = _signed_sum([(re, im, scales[0]), (re.T, im.T, scales[1])])
-    for got, x in ((got_re, re), (got_im, im)):
-        want = [[int(x[i, j]) * scales[0] + int(x[j, i]) * scales[1]
-                 for j in range(2)] for i in range(2)]
-        assert got.tolist() == want
-        # 2^40 entries times 2^21 scales leave int64's safe range
-        assert got.dtype == (object if big > 1 else np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -363,17 +398,20 @@ def test_wrong_grading_eigenvalue_fails_grading(monkeypatch):
 
 def _dense_jacobi_failures(tables, jacobi_degree):
     """check_jacobi_closure's Jacobi verdict recomputed by dense einsum
-    contractions of the same tables (reference for the sparse join)."""
+    contractions of the same cells (reference for the sparse join)."""
+
+    def table(d1, d2):
+        # brackets into degree < -2 vanish: an empty table
+        cells = tables.cells[(d1, d2)] if min(d1, d2) >= -2 else {}
+        return _dense(cells, tuple(map(contact._dim, (d1, d2, d1 + d2))))
+
     failures = []
     for d1, d2, d3 in product(range(-2, jacobi_degree + 1), repeat=3):
         sgn = -1 if (d1 & 1) and (d2 & 1) else 1
         terms = [
-            (_einsum_compose(tables.table(d2, d3), tables.table(d1, d2 + d3),
-                             "yze,xef->xyzf"), 1),
-            (_einsum_compose(tables.table(d1, d2), tables.table(d1 + d2, d3),
-                             "xye,ezf->xyzf"), -1),
-            (_einsum_compose(tables.table(d1, d3), tables.table(d2, d1 + d3),
-                             "xze,yef->xyzf"), -sgn),
+            (_einsum_compose(table(d2, d3), table(d1, d2 + d3), "yze,xef->xyzf"), 1),
+            (_einsum_compose(table(d1, d2), table(d1 + d2, d3), "xye,ezf->xyzf"), -1),
+            (_einsum_compose(table(d1, d3), table(d2, d1 + d3), "xze,yef->xyzf"), -sgn),
         ]
         lcm = math.lcm(*(den for (_, _, den), _ in terms))
         # a term below the grading floor is an empty array of another shape

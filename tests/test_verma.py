@@ -12,7 +12,6 @@ from e16verma.gmodule import builtin
 from e16verma.grassmann import (
     ALL_MASKS,
     FULL_MASK,
-    MASKS_BY_SIZE,
     N_INDICES,
     derive_mask,
     eta_bar,
@@ -25,14 +24,10 @@ from e16verma.verma import (
     ActionMatrixSlice,
     ActionPolynomial,
     FORMAL,
-    FormalModule,
     UnsupportedDegreeError,
     VermaVector,
-    action_terms,
     coefficient_functionals,
     commutator_suite,
-    flat_add,
-    flat_scale,
     formal_state,
     ind_monomials,
     lambda_action_T,

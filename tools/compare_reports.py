@@ -31,6 +31,9 @@ REPORTS: dict[str, list[str]] = {
     "reproduce-proof --verbose": ["reproduce-proof", "--verbose"],
     "check-algebra": ["check-algebra"],
     "check-algebra --inject-fault": ["check-algebra", "--inject-fault"],
+    # other Jacobi degrees split the tables into other closure and Jacobi reads
+    "check-algebra --max-degree 6": ["check-algebra", "--max-degree", "6"],
+    "check-algebra --max-degree 0": ["check-algebra", "--max-degree", "0"],
     # repeated t, then a new one: a report that pairs its results with the
     # scan before duplicates are dropped shifts every t after the repeats
     "verify-bound vector, repeated t": [
