@@ -23,6 +23,7 @@ import argparse
 import contextlib
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import contact
@@ -128,9 +129,14 @@ def header_record(command: str, config: dict) -> dict:
     }
 
 
-def _scan_config(ns: argparse.Namespace, module: ModuleSpec) -> dict:
+def _run_scan(ns: argparse.Namespace, run) -> tuple[dict, list[GaussianRational], object]:
+    """The header record, the t-scan (duplicates dropped) and the result of
+    ``run`` (``verify_bound`` or ``singular_vectors``) of a scan command."""
+    if ns.kmax < 0:
+        raise UsageError(f"--kmax {ns.kmax} is below 0, the lowest Theta-power")
+    module = load_module(ns.module)
     # "workers" is always 1; the field stays for the stability of the schema
-    return {
+    config = {
         "module": module.name,
         "kmax": ns.kmax,
         "t-scan": ns.t_scan,
@@ -138,6 +144,14 @@ def _scan_config(ns: argparse.Namespace, module: ModuleSpec) -> dict:
         "workers": 1,
         "format": ns.format,
     }
+    scan = _as_scan(parse_t_scan(ns.t_scan))
+    try:
+        result = run(module, k_max=ns.kmax, t_scan=scan, include_S0=ns.with_s0)
+    except OverflowError as e:
+        # a module whose entries overflow the int64 block format is an input
+        # the assembler cannot take
+        raise UsageError(str(e)) from None
+    return header_record(ns.command, config), scan, result
 
 
 def summary_record(ok: bool) -> dict:
@@ -232,14 +246,25 @@ def emit(records: list[dict], ns: argparse.Namespace, ok: bool) -> int:
     return 0 if ok else 1
 
 
-@contextlib.contextmanager
-def _overflow_is_input_error():
-    """A module whose entries overflow the int64 block format is an input
-    the assembler cannot take: report it as a usage error (exit 2)."""
-    try:
-        yield
-    except OverflowError as e:
-        raise UsageError(str(e)) from None
+def _check(name: str, ok: bool, failures=(), **counts) -> dict:
+    return {"record": "check", "name": name, "ok": ok, "counts": counts,
+            "failures": [str(f) for f in failures]}
+
+
+def _scan_record(t_text: str, dims: dict[str, int]) -> dict:
+    """The kernel dimension of each degree with a kernel, and their sum."""
+    return {"record": "scan", "t_scalar": t_text,
+            "kernel_total": sum(dims.values()), "kernel_dims": dims}
+
+
+def _counterexample(fields: dict) -> dict:
+    """A vector that failed a check, from a ``verify_bound`` counterexample or
+    a ``singular_vectors`` vector: its fields but the module, the weight and
+    the vector object, with the audit failures as text."""
+    rec = {k: v for k, v in fields.items() if k not in ("module", "weight", "vector")}
+    if "audit_failures" in rec:
+        rec["audit_failures"] = [str(f) for f in rec["audit_failures"]]
+    return {"record": "counterexample", **rec}
 
 
 def _vector_record(c_text: str, v: dict) -> dict:
@@ -297,77 +322,24 @@ def cmd_check_algebra(ns: argparse.Namespace) -> tuple[list[dict], bool]:
         jc = check_jacobi_closure(
             jacobi_degree=jacobi_degree, closure_degree=closure_degree
         )
-        named: list = []
+        jacobi_failures = []
         if not jc["jacobi_ok"]:
-            degree_triples = [entry[0] for entry in jc["jacobi_failures"]]
-            named = name_jacobi_failures(degree_triples, limit=3)
+            named = name_jacobi_failures([f[0] for f in jc["jacobi_failures"]], limit=3)
+            jacobi_failures = [" | ".join(t) for t in named] or jc["jacobi_failures"]
         theta = check_L1_L2_L3(closure_degree)
         roots = check_root_system()
 
-    jacobi_failures: list[str] = []
-    if not jc["jacobi_ok"]:
-        jacobi_failures = [" | ".join(t) for t in named] or [
-            str(f) for f in jc["jacobi_failures"]
-        ]
-    records.append(
-        {
-            "record": "check",
-            "name": "jacobi",
-            "ok": jc["jacobi_ok"],
-            "counts": {
-                "degree": jacobi_degree,
-                "triples_checked": jc["triples_checked"],
-            },
-            "failures": jacobi_failures,
-        }
-    )
-    records.append(
-        {
-            "record": "check",
-            "name": "closure",
-            "ok": jc["closure_ok"],
-            "counts": {
-                "degree": closure_degree,
-                "pairs_closed": jc["pairs_closed"],
-            },
-            "failures": [str(f) for f in jc["closure_failures"]],
-        }
-    )
-    records.append(
-        {"record": "check", "name": "skew", "ok": jc["skew_ok"], "counts": {},
-         "failures": []}
-    )
-    records.append(
-        {"record": "check", "name": "grading", "ok": jc["grading_ok"],
-         "counts": {}, "failures": []}
-    )
-    records.append(
-        {
-            "record": "check",
-            "name": "t-grading",
-            "ok": jc["grading_ok"],
-            "counts": {"degree": closure_degree},
-            "failures": [],
-        }
-    )
-    records.append(
-        {
-            "record": "check",
-            "name": "theta-onto",
-            "ok": theta["theta_ok"],
-            "counts": {},
-            "failures": [str(f) for f in theta["failures"]],
-        }
-    )
-    records.append(
-        {
-            "record": "check",
-            "name": "root-system",
-            "ok": roots["ok"],
-            "counts": {},
-            "failures": [str(f) for f in roots["failures"]],
-        }
-    )
+    records += [
+        _check("jacobi", jc["jacobi_ok"], jacobi_failures,
+               degree=jacobi_degree, triples_checked=jc["triples_checked"]),
+        _check("closure", jc["closure_ok"], jc["closure_failures"],
+               degree=closure_degree, pairs_closed=jc["pairs_closed"]),
+        _check("skew", jc["skew_ok"]),
+        _check("grading", jc["grading_ok"]),
+        _check("t-grading", jc["grading_ok"], degree=closure_degree),
+        _check("theta-onto", theta["theta_ok"], theta["failures"]),
+        _check("root-system", roots["ok"], roots["failures"]),
+    ]
     ok = all(r["ok"] for r in records if r["record"] == "check")
     records.append(summary_record(ok))
     return records, ok
@@ -378,58 +350,17 @@ def cmd_check_algebra(ns: argparse.Namespace) -> tuple[list[dict], bool]:
 # ---------------------------------------------------------------------------
 
 def cmd_verify_bound(ns: argparse.Namespace) -> tuple[list[dict], bool]:
-    module = load_module(ns.module)
-    scan = parse_t_scan(ns.t_scan)
-    records = [header_record("verify-bound", _scan_config(ns, module))]
-    with _overflow_is_input_error():
-        report = verify_bound(
-            module, k_max=ns.kmax, t_scan=scan, include_S0=ns.with_s0
-        )
+    header, _, report = _run_scan(ns, verify_bound)
+    records = [header]
     for c_text in report["t_scan"]:
-        entry = report["per_c"][c_text]
-        dims = {}
-        for d in sorted(entry["degrees"]):
-            info = entry["degrees"][d]
-            records.append(
-                {
-                    "record": "kernel",
-                    "t_scalar": c_text,
-                    "degree": d,
-                    "kernel_dim": info["kernel_dim"],
-                    "screened": info["screened"],
-                    "shape_ok": info.get("shape_ok", True),
-                    "constraints_ok": info.get("constraints_ok", True),
-                    "audit_ok": info.get("audit_ok", True),
-                }
-            )
-            if info["kernel_dim"]:
-                dims[str(d)] = info["kernel_dim"]
-        records.append(
-            {
-                "record": "scan",
-                "t_scalar": c_text,
-                "kernel_total": entry["kernel_total"],
-                "kernel_dims": dims,
-            }
-        )
-    for ce in report["counterexamples"]:
-        rec = {"record": "counterexample"}
-        rec.update(
-            {
-                k: ce[k]
-                for k in (
-                    "t_scalar",
-                    "degree",
-                    "shape_ok",
-                    "constraints_ok",
-                    "conditions_ok",
-                    "vector_T",
-                    "vector_m",
-                )
-            }
-        )
-        rec["audit_failures"] = [str(f) for f in ce["audit_failures"]]
-        records.append(rec)
+        degrees = sorted(report["per_c"][c_text]["degrees"].items())
+        # a screened block leaves out the flags of the vectors it never had
+        records.extend({"record": "kernel", "t_scalar": c_text, "degree": d, "shape_ok": True,
+                        "constraints_ok": True, "audit_ok": True, **info}
+                       for d, info in degrees)
+        records.append(_scan_record(c_text, {
+            str(d): info["kernel_dim"] for d, info in degrees if info["kernel_dim"]}))
+    records.extend(_counterexample(ce) for ce in report["counterexamples"])
     records.append(summary_record(report["ok"]))
     return records, report["ok"]
 
@@ -439,35 +370,16 @@ def cmd_verify_bound(ns: argparse.Namespace) -> tuple[list[dict], bool]:
 # ---------------------------------------------------------------------------
 
 def cmd_find_singular(ns: argparse.Namespace) -> tuple[list[dict], bool]:
-    module = load_module(ns.module)
-    scan = _as_scan(parse_t_scan(ns.t_scan))
-    records = [header_record("find-singular", _scan_config(ns, module))]
-    with _overflow_is_input_error():
-        per_t = singular_vectors(
-            module, k_max=ns.kmax, t_scan=scan, include_S0=ns.with_s0
-        )
+    header, scan, per_t = _run_scan(ns, singular_vectors)
+    records = [header]
     failed = []  # assembled kernel vectors that fail the re-check
     for c, vectors in zip(scan, per_t):
         c_text = scalar_to_text(c)
-        failed.extend(
-            {"record": "counterexample", "t_scalar": c_text, "degree": v["degree"],
-             "conditions_ok": False, "vector_T": v["vector_T"], "vector_m": v["vector_m"]}
-            for v in vectors if not v["conditions_ok"]
-        )
+        failed.extend(_counterexample({**v, "t_scalar": c_text})
+                      for v in vectors if not v["conditions_ok"])
         recs = [_vector_record(c_text, v) for v in vectors if v["conditions_ok"]]
         records.extend(recs)
-        dims: dict[str, int] = {}
-        for rec in recs:
-            key = str(rec["degree"])
-            dims[key] = dims.get(key, 0) + 1
-        records.append(
-            {
-                "record": "scan",
-                "t_scalar": c_text,
-                "kernel_total": len(recs),
-                "kernel_dims": dims,
-            }
-        )
+        records.append(_scan_record(c_text, Counter(str(r["degree"]) for r in recs)))
     records.extend(failed)
     records.append(summary_record(not failed))
     return records, not failed

@@ -298,6 +298,8 @@ def scalar_from_text(text: str) -> GaussianRational:
     s = "".join(text.split())
     if not s:
         raise ValueError("empty scalar text")
+    if _re.search(r"/0+(?!\d)", s):
+        raise ValueError(f"zero denominator in {text!r}")
     re_part = Fraction(0)
     im_part = Fraction(0)
     pos = 0

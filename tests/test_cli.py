@@ -138,6 +138,15 @@ def test_check_algebra_rejects_a_max_degree_below_the_grading(capsys):
     assert checks["jacobi"]["counts"] == {"degree": -2, "triples_checked": 1}
 
 
+def _checkout_env():
+    """The environment of a fresh interpreter that imports this checkout's
+    ``e16verma``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
 def _scipy_modules_after(commands):
     """Run cli.main on each argv in a fresh interpreter, writing to the null
     device; returns the last stdout line: the exit codes and every scipy
@@ -148,12 +157,9 @@ def _scipy_modules_after(commands):
         f"codes = [cli.main(argv + ['--out', sys.argv[1]]) for argv in {commands!r}]\n"
         "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-c", script, os.devnull],
-        env=env, capture_output=True, text=True, check=True,
+        env=_checkout_env(), capture_output=True, text=True, check=True,
     )
     return proc.stdout.splitlines()[-1]
 
@@ -252,6 +258,38 @@ def test_module_parse_error_reports_line(tmp_path, capsys):
     )
     assert rc == 2
     assert "line 3" in err
+
+
+def _run_cli_process(argv, cwd):
+    """(exit code, stderr) of the CLI in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-m", "e16verma.cli", *argv], cwd=cwd,
+                          env=_checkout_env(), capture_output=True, text=True, check=False)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("where", ["t-scan", "value", "t_scalar"])
+def test_zero_denominator_is_an_input_error(where, tmp_path):
+    doc = json.loads(module_to_text(builtin("vector", Q(0))))
+    if where == "value":
+        doc["entries"][0]["value"] = "1/0"
+    if where == "t_scalar":
+        doc["t_scalar"] = "2/0"
+    (tmp_path / "mod.json").write_text(json.dumps(doc))
+    t_scan = "--t-scan=1/0" if where == "t-scan" else "--t-scan=5"
+    rc, err = _run_cli_process(["verify-bound", "--module", "mod.json", "--kmax", "0",
+                                t_scan], tmp_path)
+    assert rc == 2
+    assert err.startswith("error: ") and "zero denominator" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify-bound", "find-singular"])
+def test_negative_kmax_is_a_usage_error(command, tmp_path):
+    # below 0 the ansatz has no Theta-power, and the scan would check nothing
+    rc, err = _run_cli_process([command, "--module", "vector", "--kmax", "-1",
+                                "--t-scan", "1"], tmp_path)
+    assert rc == 2
+    assert err == "error: --kmax -1 is below 0, the lowest Theta-power\n"
 
 
 def test_unknown_module_name_is_usage_error(capsys):
@@ -358,6 +396,24 @@ def test_failed_recheck_is_a_counterexample_not_a_traceback(capsys, monkeypatch)
     assert rc == 1
     assert "COUNTEREXAMPLE t=5 degree=1 shape_ok=True constraints_ok=True " \
            "conditions_ok=False" in out
+
+
+# json-lines reports of the scan above, recorded before the report records
+# had one constructor each: every field of the kernel, scan and
+# counterexample records of a failing scan, byte for byte
+FAILED_GOLDEN = {
+    "golden_verify_vector_flipped.jsonl": "verify-bound",
+    "golden_find_vector_flipped.jsonl": "find-singular",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILED_GOLDEN))
+def test_failed_records_match_golden(name, capsys, monkeypatch):
+    _flip_object_level_t_term(monkeypatch)
+    rc, out, _ = run_cli(capsys, [FAILED_GOLDEN[name], "--module", "vector", "--kmax", "1",
+                                  "--t-scan=-1..5", "--format", "json-lines"])
+    assert rc == 1
+    assert out.encode() == (DATA / name).read_bytes()
 
 
 def test_failed_recheck_on_a_multi_t_scan(capsys, monkeypatch):

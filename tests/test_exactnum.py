@@ -249,7 +249,7 @@ def test_text_parse_forms():
     assert scalar_from_text("i") == IUNIT
     assert scalar_from_text("-i") == QI(0, -1)
     assert scalar_from_text("2/3+i") == QI(Fraction(2, 3), 1)
-    for bad in ("", "j", "1+1", "i+i", "1//2"):
+    for bad in ("", "j", "1+1", "i+i", "1//2", "1/0", "0/0", "3/0*i"):
         with pytest.raises(ValueError):
             scalar_from_text(bad)
 

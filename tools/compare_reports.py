@@ -40,6 +40,8 @@ REPORTS: dict[str, list[str]] = {
         "verify-bound", "--module", "vector", "--kmax", "2", "--t-scan=5,-1..5,5,6"],
     "find-singular vector, repeated t": [
         "find-singular", "--module", "vector", "--kmax", "2", "--t-scan=5,-1..5,5,6"],
+    # a 15-dimensional module with its S0 rows, in find-singular's records
+    "find-singular adjoint": ["find-singular", "--module", "adjoint", "--kmax", "2"],
     "verify-bound module file --with-s0": [
         "verify-bound", "--module", "tests/data/vector_scaled.json", "--kmax", "1",
         "--t-scan=5", "--with-s0"],
