@@ -416,6 +416,22 @@ def test_failed_records_match_golden(name, capsys, monkeypatch):
     assert out.encode() == (DATA / name).read_bytes()
 
 
+def test_failed_shape_reaches_the_kernel_record(capsys, monkeypatch):
+    # every kernel vector fails the degree shapes: the flag of its block's
+    # kernel record falls, while a screened block keeps all three flags up
+    monkeypatch.setattr(singular, "shape_compliant", lambda vv: (False, True))
+    rc, out, _ = run_cli(capsys, ["verify-bound", "--module", "vector", "--kmax", "1",
+                                  "--t-scan", "5", "--format", "json-lines"])
+    assert rc == 1
+    recs = json_records(out)
+    flags = {r["degree"]: (r["screened"], r["shape_ok"], r["constraints_ok"], r["audit_ok"])
+             for r in recs if r["record"] == "kernel"}
+    assert flags[1] == (False, False, True, True)
+    assert flags[2] == (True, True, True, True)
+    assert {(r["degree"], r["shape_ok"]) for r in recs
+            if r["record"] == "counterexample"} == {(0, False), (1, False)}
+
+
 def test_failed_recheck_on_a_multi_t_scan(capsys, monkeypatch):
     """The object-side flip on a scan of seven t: the row-less degree-0
     block is checked at two t only, and the records are those of the
