@@ -173,9 +173,6 @@ class GaussianRational:
             n >>= 1
         return out
 
-    def conjugate(self) -> "GaussianRational":
-        return _make(self._a, -self._b, self._d)
-
     # -- predicates ------------------------------------------------------
     def __bool__(self) -> bool:
         return bool(self._a or self._b)

@@ -70,6 +70,7 @@ from .verma import (
     render_vermavector,
     t_inverse,
     _accumulate_nested,
+    _check_expansion,
     _op_matrices,
     _expand_ops,
 )
@@ -191,46 +192,69 @@ class DegreeBlock:
     Entries are affine in the t-eigenvalue c: value = base + c * t_part,
     with both parts Gaussian integers (the assembler clears the module's
     denominators, which scales the block by one positive integer and leaves
-    its kernel unchanged).  Stored as parallel COO arrays, sorted by (row,
-    column), for the modular screen and rebuilt exactly on demand; rows are
-    packed codes and output coordinates, decoded by ``row_keys``.
+    its kernel unchanged).
+
+    The block is held in its structural form sum_op S_op (x) M_op.
+    ``structure`` has one int64 row (code rank, monomial, op, re, im) per
+    entry of some S_op (``_block_structure``, its row codes ranked in
+    ``codes``); ``op_mats`` holds the module's op matrices, denominators
+    cleared (``_op_matrices``).  Row q * dim + r of the product is (code
+    ``codes[q]``, output coordinate r) and column m * dim + c is
+    ``columns[m * dim + c]``.  The t op makes the t-part, every other op
+    the base.  The block's rows are the (code, coordinate) pairs that some
+    term reaches, so ``nrows`` is read off the structure.
+
+    The COO form is expanded from the structure once, on first read (by
+    ``_expand_block``): parallel arrays ``r_idx``, ``c_idx``, ``b_re``,
+    ``b_im``, ``t_re``, ``t_im`` sorted by (row, column), and each row's
+    packed code and output coordinate in ``row_codes`` and ``row_coords``,
+    decoded by ``row_keys``.  Only the exact path reads it; the screen
+    compresses the structural form.
     """
 
-    __slots__ = (
-        "degree",
-        "columns",
-        "row_codes",
-        "row_coords",
-        "r_idx",
-        "c_idx",
-        "b_re",
-        "b_im",
-        "t_re",
-        "t_im",
-        "_screen",
-    )
+    __slots__ = ("degree", "columns", "codes", "structure", "op_mats", "nrows",
+                 "_coo", "_screen")
 
-    def __init__(self, degree, columns, row_codes, row_coords, r_idx, c_idx,
-                 b_re, b_im, t_re, t_im):
+    def __init__(self, degree, columns, codes, structure, op_mats):
         self.degree = degree
         self.columns = columns
-        self.row_codes = np.asarray(row_codes, dtype=np.int64)
-        self.row_coords = np.asarray(row_coords, dtype=np.int64)
-        self.r_idx = np.asarray(r_idx, dtype=np.int64)
-        self.c_idx = np.asarray(c_idx, dtype=np.int64)
-        self.b_re = np.asarray(b_re, dtype=np.int64)
-        self.b_im = np.asarray(b_im, dtype=np.int64)
-        self.t_re = np.asarray(t_re, dtype=np.int64)
-        self.t_im = np.asarray(t_im, dtype=np.int64)
+        self.codes = np.asarray(codes, dtype=np.int64)
+        self.structure = np.asarray(structure, dtype=np.int64).reshape(-1, 5)
+        self.op_mats = op_mats
+        # (code rank, coordinate) pairs reached: every output coordinate of
+        # an op's matrix, at every code rank that op meets
+        meets = np.zeros((len(self.codes), len(op_mats)), dtype=bool)
+        meets[self.structure[:, 0], self.structure[:, 2]] = True
+        reached = np.zeros((len(self.codes), self.dim), dtype=bool)
+        for o, mat in enumerate(op_mats):
+            reached[np.ix_(meets[:, o], [out for out, *_ in mat])] = True
+        self.nrows = int(np.count_nonzero(reached))
+        self._coo = None
         self._screen = None
+
+    @property
+    def dim(self) -> int:
+        return len(self.op_mats[0])  # the identity has one entry per coordinate
 
     @property
     def ncols(self) -> int:
         return len(self.columns)
 
-    @property
-    def nrows(self) -> int:
-        return len(self.row_codes)
+    def coo(self) -> tuple:
+        """(row_codes, row_coords, r_idx, c_idx, b_re, b_im, t_re, t_im),
+        expanded on the first call."""
+        if self._coo is None:
+            self._coo = _expand_block(self)
+        return self._coo
+
+    row_codes = property(lambda self: self.coo()[0])
+    row_coords = property(lambda self: self.coo()[1])
+    r_idx = property(lambda self: self.coo()[2])
+    c_idx = property(lambda self: self.coo()[3])
+    b_re = property(lambda self: self.coo()[4])
+    b_im = property(lambda self: self.coo()[5])
+    t_re = property(lambda self: self.coo()[6])
+    t_im = property(lambda self: self.coo()[7])
 
     @property
     def row_keys(self) -> tuple:
@@ -240,15 +264,16 @@ class DegreeBlock:
     def exact_rows(self, c: GaussianRational):
         """[(row_key, {col_position: GaussianRational})], zero entries and
         empty rows dropped."""
+        row_codes, row_coords, r_idx, c_idx, b_re, b_im, t_re, t_im = self.coo()
         per_row: dict[int, dict[int, GaussianRational]] = {}
-        for pos in range(len(self.r_idx)):
-            base = QI(int(self.b_re[pos]), int(self.b_im[pos]))
-            tpart = QI(int(self.t_re[pos]), int(self.t_im[pos]))
+        for pos in range(len(r_idx)):
+            base = QI(int(b_re[pos]), int(b_im[pos]))
+            tpart = QI(int(t_re[pos]), int(t_im[pos]))
             val = base + c * tpart
             if not val:
                 continue
-            per_row.setdefault(int(self.r_idx[pos]), {})[int(self.c_idx[pos])] = val
-        keys = self.row_keys
+            per_row.setdefault(int(r_idx[pos]), {})[int(c_idx[pos])] = val
+        keys = _row_keys(row_codes, row_coords)
         return [(keys[r], per_row[r]) for r in sorted(per_row) if per_row[r]]
 
 
@@ -345,11 +370,11 @@ def assemble_degree_block(
 
     The block is sum_op S_op (x) M_op: S_op is a module-free integer matrix
     from the row codes to the (k, I) monomials (``_block_structure``), M_op
-    the op's module matrix with denominators cleared (``_op_matrices``),
-    expanded by ``_expand_ops``.
-    Every (row, unknown) cell that some term reaches is kept, so a row whose
-    terms cancel still counts in ``nrows``; cells that cancel are dropped.
-    Raises OverflowError when an entry could leave int64.
+    the op's module matrix with denominators cleared (``_op_matrices``).
+    The block keeps this structural form; its COO form is expanded only
+    when read (``DegreeBlock``).
+    Raises OverflowError when an entry of the expanded block could leave
+    int64.
     """
     dim = module.dim
     monos = sorted(
@@ -361,21 +386,29 @@ def assemble_degree_block(
     columns = tuple(
         UnknownIndex(k, mask, coord) for k, mask in monos for coord in range(dim)
     )
-    ncols = len(columns)
-    code, mono, op, s_re, s_im = _block_structure(monos, include_S0).T
-    codes, code_rank = np.unique(code, return_inverse=True)
+    structure = _block_structure(monos, include_S0)
+    codes, structure[:, 0] = np.unique(structure[:, 0], return_inverse=True)
     _, op_mats = _op_matrices(module)
+    _check_expansion(op_mats, f"degree-{degree} block entries of module {module.name!r}",
+                     *structure[:, [0, 1, 3, 4]].T)
+    return DegreeBlock(degree, columns, codes, structure, op_mats)
 
+
+def _expand_block(block: DegreeBlock) -> tuple:
+    """The block's COO arrays (``DegreeBlock.coo``), expanded from its
+    structural form: every (row, unknown) cell that some term reaches is
+    kept, so a row whose terms cancel still counts in ``nrows``; cells
+    that cancel are dropped."""
+    dim, ncols = block.dim, block.ncols
+    rank, mono, op, s_re, s_im = block.structure.T
     keys, vals_re, vals_im, is_t = [], [], [], []
-    what = f"degree-{degree} block entries of module {module.name!r}"
-    for o, row, col, re, im in _expand_ops(op_mats, what, op, code_rank, mono, s_re, s_im):
+    for o, row, col, re, im in _expand_ops(block.op_mats, op, rank, mono, s_re, s_im):
         keys.append(row * ncols + col)
         vals_re.append(re)
         vals_im.append(im)
         is_t.append(np.full(row.size, o == _T_OP))
     if not keys:
-        empty = np.zeros(0, dtype=np.int64)
-        return DegreeBlock(degree, columns, *[empty] * 8)
+        return (np.zeros(0, dtype=np.int64),) * 8
 
     # sum the terms of each (row, column) cell, base and t-part apart
     key = np.concatenate(keys)
@@ -395,14 +428,9 @@ def assemble_degree_block(
     rows = cell_row[new_row]
     r_idx = np.cumsum(new_row) - 1
     keep = (b_re != 0) | (b_im != 0) | (t_re != 0) | (t_im != 0)
-    return DegreeBlock(
-        degree, columns, codes[rows // dim], rows % dim, r_idx[keep],
-        cell_col[keep], b_re[keep], b_im[keep], t_re[keep], t_im[keep],
-    )
+    return (block.codes[rows // dim], rows % dim, r_idx[keep], cell_col[keep],
+            b_re[keep], b_im[keep], t_re[keep], t_im[keep])
 
-
-# pairs (target row, coefficient) each block row gets in the sketch compressor
-_SKETCH_PAIRS = 3
 
 # base points tried for the pencil when the block's first screened value was
 # not certified; fixed residues far from the small resonant t-values
@@ -414,32 +442,54 @@ def _block_screen_data(block: DegreeBlock):
 
     The block matrix at t-eigenvalue c is base + c t_part over Z[i]; under
     i -> SCREEN_R its image is base_p + gamma t_part_p with gamma the image
-    of c.  B = R base_p and T = R t_part_p (both ncols x ncols) for one
-    deterministic sparse ncols x nrows sketch R: column i holds
-    _SKETCH_PAIRS coefficients in [1, p) at rows in [0, ncols), all drawn
-    from the block's seeded stream, so compressing costs O(nnz).  Any R is
-    sound; R only sets how often a full-rank block is certified, and a miss
-    costs the exact path.
+    of c.  B = R base_p and T = R t_part_p (both ncols x ncols) for the
+    compressor R = R_s (x) I_dim, with R_s a dense (ncols / dim) x ncodes
+    matrix of entries in [1, p) from the block's seeded stream, drawn code
+    by code (as its transpose).  R maps row (code q, coordinate r) to rows
+    (m, r), m = 0 .. ncols / dim - 1.  R's columns range over every (code,
+    coordinate) pair; a pair that no term reaches meets a zero row.  Since
+    the block is sum_op S_op (x) M_op,
+
+        R A = sum_op (R_s S_op) (x) M_op,
+
+    so the screen takes one product R_s S_op per op over the structural
+    entries and one int64 contraction over the ops, and never expands the
+    block.  The t op gives T and the others B.
     """
     p, r = _linalg.SCREEN_P, _linalg.SCREEN_R
-    n = block.ncols
-    vals = np.concatenate((
-        (block.b_re % p + r * (block.b_im % p)) % p,
-        (block.t_re % p + r * (block.t_im % p)) % p,
-    ))
-    rows = np.concatenate((block.r_idx, block.r_idx))
-    cols = np.concatenate((block.c_idx, block.c_idx + n))
-    keep = vals != 0
-    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    n, dim = block.ncols, block.dim
+    n_mono, n_ops = n // dim, len(block.op_mats)
+    rank, mono, op, s_re, s_im = block.structure.T
     rng = np.random.default_rng(0xE16 + 7919 * block.degree + n)
-    target = rng.integers(0, n, size=(block.nrows, _SKETCH_PAIRS), dtype=np.int64)
-    coeff = rng.integers(1, p, size=(block.nrows, _SKETCH_PAIRS), dtype=np.int64)
-    # an output entry sums one product per pair sent to its row
-    _linalg._check_int64_sum(int(np.bincount(target.ravel(), minlength=1).max()))
-    out = np.zeros(n * 2 * n, dtype=np.int64)
-    np.add.at(out, target[rows] * 2 * n + cols[:, None], coeff[rows] * vals[:, None])
-    out = out.reshape(n, 2 * n) % p
-    return out[:, :n], out[:, n:]
+    R_sT = rng.integers(1, p, size=(len(block.codes), n_mono), dtype=np.int64)
+
+    # P[o][:, m] sums R_s[:, q] w over the entries (q, m, o, w) of S_o
+    key = op * n_mono + mono
+    order = np.argsort(key)
+    key, rank = key[order], rank[order]
+    w = (s_re[order] % p + r * (s_im[order] % p)) % p
+    _linalg._check_int64_sum(int(np.bincount(key).max()))
+    P = np.zeros((n_ops * n_mono, n_mono), dtype=np.int64)
+    # one op at a time, which bounds the (entries x n_mono) temporaries
+    bounds = np.searchsorted(key, np.arange(n_ops + 1) * n_mono)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        starts = np.flatnonzero(np.diff(key[lo:hi], prepend=-1))
+        terms = R_sT[rank[lo:hi]]
+        terms *= w[lo:hi, None]
+        P[key[lo + starts]] = np.add.reduceat(terms, starts) % p
+    P = P.reshape(n_ops, n_mono, n_mono).transpose(0, 2, 1)
+
+    # sum_o P[o] (x) M_o over the nonzero entries (out, in) of each M_o,
+    # the t op's into T and every other op's into B
+    o, out, inp, m_re, m_im = np.array(
+        [(o, *entry) for o, mat in enumerate(block.op_mats) for entry in mat],
+        dtype=np.int64).reshape(-1, 5).T
+    cell = (o == _T_OP) * dim * dim + out * dim + inp
+    _linalg._check_int64_sum(int(np.bincount(cell).max()))
+    parts = np.zeros((2 * dim * dim, n_mono, n_mono), dtype=np.int64)
+    np.add.at(parts, cell, P[o] * ((m_re % p + r * (m_im % p)) % p)[:, None, None])
+    parts = parts.reshape(2, dim, dim, n_mono, n_mono).transpose(0, 3, 1, 4, 2) % p
+    return parts[0].reshape(n, n), parts[1].reshape(n, n)
 
 
 class _BlockScreen:
@@ -486,10 +536,16 @@ def screen_block_zero_kernel(block: DegreeBlock, c: GaussianRational) -> bool:
 
     Certificate: with gamma the image of c under i -> SCREEN_R, the
     compressed pencil satisfies det(B + gamma T) != 0 mod p.  For any
-    compressor R that is a nonzero ncols x ncols minor of the reduced block
-    (Cauchy-Binet), and rank only drops under reduction mod p, so the block
-    has full column rank over Q(i).  R only sets how often a full-rank block
-    is certified; a miss only costs the exact path.
+    integer compressor R that is a nonzero ncols x ncols minor of the
+    reduced block (Cauchy-Binet), and rank only drops under reduction mod
+    p, so the block has full column rank over Q(i).  This holds for R =
+    R_s (x) I_dim (``_block_screen_data``), whose columns also meet the
+    (code, coordinate) pairs that are not rows of the block: those are zero
+    rows, which add nothing to any minor.  R only sets how often a
+    full-rank block is certified; a miss only costs the exact path.  (R_s
+    (x) I_dim gives each output coordinate ncols / dim rows of R A, so a
+    block whose rows at some coordinate span fewer dimensions is never
+    certified.)
     A c whose denominator is divisible by p has no image and goes to the
     exact path; so does a block with fewer rows than columns.  The first
     screen of a block eliminates at its c; the second builds D(gamma) =
@@ -828,7 +884,7 @@ def verify_bound(
     """
     t_scan = _as_scan(t_scan)
     texts = [scalar_to_text(c) for c in t_scan]
-    entries = [{"degrees": {}, "kernel_total": 0} for _ in t_scan]
+    entries = [{"degrees": {}} for _ in t_scan]
     found = []  # (t position, degree, counterexample)
     for pos, d, screened, vectors, proven in _scan_kernels(
             module, k_max, t_scan, include_S0, audit=audit):
@@ -868,7 +924,6 @@ def verify_bound(
                     "vector_m": render_vermavector(t_inverse(vv)),
                 }))
         entries[pos]["degrees"][d] = info
-        entries[pos]["kernel_total"] += len(vectors)
     found.sort(key=lambda f: f[:2])  # stable: basis order within a block
     return {
         "module": module.name,

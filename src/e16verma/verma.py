@@ -226,24 +226,30 @@ def _op_matrices(module, t: GaussianRational = ONE) -> tuple[int, list[list[tupl
     return den, out
 
 
-def _expand_ops(op_mats: list[list[tuple]], what: str, op, row, col, s_re, s_im):
-    """Expand structural entries by the module's op matrices (``_op_matrices``).
-
-    Entry s, of weight s_re[s] + i s_im[s] at structural (row[s], col[s]),
-    becomes one entry per (r, c, m_re, m_im) of op_mats[op[s]]: at
-    (row[s] * dim + r, col[s] * dim + c), of weight (s_re + i s_im)(m_re +
-    i m_im).  Yields (o, rows, cols, re, im) for each op o that has entries.
-    Entries sharing a structural cell sum into one matrix cell; before any
-    op matrix becomes int64, raises OverflowError ("<what> can overflow
-    int64") when such a sum could leave int64.
-    """
-    dim = len(op_mats[0])  # the identity has one entry per coordinate
+def _check_expansion(op_mats: list[list[tuple]], what: str, row, col, s_re, s_im) -> None:
+    """Raise OverflowError ("<what> can overflow int64") unless expanding
+    these structural entries by the op matrices (``_expand_ops``) keeps
+    every matrix cell in int64: entries sharing a structural cell sum into
+    one matrix cell.  Runs on Python integers, before any op matrix
+    becomes int64."""
     cell = row * (int(col.max(initial=0)) + 1) + col
     max_terms = int(np.unique(cell, return_counts=True)[1].max(initial=0))
     max_s = int((np.abs(s_re) + np.abs(s_im)).max(initial=0))
     max_m = max((abs(re) + abs(im) for mat in op_mats for *_, re, im in mat), default=0)
     if max_s * max_m * max_terms >= 1 << 63:
         raise OverflowError(f"{what} can overflow int64")
+
+
+def _expand_ops(op_mats: list[list[tuple]], op, row, col, s_re, s_im):
+    """Expand structural entries by the module's op matrices (``_op_matrices``).
+
+    Entry s, of weight s_re[s] + i s_im[s] at structural (row[s], col[s]),
+    becomes one entry per (r, c, m_re, m_im) of op_mats[op[s]]: at
+    (row[s] * dim + r, col[s] * dim + c), of weight (s_re + i s_im)(m_re +
+    i m_im).  Yields (o, rows, cols, re, im) for each op o that has entries.
+    Callers run ``_check_expansion`` on the same entries first.
+    """
+    dim = len(op_mats[0])  # the identity has one entry per coordinate
     for o, mat in enumerate(op_mats):
         sel = np.flatnonzero(op == o)
         if not (sel.size and mat):
@@ -834,7 +840,7 @@ class ActionMatrixSlice:
         rows (lambda power, out monomial, in monomial, op, weight) from
         ``action_terms``, each expanded by its op's module matrix
         (``_expand_ops``).  Raises OverflowError when an entry could leave
-        int64."""
+        int64 (``_check_expansion``)."""
         got = self._cache.get(l_mask)
         if got is not None:
             return got
@@ -847,9 +853,10 @@ class ActionMatrixSlice:
                         flat.extend((j + r, n_out, n_in, _OP_INDEX[op], c * comb(k, r)))
         power, n_out, n_in, op, w = np.array(flat, dtype=np.int64).reshape(-1, 5).T
         # the lambda powers stack as row blocks of one tall matrix
-        chunks = [chunk[1:] for chunk in _expand_ops(
-            self._op_mats, f"action slice of module {self.module.name!r}", op,
-            power * len(self.monomials) + n_out, n_in, w, np.zeros_like(w))]
+        entries = (power * len(self.monomials) + n_out, n_in, w, np.zeros_like(w))
+        _check_expansion(self._op_mats, f"action slice of module {self.module.name!r}",
+                         *entries)
+        chunks = [chunk[1:] for chunk in _expand_ops(self._op_mats, op, *entries)]
         out = {}
         if chunks:
             rows, cols, re, im = map(np.concatenate, zip(*chunks))

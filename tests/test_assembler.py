@@ -1,16 +1,17 @@
 """The degree-block assembler against the per-column loop it replaced (kept
-here as the reference), the vectorised block structure against its loop,
-denominator clearing for non-integral modules, and the int64 overflow
-guard."""
+here as the reference), its structural form against its COO form, the
+vectorised block structure against its loop, denominator clearing for
+non-integral modules, and the int64 overflow guard."""
 
 import json
+from collections import Counter
 from math import comb
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from e16verma import cli
+from e16verma import cli, singular
 from e16verma.exactnum import ONE, Q
 from e16verma.gmodule import (
     ModuleSpec,
@@ -189,6 +190,37 @@ def test_adjoint_kmax3_blocks_equal_reference_assembler():
 
 
 # ---------------------------------------------------------------------------
+# the structural form and its COO form, expanded on first read
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("include_S0", [False, True], ids=["no-S0", "S0"])
+@pytest.mark.parametrize("name", ["trivial", "vector", "adjoint"])
+def test_structure_row_count_equals_coo_rows(name, include_S0):
+    module = builtin(name, Q(7, 3))
+    for degree in range(2 * 2 + N_INDICES + 1):
+        block = assemble_degree_block(module, 2, degree, include_S0)
+        nrows = block.nrows
+        assert block._coo is None  # read off the structure, nothing expanded
+        assert nrows == len(block.row_codes) == len(block.row_coords), (name, degree)
+
+
+def test_coo_is_expanded_only_for_the_exact_path(monkeypatch):
+    expanded = Counter()
+    expand = singular._expand_block
+
+    def counted(block):
+        expanded[block.degree] += 1
+        return expand(block)
+
+    monkeypatch.setattr(singular, "_expand_block", counted)
+    rep = verify_bound(builtin("adjoint", Q(0)), k_max=2, t_scan=[Q(2)])
+    degrees = rep["per_c"]["2"]["degrees"]
+    exact = {d for d, info in degrees.items() if not info["screened"]}
+    assert exact and exact != set(degrees)  # both paths are taken
+    assert expanded == Counter(dict.fromkeys(exact, 1))
+
+
+# ---------------------------------------------------------------------------
 # the vectorised block structure against the loop it replaced
 # ---------------------------------------------------------------------------
 
@@ -279,7 +311,8 @@ def test_scaled_vector_kernels_equal_vector_kernels():
                 for d, info in got["per_c"][c]["degrees"].items()}
         assert dims == {d: info["kernel_dim"]
                         for d, info in want["per_c"][c]["degrees"].items()}, c
-    assert sum(e["kernel_total"] for e in got["per_c"].values()) > 0
+    assert sum(info["kernel_dim"] for e in got["per_c"].values()
+               for info in e["degrees"].values()) > 0
 
 
 def test_scaled_vector_block_is_the_cleared_vector_block():

@@ -114,9 +114,6 @@ class RefGaussian:
             n >>= 1
         return out
 
-    def conjugate(self) -> "RefGaussian":
-        return RefGaussian(self.re, -self.im)
-
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
@@ -227,8 +224,8 @@ def test_field_axioms_on_random_triples():
         assert a * b == b * a
         if a:
             assert a * a.inverse() == ONE
-        # conjugation check: x * conj(x) is real
-        assert not (a * a.conjugate()).im
+        # x times its conjugate is real
+        assert not (a * QI(a.re, -a.im)).im
 
 
 def test_text_render_canonical_forms():
@@ -294,7 +291,6 @@ def test_binary_operators_match_reference(xp, yp):
     _check(x - y, rx - ry)
     _check(x * y, rx * ry)
     _check(-x, -rx)
-    _check(x.conjugate(), rx.conjugate())
     if ry:
         _check(x / y, rx / ry)
         _check(y.inverse(), ry.inverse())

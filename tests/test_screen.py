@@ -1,9 +1,9 @@
-"""The modular screen: sketch compressor, forward eliminator and pencil
+"""The modular screen: Kronecker compressor, forward eliminator and pencil
 determinant.  Checked against a dense-compressor reference (a dense random
 ncols x nrows R, four products and Gauss-Jordan rank, the screen it
-replaced, kept here as the oracle for decisions), against the sketch built
-explicitly as a dense matrix, against sympy determinants and exact kernels,
-and by counting eliminations."""
+replaced, kept here as the oracle for decisions), against R_s (x) I_dim
+built explicitly as a dense matrix, against sympy determinants and exact
+kernels, and by counting eliminations."""
 
 from collections import Counter
 from fractions import Fraction
@@ -24,6 +24,7 @@ from e16verma._linalg import (
 )
 from e16verma.exactnum import Q, QI
 from e16verma.gmodule import builtin
+from e16verma.verma import _OPS
 from e16verma.singular import (
     DegreeBlock,
     UnknownIndex,
@@ -172,32 +173,58 @@ def test_screen_decisions_match_reference(name, k_max, scan):
     assert certified and refused
 
 
-def _dense_sketch(block):
-    """The screen's sketch compressor as a dense ncols x nrows matrix mod p,
-    rebuilt entry by entry from the same seeded draws."""
-    p, n = SCREEN_P, block.ncols
+def _dense_product(block, images=None):
+    """True when ``images`` (by default the screen's (B, T)) equal R base
+    and R t_part mod p, with R = R_s (x) I_dim built densely from the
+    screen's seeded draws and the block from its COO arrays."""
+    from scipy.sparse import coo_matrix
+
+    p, n, dim = SCREEN_P, block.ncols, block.dim
+    ncodes = len(block.codes)
     rng = np.random.default_rng(0xE16 + 7919 * block.degree + n)
-    shape = (block.nrows, singular._SKETCH_PAIRS)
-    target = rng.integers(0, n, size=shape, dtype=np.int64)
-    coeff = rng.integers(1, p, size=shape, dtype=np.int64)
-    R = np.zeros((n, block.nrows), dtype=np.int64)
-    for i in range(block.nrows):
-        for j, a in zip(target[i].tolist(), coeff[i].tolist()):
-            R[j, i] = (int(R[j, i]) + a) % p
-    return R
+    R_s = rng.integers(1, p, size=(ncodes, n // dim), dtype=np.int64).T
+    R = np.kron(R_s, np.eye(dim, dtype=np.int64))
+    # the COO rows placed at their (code rank, coordinate) rows of R's domain
+    rows = np.searchsorted(block.codes, block.row_codes) * dim + block.row_coords
+    assert ncodes * dim * (p - 1) ** 2 < 1 << 63  # R @ A stays in int64
+    want = []
+    for re, im in ((block.b_re, block.b_im), (block.t_re, block.t_im)):
+        A = coo_matrix(((re % p + SCREEN_R * (im % p)) % p,
+                        (rows[block.r_idx], block.c_idx)), shape=(ncodes * dim, n))
+        want.append(np.asarray((A.T.tocsr() @ R.T).T) % p)
+    got = _block_screen_data(block) if images is None else images
+    return all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
-@pytest.mark.parametrize("degree", [4, 16, 9])
-def test_sketch_images_equal_dense_product(degree):
-    block = assemble_degree_block(builtin("trivial", Q(0)), 5, degree)
-    R = _dense_sketch(block)
-    # the sketch is sparse: at most _SKETCH_PAIRS nonzeros per block row
-    assert np.count_nonzero(R) <= singular._SKETCH_PAIRS * block.nrows
-    sb_re, sb_im, st_re, st_im = _reference_images(block, R)
-    p = SCREEN_P
-    B, T = _block_screen_data(block)
-    assert np.array_equal(B, (sb_re + SCREEN_R * sb_im) % p)
-    assert np.array_equal(T, (st_re + SCREEN_R * st_im) % p)
+def _swapped_factors(block):
+    """The compression with its Kronecker factors swapped: sum_op M_op (x)
+    (R_s S_op), rows (r, m) and columns (c, m') instead of (m, r) and
+    (m', c)."""
+    n, dim = block.ncols, block.dim
+    return tuple(
+        image.reshape(n // dim, dim, n // dim, dim).transpose(1, 0, 3, 2).reshape(n, n)
+        for image in _block_screen_data(block)
+    )
+
+
+@pytest.mark.parametrize("name,k_max,degree", [
+    ("trivial", 5, 4), ("trivial", 5, 16), ("trivial", 5, 9),
+    ("vector", 2, 5), ("vector", 3, 8), ("adjoint", 1, 4),
+])
+def test_sketch_images_equal_dense_product(name, k_max, degree):
+    block = assemble_degree_block(builtin(name, Q(0)), k_max, degree)
+    assert block.nrows >= block.ncols > 0
+    assert _dense_product(block)
+
+
+@pytest.mark.parametrize("name,k_max,degree", [("vector", 2, 5), ("adjoint", 1, 4)])
+def test_swapped_kronecker_factors_fail_the_dense_product(name, k_max, degree):
+    # with dim > 1 the (monomial, coordinate) layout is seen: kron(M, R_s S)
+    # holds the same numbers in the wrong places
+    block = assemble_degree_block(builtin(name, Q(0)), k_max, degree)
+    assert block.dim > 1
+    assert _dense_product(block)
+    assert not _dense_product(block, _swapped_factors(block))
 
 
 # ---------------------------------------------------------------------------
@@ -251,20 +278,32 @@ def test_pencil_of_trivial_degree_one_has_irregular_zero():
 
 def test_identically_singular_pencil_refuses_every_t():
     # column 2 is never touched, so the kernel is nonzero at every t
-    columns = tuple(UnknownIndex(0, 0, n) for n in range(3))
     entries = [
         (0, 0, 1, 0, 0, 0),
         (1, 1, 0, 1, 1, 0),
         (2, 0, 2, 0, 0, 1),
         (3, 1, 0, 0, 3, 0),
     ]
-    block = DegreeBlock(0, columns, [0] * 4, range(4), *zip(*entries))
+    block = _coo_block(0, 3, 4, entries)
     B, T = _block_screen_data(block)
     assert _pencil_determinant(B, T, (0, 1, 2, 3)) is None
     for c in SCAN:
         assert not screen_block_zero_kernel(block, c)
         assert len(exact_block_kernel(block, c)) >= 1
     assert block._screen.det is None
+
+
+def _coo_block(degree, ncols, nrows, entries):
+    """A block of a one-dimensional module given cell by cell: entries (r,
+    c, b_re, b_im, t_re, t_im), and every r in range(nrows) a row.  The
+    identity op carries the base and the t op the t-part."""
+    ops = [[] for _ in _OPS]
+    ops[0] = ops[singular._T_OP] = [(0, 0, 1, 0)]
+    structure = [(r, 0, 0, 0, 0) for r in range(nrows)]  # reaches every row
+    for r, c, b_re, b_im, t_re, t_im in entries:
+        structure += [(r, c, 0, b_re, b_im), (r, c, singular._T_OP, t_re, t_im)]
+    columns = tuple(UnknownIndex(0, 0, k) for k in range(ncols))
+    return DegreeBlock(degree, columns, range(nrows), structure, ops)
 
 
 _GAUSSIAN = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
@@ -293,10 +332,7 @@ def _small_blocks(draw):
         for c, (b, t) in enumerate(row)
         if any(b) or any(t)
     ]
-    columns = tuple(UnknownIndex(0, 0, k) for k in range(n))
-    arrays = list(zip(*entries)) or [()] * 6
-    degree = draw(st.integers(0, 20))
-    return DegreeBlock(degree, columns, [0] * nrows, range(nrows), *arrays)
+    return _coo_block(draw(st.integers(0, 20)), n, nrows, entries)
 
 
 @settings(deadline=None, max_examples=200)
