@@ -324,7 +324,7 @@ def cmd_check_algebra(ns: argparse.Namespace) -> tuple[list[dict], bool]:
         )
         jacobi_failures = []
         if not jc["jacobi_ok"]:
-            named = name_jacobi_failures([f[0] for f in jc["jacobi_failures"]], limit=3)
+            named = name_jacobi_failures([f[0] for f in jc["jacobi_failures"]])
             jacobi_failures = [" | ".join(t) for t in named] or jc["jacobi_failures"]
         theta = check_L1_L2_L3(closure_degree)
         roots = check_root_system()

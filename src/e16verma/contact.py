@@ -639,10 +639,10 @@ def check_jacobi_closure(jacobi_degree: int = 4, closure_degree: int = 6) -> dic
 
 
 def name_jacobi_failures(
-    degree_triples: Iterable[tuple[int, int, int]], limit: int = 3
+    degree_triples: Iterable[tuple[int, int, int]]
 ) -> list[tuple[str, str, str]]:
     """Rescan the given degree triples object-level and name basis triples
-    violating super-Jacobi, as readable monomial strings (at most ``limit``).
+    violating super-Jacobi, as readable monomial strings (at most three).
 
     Uses the module-level bracket at call time, so it sees the same function
     the tensor suite saw (including any test instrumentation).
@@ -658,6 +658,6 @@ def name_jacobi_failures(
                     m2 = contact_bracket(by, contact_bracket(bx, bz))
                     if lhs != m1 + m2.scale(Q(sgn)):
                         named.append((repr(bx), repr(by), repr(bz)))
-                        if len(named) >= limit:
+                        if len(named) == 3:
                             return named
     return named

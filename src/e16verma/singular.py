@@ -71,8 +71,8 @@ from .verma import (
     t_inverse,
     _accumulate_nested,
     _check_expansion,
+    _kronecker_cells,
     _op_matrices,
-    _expand_ops,
 )
 
 __all__ = [
@@ -204,16 +204,14 @@ class DegreeBlock:
     the base.  The block's rows are the (code, coordinate) pairs that some
     term reaches, so ``nrows`` is read off the structure.
 
-    The COO form is expanded from the structure once, on first read (by
-    ``_expand_block``): parallel arrays ``r_idx``, ``c_idx``, ``b_re``,
-    ``b_im``, ``t_re``, ``t_im`` sorted by (row, column), and each row's
-    packed code and output coordinate in ``row_codes`` and ``row_coords``,
-    decoded by ``row_keys``.  Only the exact path reads it; the screen
-    compresses the structural form.
+    Only the exact path expands the block: ``cells`` are the nonzero cells
+    of [base | t_part], the t-part at columns ncols .. 2 ncols - 1
+    (``_kronecker_cells``), expanded on first read.  The screen compresses
+    the structural form.
     """
 
     __slots__ = ("degree", "columns", "codes", "structure", "op_mats", "nrows",
-                 "_coo", "_screen")
+                 "_cells", "_screen")
 
     def __init__(self, degree, columns, codes, structure, op_mats):
         self.degree = degree
@@ -229,7 +227,7 @@ class DegreeBlock:
         for o, mat in enumerate(op_mats):
             reached[np.ix_(meets[:, o], [out for out, *_ in mat])] = True
         self.nrows = int(np.count_nonzero(reached))
-        self._coo = None
+        self._cells = None
         self._screen = None
 
     @property
@@ -240,41 +238,39 @@ class DegreeBlock:
     def ncols(self) -> int:
         return len(self.columns)
 
-    def coo(self) -> tuple:
-        """(row_codes, row_coords, r_idx, c_idx, b_re, b_im, t_re, t_im),
-        expanded on the first call."""
-        if self._coo is None:
-            self._coo = _expand_block(self)
-        return self._coo
-
-    row_codes = property(lambda self: self.coo()[0])
-    row_coords = property(lambda self: self.coo()[1])
-    r_idx = property(lambda self: self.coo()[2])
-    c_idx = property(lambda self: self.coo()[3])
-    b_re = property(lambda self: self.coo()[4])
-    b_im = property(lambda self: self.coo()[5])
-    t_re = property(lambda self: self.coo()[6])
-    t_im = property(lambda self: self.coo()[7])
+    def cells(self) -> tuple:
+        """(rows, cols, re, im) of [base | t_part], sorted by (row, col)."""
+        if self._cells is None:
+            rank, mono, op, s_re, s_im = self.structure.T
+            shifted = mono + (op == _T_OP) * (self.ncols // self.dim)
+            self._cells = _kronecker_cells(self.op_mats, rank, shifted, op, s_re, s_im)
+        return self._cells
 
     @property
-    def row_keys(self) -> tuple:
-        """The rows' provenance tuples, decoded from their packed codes."""
-        return _row_keys(self.row_codes, self.row_coords)
+    def r_idx(self) -> np.ndarray:
+        """The row of each (row, column) cell with a nonzero base or t-part."""
+        rows, cols = self.cells()[:2]
+        n = self.ncols or 1
+        key = np.sort(rows * n + cols % n, kind="stable")  # two sorted runs a row
+        return key[np.diff(key, prepend=-1) != 0] // n
 
     def exact_rows(self, c: GaussianRational):
-        """[(row_key, {col_position: GaussianRational})], zero entries and
-        empty rows dropped."""
-        row_codes, row_coords, r_idx, c_idx, b_re, b_im, t_re, t_im = self.coo()
+        """[(row_key, {col_position: GaussianRational})] at t-eigenvalue c,
+        zero entries and empty rows dropped."""
+        n = self.ncols
         per_row: dict[int, dict[int, GaussianRational]] = {}
-        for pos in range(len(r_idx)):
-            base = QI(int(b_re[pos]), int(b_im[pos]))
-            tpart = QI(int(t_re[pos]), int(t_im[pos]))
-            val = base + c * tpart
-            if not val:
-                continue
-            per_row.setdefault(int(r_idx[pos]), {})[int(c_idx[pos])] = val
-        keys = _row_keys(row_codes, row_coords)
-        return [(keys[r], per_row[r]) for r in sorted(per_row) if per_row[r]]
+        for row, col, re, im in zip(*(a.tolist() for a in self.cells())):
+            val = QI(re, im)
+            if col >= n:  # the t-part of cell (row, col - n)
+                col -= n
+                val = c * val
+            row_vals = per_row.setdefault(row, {})
+            row_vals[col] = row_vals[col] + val if col in row_vals else val
+        rows = np.fromiter(per_row, dtype=np.int64, count=len(per_row))
+        keys = _row_keys(self.codes[rows // self.dim], rows % self.dim)
+        nonzero = [(key, {col: v for col, v in vals.items() if v})
+                   for key, vals in zip(keys, per_row.values())]
+        return [(key, vals) for key, vals in nonzero if vals]
 
 
 _T_OP = _OP_INDEX[OP_T]
@@ -371,8 +367,8 @@ def assemble_degree_block(
     The block is sum_op S_op (x) M_op: S_op is a module-free integer matrix
     from the row codes to the (k, I) monomials (``_block_structure``), M_op
     the op's module matrix with denominators cleared (``_op_matrices``).
-    The block keeps this structural form; its COO form is expanded only
-    when read (``DegreeBlock``).
+    The block keeps this structural form; its cells are expanded only when
+    the exact path reads them (``DegreeBlock.cells``).
     Raises OverflowError when an entry of the expanded block could leave
     int64.
     """
@@ -392,44 +388,6 @@ def assemble_degree_block(
     _check_expansion(op_mats, f"degree-{degree} block entries of module {module.name!r}",
                      *structure[:, [0, 1, 3, 4]].T)
     return DegreeBlock(degree, columns, codes, structure, op_mats)
-
-
-def _expand_block(block: DegreeBlock) -> tuple:
-    """The block's COO arrays (``DegreeBlock.coo``), expanded from its
-    structural form: every (row, unknown) cell that some term reaches is
-    kept, so a row whose terms cancel still counts in ``nrows``; cells
-    that cancel are dropped."""
-    dim, ncols = block.dim, block.ncols
-    rank, mono, op, s_re, s_im = block.structure.T
-    keys, vals_re, vals_im, is_t = [], [], [], []
-    for o, row, col, re, im in _expand_ops(block.op_mats, op, rank, mono, s_re, s_im):
-        keys.append(row * ncols + col)
-        vals_re.append(re)
-        vals_im.append(im)
-        is_t.append(np.full(row.size, o == _T_OP))
-    if not keys:
-        return (np.zeros(0, dtype=np.int64),) * 8
-
-    # sum the terms of each (row, column) cell, base and t-part apart
-    key = np.concatenate(keys)
-    order = np.argsort(key)
-    key = key[order]
-    is_t = np.concatenate(is_t)[order]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
-    parts = []
-    for vals in (vals_re, vals_im):
-        v = np.concatenate(vals)[order]
-        parts.append(np.add.reduceat(np.where(is_t, 0, v), starts))
-        parts.append(np.add.reduceat(np.where(is_t, v, 0), starts))
-    b_re, t_re, b_im, t_im = parts
-
-    cell_row, cell_col = np.divmod(key[starts], ncols)
-    new_row = np.diff(cell_row, prepend=-1) != 0
-    rows = cell_row[new_row]
-    r_idx = np.cumsum(new_row) - 1
-    keep = (b_re != 0) | (b_im != 0) | (t_re != 0) | (t_im != 0)
-    return (block.codes[rows // dim], rows % dim, r_idx[keep], cell_col[keep],
-            b_re[keep], b_im[keep], t_re[keep], t_im[keep])
 
 
 # base points tried for the pencil when the block's first screened value was
@@ -861,7 +819,6 @@ def verify_bound(
     module: ModuleSpec,
     k_max: int = 5,
     t_scan: Iterable[GaussianRational] | None = None,
-    audit: bool = True,
     include_S0: bool = False,
 ) -> dict:
     """For each t-eigenvalue in the scan (default -10..10), compute the
@@ -871,8 +828,8 @@ def verify_bound(
 
     Returns a report; report["ok"] is True iff every homogeneous kernel
     component is annihilated by its block, solves the conditions when
-    re-checked through the object-level action, complies, and (when audit)
-    satisfies all coefficient identities.
+    re-checked through the object-level action, complies, and satisfies all
+    coefficient identities (the audit).
     On a block without rows the re-check and the audit run at the scan's
     first two t only: both are of degree <= 1 in t, so passing at two t
     proves them at every t (``_scan_kernels``).  A failure at either falls
@@ -887,7 +844,7 @@ def verify_bound(
     entries = [{"degrees": {}} for _ in t_scan]
     found = []  # (t position, degree, counterexample)
     for pos, d, screened, vectors, proven in _scan_kernels(
-            module, k_max, t_scan, include_S0, audit=audit):
+            module, k_max, t_scan, include_S0, audit=True):
         if screened:
             entries[pos]["degrees"][d] = {"kernel_dim": 0, "screened": True}
             continue
@@ -902,7 +859,7 @@ def verify_bound(
             shape_ok, item_ok = shape_compliant(vv)
             ok_here = solves and shape_ok and item_ok
             audit_rep = None
-            if audit and ok_here and not proven:
+            if ok_here and not proven:
                 audit_rep = audit_technical_identities(vv)
                 if not audit_rep["ok"]:
                     ok_here = False

@@ -228,9 +228,9 @@ def _op_matrices(module, t: GaussianRational = ONE) -> tuple[int, list[list[tupl
 
 def _check_expansion(op_mats: list[list[tuple]], what: str, row, col, s_re, s_im) -> None:
     """Raise OverflowError ("<what> can overflow int64") unless expanding
-    these structural entries by the op matrices (``_expand_ops``) keeps
-    every matrix cell in int64: entries sharing a structural cell sum into
-    one matrix cell.  Runs on Python integers, before any op matrix
+    these structural entries by the op matrices (``_kronecker_cells``)
+    keeps every matrix cell in int64: entries sharing a structural cell sum
+    into one matrix cell.  Runs on Python integers, before any op matrix
     becomes int64."""
     cell = row * (int(col.max(initial=0)) + 1) + col
     max_terms = int(np.unique(cell, return_counts=True)[1].max(initial=0))
@@ -240,25 +240,36 @@ def _check_expansion(op_mats: list[list[tuple]], what: str, row, col, s_re, s_im
         raise OverflowError(f"{what} can overflow int64")
 
 
-def _expand_ops(op_mats: list[list[tuple]], op, row, col, s_re, s_im):
-    """Expand structural entries by the module's op matrices (``_op_matrices``).
+def _kronecker_cells(op_mats: list[list[tuple]], row, col, op, s_re, s_im) -> tuple:
+    """The nonzero cells (rows, cols, re, im) of sum_op S_op (x) M_op, sorted
+    by (row, col), with M_op the module's op matrices (``_op_matrices``).
 
-    Entry s, of weight s_re[s] + i s_im[s] at structural (row[s], col[s]),
-    becomes one entry per (r, c, m_re, m_im) of op_mats[op[s]]: at
-    (row[s] * dim + r, col[s] * dim + c), of weight (s_re + i s_im)(m_re +
-    i m_im).  Yields (o, rows, cols, re, im) for each op o that has entries.
+    Entry s of S_{op[s]}, of weight s_re[s] + i s_im[s] at structural
+    (row[s], col[s]), meets each entry (r, c, m_re, m_im) of M_op at
+    (row[s] * dim + r, col[s] * dim + c), with weight (s_re + i s_im)(m_re
+    + i m_im).  Terms of one cell are summed; cells that cancel are dropped.
     Callers run ``_check_expansion`` on the same entries first.
     """
     dim = len(op_mats[0])  # the identity has one entry per coordinate
+    parts = [(np.zeros(0, dtype=np.int64),) * 4]
     for o, mat in enumerate(op_mats):
         sel = np.flatnonzero(op == o)
         if not (sel.size and mat):
             continue
         out_c, in_c, m_re, m_im = np.array(mat, dtype=np.int64).T
         sr, si = s_re[sel, None], s_im[sel, None]
-        yield (o, (row[sel, None] * dim + out_c).ravel(),
-               (col[sel, None] * dim + in_c).ravel(),
-               (sr * m_re - si * m_im).ravel(), (sr * m_im + si * m_re).ravel())
+        parts.append(((row[sel, None] * dim + out_c).ravel(),
+                      (col[sel, None] * dim + in_c).ravel(),
+                      (sr * m_re - si * m_im).ravel(), (sr * m_im + si * m_re).ravel()))
+    rows, cols, re, im = map(np.concatenate, zip(*parts))
+    width = int(cols.max(initial=0)) + 1
+    key = rows * width + cols
+    order = np.argsort(key)
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    re, im = np.add.reduceat(np.stack((re, im))[:, order], starts, axis=1)
+    keep = (re != 0) | (im != 0)
+    return (*np.divmod(key[starts[keep]], width), re[keep], im[keep])
 
 
 @lru_cache(maxsize=None)
@@ -838,9 +849,9 @@ class ActionMatrixSlice:
         """{lambda-power: (re_csr, im_csr)} of xi_L on the slice, scaled by
         den; an all-zero part is an empty CSR.  Structure (x) module ops:
         rows (lambda power, out monomial, in monomial, op, weight) from
-        ``action_terms``, each expanded by its op's module matrix
-        (``_expand_ops``).  Raises OverflowError when an entry could leave
-        int64 (``_check_expansion``)."""
+        ``action_terms``, expanded into cells by ``_kronecker_cells``.
+        Raises OverflowError when an entry could leave int64
+        (``_check_expansion``)."""
         got = self._cache.get(l_mask)
         if got is not None:
             return got
@@ -853,21 +864,19 @@ class ActionMatrixSlice:
                         flat.extend((j + r, n_out, n_in, _OP_INDEX[op], c * comb(k, r)))
         power, n_out, n_in, op, w = np.array(flat, dtype=np.int64).reshape(-1, 5).T
         # the lambda powers stack as row blocks of one tall matrix
-        entries = (power * len(self.monomials) + n_out, n_in, w, np.zeros_like(w))
+        row, zeros = power * len(self.monomials) + n_out, np.zeros_like(w)
         _check_expansion(self._op_mats, f"action slice of module {self.module.name!r}",
-                         *entries)
-        chunks = [chunk[1:] for chunk in _expand_ops(self._op_mats, op, *entries)]
+                         row, n_in, w, zeros)
+        rows, cols, re, im = _kronecker_cells(self._op_mats, row, n_in, op, w, zeros)
+        power, rows = np.divmod(rows, self.dim)
         out = {}
-        if chunks:
-            rows, cols, re, im = map(np.concatenate, zip(*chunks))
-            power, rows = np.divmod(rows, self.dim)
-            for jj in np.unique(power).tolist():
-                sel = power == jj
-                out[jj] = tuple(self._csr((m[sel], (rows[sel], cols[sel])),
-                                          shape=(self.dim, self.dim))
-                                for m in (re, im))
-                for part in out[jj]:
-                    part.eliminate_zeros()  # construction summed the duplicates
+        for jj in np.unique(power).tolist():
+            sel = power == jj
+            out[jj] = tuple(self._csr((m[sel], (rows[sel], cols[sel])),
+                                      shape=(self.dim, self.dim))
+                            for m in (re, im))
+            for part in out[jj]:
+                part.eliminate_zeros()  # a cell's re or im alone may be 0
         self._cache[l_mask] = out
         return out
 

@@ -1,10 +1,10 @@
 """The degree-block assembler against the per-column loop it replaced (kept
-here as the reference), its structural form against its COO form, the
-vectorised block structure against its loop, denominator clearing for
+here as the reference), its structural form against its expanded cells,
+the vectorised block structure against its loop, denominator clearing for
 non-integral modules, and the int64 overflow guard."""
 
 import json
-from collections import Counter
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from e16verma import cli, singular
-from e16verma.exactnum import ONE, Q
+from e16verma.exactnum import ONE, Q, QI
 from e16verma.gmodule import (
     ModuleSpec,
     builtin,
@@ -157,19 +157,32 @@ def _reference_block(module, k_max, degree, include_S0=False):
 # equality with the reference, field for field
 # ---------------------------------------------------------------------------
 
+def _reference_rows(row_keys, entries, c):
+    """The reference block's rows at t-eigenvalue c, the way ``exact_rows``
+    gives them: zero entries and empty rows dropped."""
+    rows = {}
+    for r, cpos, br, bi, tr, ti in entries:
+        val = QI(br, bi) + c * QI(tr, ti)
+        if val:
+            rows.setdefault(row_keys[r], {})[cpos] = val
+    return sorted(rows.items())
+
+
 def _assert_same_block(module, k_max, degree, include_S0):
     block = assemble_degree_block(module, k_max, degree, include_S0)
     columns, row_keys, entries = _reference_block(module, k_max, degree, include_S0)
     where = (module.name, k_max, degree, include_S0)
     assert block.degree == degree
     assert block.columns == columns, where
-    assert block.row_keys == row_keys, where
-    assert all(type(x) is int for key in block.row_keys for x in key[1:]), where
-    fields = (block.r_idx, block.c_idx, block.b_re, block.b_im,
-              block.t_re, block.t_im)
-    for n, got in enumerate(fields):
-        assert got.dtype == np.int64, where
-        assert got.tolist() == [e[n] for e in entries], (where, n)
+    assert block.nrows == len(row_keys), where
+    assert len(block.r_idx) == len(entries), where  # one per cell, base or t
+    assert all(cells.dtype == np.int64 for cells in block.cells()), where
+    # the block is affine in c, so c = 0 fixes its base and a non-real c
+    # then fixes its t-part
+    for c in (Q(0), QI(Fraction(2, 3), -5)):
+        got = block.exact_rows(c)
+        assert got == _reference_rows(row_keys, entries, c), (where, c)
+        assert all(type(x) is int for key, _ in got for x in key[1:]), where
 
 
 @pytest.mark.parametrize("include_S0", [False, True], ids=["no-S0", "S0"])
@@ -190,7 +203,7 @@ def test_adjoint_kmax3_blocks_equal_reference_assembler():
 
 
 # ---------------------------------------------------------------------------
-# the structural form and its COO form, expanded on first read
+# the structural form and its COO cells, expanded on first read
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("include_S0", [False, True], ids=["no-S0", "S0"])
@@ -200,24 +213,35 @@ def test_structure_row_count_equals_coo_rows(name, include_S0):
     for degree in range(2 * 2 + N_INDICES + 1):
         block = assemble_degree_block(module, 2, degree, include_S0)
         nrows = block.nrows
-        assert block._coo is None  # read off the structure, nothing expanded
-        assert nrows == len(block.row_codes) == len(block.row_coords), (name, degree)
+        assert block._cells is None  # read off the structure, nothing expanded
+        # the rows that some term reaches: each output coordinate of an op's
+        # matrix, at each code rank where the op has a structural entry
+        dim, met = block.dim, set(map(tuple, block.structure[:, [0, 2]].tolist()))
+        reached = {rank * dim + out for rank, op in met for out, *_ in block.op_mats[op]}
+        assert nrows == len(reached), (name, degree)
+        assert set(block.cells()[0].tolist()) <= reached, (name, degree)
 
 
 def test_coo_is_expanded_only_for_the_exact_path(monkeypatch):
-    expanded = Counter()
-    expand = singular._expand_block
+    blocks, calls = [], []
+    assemble, expand = singular.assemble_degree_block, singular._kronecker_cells
 
-    def counted(block):
-        expanded[block.degree] += 1
-        return expand(block)
+    def kept(*args, **kwargs):
+        blocks.append(assemble(*args, **kwargs))
+        return blocks[-1]
 
-    monkeypatch.setattr(singular, "_expand_block", counted)
+    def counted(*args):
+        calls.append(args)
+        return expand(*args)
+
+    monkeypatch.setattr(singular, "assemble_degree_block", kept)
+    monkeypatch.setattr(singular, "_kronecker_cells", counted)
     rep = verify_bound(builtin("adjoint", Q(0)), k_max=2, t_scan=[Q(2)])
     degrees = rep["per_c"]["2"]["degrees"]
     exact = {d for d, info in degrees.items() if not info["screened"]}
     assert exact and exact != set(degrees)  # both paths are taken
-    assert expanded == Counter(dict.fromkeys(exact, 1))
+    assert {b.degree for b in blocks if b._cells is not None} == exact
+    assert len(calls) == len(exact)  # once each
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +327,8 @@ def test_scaled_vector_fixture_is_the_conjugated_module():
 def test_scaled_vector_kernels_equal_vector_kernels():
     spec = module_from_text((DATA / "vector_scaled.json").read_text())
     scan = [Q(n) for n in range(-2, 7)]
-    got = verify_bound(spec, k_max=2, t_scan=scan, audit=False)
-    want = verify_bound(builtin("vector", Q(0)), k_max=2, t_scan=scan, audit=False)
+    got = verify_bound(spec, k_max=2, t_scan=scan)
+    want = verify_bound(builtin("vector", Q(0)), k_max=2, t_scan=scan)
     assert got["ok"] and want["ok"]
     for c in got["per_c"]:
         dims = {d: info["kernel_dim"]
@@ -318,12 +342,17 @@ def test_scaled_vector_kernels_equal_vector_kernels():
 def test_scaled_vector_block_is_the_cleared_vector_block():
     # a diagonal conjugation keeps the support of every module matrix, and
     # t enters only through the identity, so clearing the denominator 2
-    # keeps the rows and doubles the t-part
+    # keeps the rows and cells and doubles the t-part
     spec = module_from_text((DATA / "vector_scaled.json").read_text())
     got = assemble_degree_block(spec, 2, 3)
     want = assemble_degree_block(builtin("vector", Q(0)), 2, 3)
-    assert got.row_keys == want.row_keys
-    assert got.t_re.tolist() == [2 * x for x in want.t_re.tolist()]
+    assert got.codes.tolist() == want.codes.tolist()
+    (rows, cols, re, im), (w_rows, w_cols, w_re, w_im) = got.cells(), want.cells()
+    assert rows.tolist() == w_rows.tolist() and cols.tolist() == w_cols.tolist()
+    t_part = cols >= got.ncols
+    assert t_part.any()
+    assert re[t_part].tolist() == [2 * x for x in w_re[t_part].tolist()]
+    assert im[t_part].tolist() == [2 * x for x in w_im[t_part].tolist()]
 
 
 def test_scaled_vector_cli_exits_0(capsys):

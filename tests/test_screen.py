@@ -52,19 +52,22 @@ def _reference_images(block, R=None):
     if R is None:
         rng = np.random.default_rng(0xE16 + 7919 * block.degree + n)
         R = rng.integers(0, p, size=(n, rcount), dtype=np.int64)
+    rows, cols, re, im = block.cells()
+    r_idx = np.unique(rows, return_inverse=True)[1]  # the rows, numbered
 
-    def compress(vals):
+    def compress(vals, t_part):
+        sel = (cols >= n) == t_part
         A = coo_matrix(
-            ((vals % p).astype(np.int64), (block.r_idx, block.c_idx)),
+            ((vals[sel] % p).astype(np.int64), (r_idx[sel], cols[sel] - t_part * n)),
             shape=(rcount, n),
         ).tocsr()
         return np.asarray((A.T @ R.T).T % p, dtype=np.int64)
 
     return (
-        compress(block.b_re),
-        compress(block.b_im),
-        compress(block.t_re),
-        compress(block.t_im),
+        compress(re, False),
+        compress(im, False),
+        compress(re, True),
+        compress(im, True),
     )
 
 
@@ -176,7 +179,7 @@ def test_screen_decisions_match_reference(name, k_max, scan):
 def _dense_product(block, images=None):
     """True when ``images`` (by default the screen's (B, T)) equal R base
     and R t_part mod p, with R = R_s (x) I_dim built densely from the
-    screen's seeded draws and the block from its COO arrays."""
+    screen's seeded draws and the block from its cells."""
     from scipy.sparse import coo_matrix
 
     p, n, dim = SCREEN_P, block.ncols, block.dim
@@ -184,13 +187,14 @@ def _dense_product(block, images=None):
     rng = np.random.default_rng(0xE16 + 7919 * block.degree + n)
     R_s = rng.integers(1, p, size=(ncodes, n // dim), dtype=np.int64).T
     R = np.kron(R_s, np.eye(dim, dtype=np.int64))
-    # the COO rows placed at their (code rank, coordinate) rows of R's domain
-    rows = np.searchsorted(block.codes, block.row_codes) * dim + block.row_coords
+    # a cell's row is its (code rank, coordinate) row of R's domain
+    rows, cols, re, im = block.cells()
     assert ncodes * dim * (p - 1) ** 2 < 1 << 63  # R @ A stays in int64
     want = []
-    for re, im in ((block.b_re, block.b_im), (block.t_re, block.t_im)):
-        A = coo_matrix(((re % p + SCREEN_R * (im % p)) % p,
-                        (rows[block.r_idx], block.c_idx)), shape=(ncodes * dim, n))
+    for t_part in (False, True):
+        sel = (cols >= n) == t_part
+        A = coo_matrix(((re[sel] % p + SCREEN_R * (im[sel] % p)) % p,
+                        (rows[sel], cols[sel] - t_part * n)), shape=(ncodes * dim, n))
         want.append(np.asarray((A.T.tocsr() @ R.T).T) % p)
     got = _block_screen_data(block) if images is None else images
     return all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -413,7 +417,7 @@ def test_scan_eliminates_once_per_block_then_evaluates(monkeypatch):
     monkeypatch.setattr(singular, "screen_block_zero_kernel", counted_screen)
     monkeypatch.setattr(_linalg, "_forward_eliminate", counted_eliminate)
     monkeypatch.setattr(_linalg, "_pencil_determinant", counted_build)
-    rep = verify_bound(builtin("vector", Q(0)), k_max=3, audit=False)
+    rep = verify_bound(builtin("vector", Q(0)), k_max=3)
     assert rep["ok"]
     screened = set(first)
     # every block with at least as many rows as columns reaches the eliminator

@@ -107,9 +107,10 @@ def test_assemble_deterministic():
     triv = builtin("trivial", C)
     for a, b in zip(_blocks(triv, 1), _blocks(triv, 1)):
         assert a.columns == b.columns
-        assert a.row_keys == b.row_keys
-        for field in ("r_idx", "c_idx", "b_re", "b_im", "t_re", "t_im"):
-            assert getattr(a, field).tolist() == getattr(b, field).tolist()
+        assert a.codes.tolist() == b.codes.tolist()
+        for got, want in zip(a.cells(), b.cells()):
+            assert got.tolist() == want.tolist()
+        assert a.exact_rows(C) == b.exact_rows(C)
 
 
 def test_trivial_kernel_is_vacuum():

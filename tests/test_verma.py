@@ -3,12 +3,14 @@ oracle, coefficient functionals, and mixed-basis extraction."""
 
 import random
 from math import comb
+from pathlib import Path
 from typing import Iterable
 
+import numpy as np
 import pytest
 
 from e16verma.exactnum import GaussianRational, ONE, Q, QI, ZERO
-from e16verma.gmodule import builtin
+from e16verma.gmodule import ModuleSpec, builtin, module_from_text
 from e16verma.grassmann import (
     ALL_MASKS,
     FULL_MASK,
@@ -597,6 +599,24 @@ def test_matrix_slice_matches_object_action():
                 for kk, mm in [(kk, mm)]
             }
             assert rebuilt == expect
+
+
+@pytest.mark.parametrize("name", ["vector", "vector_scaled.json"])
+def test_matrix_slice_stores_no_explicit_zero(name):
+    # a cell's re can be nonzero while its im is 0, and the commutator suite
+    # skips a product only when a factor stores nothing; a non-real t gives
+    # the t op both parts
+    if name == "vector":
+        module = builtin("vector", QI(1, 2))
+    else:
+        spec = module_from_text((Path(__file__).parent / "data" / name).read_text())
+        module = ModuleSpec(spec.dim, C + QI(0, 1), spec.xi_action, name=spec.name)
+    sl = ActionMatrixSlice(module, max_mdeg=4)
+    parts = [part for l_mask in ALL_MASKS
+             for pair in sl.matrices(l_mask).values() for part in pair]
+    assert parts
+    for part in parts:
+        assert part.nnz == np.count_nonzero(part.data)
 
 
 def test_commutator_suite_small():

@@ -25,6 +25,11 @@ REPORTS: dict[str, list[str]] = {
     "verify-bound adjoint": ["verify-bound", "--module", "adjoint", *SCAN],
     "verify-bound vector, non-integer t": [
         "verify-bound", "--module", "vector", "--kmax", "3", "--t-scan=7/3,1+i,-1,5"],
+    # p = 1048589 divides the first t's denominator, so it has no image mod
+    # p and every block takes the exact path at a non-real t
+    "verify-bound vector, t with no image mod p": [
+        "verify-bound", "--module", "vector", "--kmax", "2",
+        "--t-scan=1/1048589+2/1048589*i,5"],
     "find-singular trivial": ["find-singular", "--module", "trivial", *SCAN],
     "find-singular vector": ["find-singular", "--module", "vector", *SCAN],
     "reproduce-proof": ["reproduce-proof"],
