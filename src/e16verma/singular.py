@@ -19,11 +19,12 @@ scan against it with a sound modular screening (a nonsingular reduction
 mod p certifies a zero kernel; anything else falls back to exact
 elimination over Q(i)).
 
-This module owns the degree blocks, the compression of a block to a pencil
-over F_p and the screen's per-block state, the exact kernels, the
-re-checks, the audit and the proof-step reproduction.  The prime and its
-root of -1, the image of a t-eigenvalue in F_p, the int64 guard and every
-elimination, modular or exact, live in ``_linalg``.
+This module owns the degree blocks, the compression of a block to one
+pencil over F_p per weight-parity class and the screen's per-class state,
+the exact kernels, the re-checks, the audit and the proof-step
+reproduction.  The prime and its root of -1, the image of a t-eigenvalue in
+F_p, the int64 guard and every elimination, modular or exact, live in
+``_linalg``.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .grassmann import (
 from .verma import (
     OP_T,
     _OP_INDEX,
+    _OPS,
     ActionPolynomial,
     FORMAL,
     VermaVector,
@@ -395,8 +397,76 @@ def assemble_degree_block(
 _PENCIL_BASE_POINTS = (0x5BD1E, 0x9E377)
 
 
-def _block_screen_data(block: DegreeBlock):
-    """The block's compressed pencil (B, T) over F_p, p = SCREEN_P.
+def _pair_parity(masks):
+    """The class of a xi/eta mask (an int or an int64 array): bit l is the
+    parity of |I & {2l + 1, 2l + 2}|, so (-1)^bit is the sign of eta_I
+    under the rotation by pi in the plane (2l + 1, 2l + 2)."""
+    x = masks ^ masks >> 1
+    return x & 1 | x >> 1 & 2 | x >> 2 & 4
+
+
+# the class of each op: 0 for the identity and t, that of e_a + e_b for
+# xi_a xi_b
+_OP_PARITY = np.array([0, 0] + [_pair_parity(1 << a - 1 | 1 << b - 1)
+                                for _, a, b in _OPS[2:]], dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def _coordinate_labels(dim: int, edges: tuple) -> np.ndarray:
+    """A class label per module coordinate, propagated along the edges (out,
+    in, parity) of the op matrices' nonzero entries by label(out) =
+    label(in) ^ parity, from a label 0 at the first coordinate of each
+    connected part.  Edges that contradict the labels are not detected here:
+    ``_block_classes`` checks every entry.  Read-only, one per set of op
+    matrices."""
+    out, inp, par = np.array(edges, dtype=np.int64).reshape(-1, 3).T
+    src, dst = np.concatenate((inp, out)), np.concatenate((out, inp))
+    par = np.concatenate((par, par))
+    labels = np.full(dim, -1, dtype=np.int64)
+    while (labels < 0).any():
+        labels[np.argmax(labels < 0)] = 0
+        while (step := (labels[src] >= 0) & (labels[dst] < 0)).any():
+            labels[dst[step]] = labels[src[step]] ^ par[step]
+    labels.flags.writeable = False
+    return labels
+
+
+def _op_entries(op_mats) -> np.ndarray:
+    """The op matrices' entries as int64 rows (op, out, in, re, im)."""
+    return np.array([(o, *entry) for o, mat in enumerate(op_mats) for entry in mat],
+                    dtype=np.int64).reshape(-1, 5)
+
+
+def _block_classes(block: DegreeBlock) -> np.ndarray | None:
+    """The class of each column of the block, or None when an entry
+    contradicts the classes.
+
+    Every op matrix entry must map a coordinate of label l to one of label
+    l ^ parity(op), and every structural entry (code q, monomial m, op o)
+    must give class(q) = class(m) ^ parity(o).  Column (m, c) then has
+    class class(m) ^ label(c) and row (q, r) class class(q) ^ label(r), and
+    the block maps each column class into the rows of the same class.
+    """
+    o, out, inp = _op_entries(block.op_mats)[:, :3].T
+    par = _OP_PARITY[o]
+    labels = _coordinate_labels(
+        block.dim, tuple(zip(out.tolist(), inp.tolist(), par.tolist())))
+    if (labels[out] != labels[inp] ^ par).any():
+        return None
+    monos = [col.mask for col in block.columns[::block.dim]]
+    mono_class = _pair_parity(np.array(monos, dtype=np.int64))
+    rank, mono, op = block.structure[:, :3].T
+    cls = mono_class[mono] ^ _OP_PARITY[op]
+    code_class = np.zeros(len(block.codes), dtype=np.int64)
+    code_class[rank] = cls
+    if (code_class[rank] != cls).any():
+        return None
+    return (mono_class[:, None] ^ labels).ravel()
+
+
+def _block_screen_data(block: DegreeBlock) -> list:
+    """The block's compressed pencil over F_p, p = SCREEN_P, one (B_k, T_k)
+    per column class k.
 
     The block matrix at t-eigenvalue c is base + c t_part over Z[i]; under
     i -> SCREEN_R its image is base_p + gamma t_part_p with gamma the image
@@ -413,6 +483,19 @@ def _block_screen_data(block: DegreeBlock):
     so the screen takes one product R_s S_op per op over the structural
     entries and one int64 contraction over the ops, and never expands the
     block.  The t op gives T and the others B.
+
+    The classes come from the rotations by pi in the planes (1, 2), (3, 4)
+    and (5, 6) (``_block_classes``): the block maps a column of class k
+    only into rows (q, r) of class class(q) ^ label(r) = k.  Give row (m,
+    r) of R A the class class(m) ^ label(r), and mask R_s: R'_s[m, q] =
+    R_s[m, q] when code q has the class of monomial m, else 0.  R' = R'_s
+    (x) I_dim maps rows of class k to rows of class k, so R' A is
+    block-diagonal by class.  Its class-k block equals that of R A, since
+    every masked entry R_s[m, q] meets only rows (q, r) of another class,
+    which vanish on the class-k columns.  So the class blocks (B_k, T_k)
+    of R A are those of R' A, and det(R' A) is the product of their
+    determinants; R' is never formed, and the off-class entries of R A are
+    not returned.  A block whose classes are contradicted is one class.
     """
     p, r = _linalg.SCREEN_P, _linalg.SCREEN_R
     n, dim = block.ncols, block.dim
@@ -420,6 +503,9 @@ def _block_screen_data(block: DegreeBlock):
     rank, mono, op, s_re, s_im = block.structure.T
     rng = np.random.default_rng(0xE16 + 7919 * block.degree + n)
     R_sT = rng.integers(1, p, size=(len(block.codes), n_mono), dtype=np.int64)
+    col_class = _block_classes(block)
+    if col_class is None:
+        col_class = np.zeros(n, dtype=np.int64)
 
     # P[o][:, m] sums R_s[:, q] w over the entries (q, m, o, w) of S_o
     key = op * n_mono + mono
@@ -439,36 +525,40 @@ def _block_screen_data(block: DegreeBlock):
 
     # sum_o P[o] (x) M_o over the nonzero entries (out, in) of each M_o,
     # the t op's into T and every other op's into B
-    o, out, inp, m_re, m_im = np.array(
-        [(o, *entry) for o, mat in enumerate(block.op_mats) for entry in mat],
-        dtype=np.int64).reshape(-1, 5).T
+    o, out, inp, m_re, m_im = _op_entries(block.op_mats).T
     cell = (o == _T_OP) * dim * dim + out * dim + inp
     _linalg._check_int64_sum(int(np.bincount(cell).max()))
     parts = np.zeros((2 * dim * dim, n_mono, n_mono), dtype=np.int64)
     np.add.at(parts, cell, P[o] * ((m_re % p + r * (m_im % p)) % p)[:, None, None])
-    parts = parts.reshape(2, dim, dim, n_mono, n_mono).transpose(0, 3, 1, 4, 2) % p
-    return parts[0].reshape(n, n), parts[1].reshape(n, n)
+    parts = parts.reshape(2, dim, dim, n_mono, n_mono)
+    # row (m, r) and column (m', c) of a class: parts[:, r, c, m, m']
+    images = []
+    for k in np.flatnonzero(np.bincount(col_class)):  # the classes present
+        m, c = np.divmod(np.flatnonzero(col_class == k), dim)
+        B_k, T_k = parts[:, c[:, None], c, m[:, None], m] % p
+        images.append((B_k, T_k))
+    return images
 
 
 class _BlockScreen:
-    """Mod-p screen state of one degree block.
+    """Mod-p screen state of one column class of a degree block.
 
-    The first screen eliminates B + gamma T at its gamma.  The second builds
-    the determinant polynomial D(gamma), after which every screen is one
-    evaluation and the images are dropped.  A block screened once never
-    pays for D.
+    The first screen eliminates B_k + gamma T_k at its gamma.  The second
+    builds the determinant polynomial D_k(gamma), after which every screen
+    is one evaluation and the images are dropped.  A block screened once
+    never pays for D_k.
     """
 
     __slots__ = ("images", "regular", "calls", "det")
 
-    def __init__(self, block: DegreeBlock):
-        self.images = _block_screen_data(block)
-        self.regular = None  # a gamma where B + gamma T was nonsingular
+    def __init__(self, images):
+        self.images = images
+        self.regular = None  # a gamma where B_k + gamma T_k was nonsingular
         self.calls = 0
         self.det = None
 
     def certifies(self, gamma: int) -> bool:
-        """True when det(B + gamma T) is nonzero mod p."""
+        """True when det(B_k + gamma T_k) is nonzero mod p."""
         self.calls += 1
         if self.calls == 2:
             base_points = (
@@ -496,19 +586,23 @@ def screen_block_zero_kernel(block: DegreeBlock, c: GaussianRational) -> bool:
     compressed pencil satisfies det(B + gamma T) != 0 mod p.  For any
     integer compressor R that is a nonzero ncols x ncols minor of the
     reduced block (Cauchy-Binet), and rank only drops under reduction mod
-    p, so the block has full column rank over Q(i).  This holds for R =
-    R_s (x) I_dim (``_block_screen_data``), whose columns also meet the
-    (code, coordinate) pairs that are not rows of the block: those are zero
-    rows, which add nothing to any minor.  R only sets how often a
-    full-rank block is certified; a miss only costs the exact path.  (R_s
-    (x) I_dim gives each output coordinate ncols / dim rows of R A, so a
-    block whose rows at some coordinate span fewer dimensions is never
-    certified.)
+    p, so the block has full column rank over Q(i).  This holds for R' =
+    (R_s masked by class) (x) I_dim (``_block_screen_data``), whose columns
+    also meet the (code, coordinate) pairs that are not rows of the block:
+    those are zero rows, which add nothing to any minor.  R' A is
+    block-diagonal by class, so det(R' A) at gamma is the product of the
+    class determinants det(B_k + gamma T_k), and c is certified when every
+    one is nonzero.  R only sets how often a full-rank block is certified;
+    a miss only costs the exact path.  (The rows of R A of class k at
+    output coordinate r, one per monomial of class k ^ label(r), combine
+    the block's rows (q, r) of that class only; so a block whose rows of
+    class k at some coordinate r span fewer dimensions than that count is
+    never certified.)
     A c whose denominator is divisible by p has no image and goes to the
     exact path; so does a block with fewer rows than columns.  The first
-    screen of a block eliminates at its c; the second builds D(gamma) =
-    det(B + gamma T) once, and every later c is one evaluation of D.  Both
-    give the same decision.
+    screen of a block eliminates each class at its c; the second builds
+    each D_k(gamma) = det(B_k + gamma T_k) once, and every later c is one
+    evaluation per class.  Both give the same decision.
     """
     if block.ncols == 0:
         return True
@@ -518,8 +612,8 @@ def screen_block_zero_kernel(block: DegreeBlock, c: GaussianRational) -> bool:
     if gamma is None:
         return False
     if block._screen is None:
-        block._screen = _BlockScreen(block)
-    return block._screen.certifies(gamma)
+        block._screen = [_BlockScreen(images) for images in _block_screen_data(block)]
+    return all([screen.certifies(gamma) for screen in block._screen])
 
 
 def exact_block_kernel(block: DegreeBlock, c: GaussianRational):

@@ -1,12 +1,17 @@
-"""The modular screen: Kronecker compressor, forward eliminator and pencil
-determinant.  Checked against a dense-compressor reference (a dense random
-ncols x nrows R, four products and Gauss-Jordan rank, the screen it
-replaced, kept here as the oracle for decisions), against R_s (x) I_dim
-built explicitly as a dense matrix, against sympy determinants and exact
-kernels, and by counting eliminations."""
+"""The modular screen: class-masked Kronecker compressor, forward
+eliminator and pencil determinant.  Checked against a dense-compressor
+reference (a dense random ncols x nrows R, four products and Gauss-Jordan
+rank, the screen it replaced, kept here as the oracle for decisions),
+against (R_s masked by class) (x) I_dim built explicitly as a dense matrix
+from a hand-written class oracle (the pair-parity of I plus that of the
+coordinate), against sympy determinants and exact kernels, and by counting
+eliminations per class.  The one-class fallback is checked on a rotated
+vector module, whose matrices admit no class labels, and on a corrupted
+labelling."""
 
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +27,8 @@ from e16verma._linalg import (
     _modp_image,
     _pencil_determinant,
 )
-from e16verma.exactnum import Q, QI
-from e16verma.gmodule import builtin
+from e16verma.exactnum import Q, QI, ZERO
+from e16verma.gmodule import XI_PAIRS, ModuleSpec, builtin, module_from_text, validate
 from e16verma.verma import _OPS
 from e16verma.singular import (
     DegreeBlock,
@@ -35,6 +40,7 @@ from e16verma.singular import (
     verify_bound,
 )
 
+DATA = Path(__file__).parent / "data"
 SCAN = [Q(n) for n in range(-10, 11)] + [Q(7, 3), QI(1, 2)]
 
 
@@ -176,9 +182,47 @@ def test_screen_decisions_match_reference(name, k_max, scan):
     assert certified and refused
 
 
-def _dense_product(block, images=None):
-    """True when ``images`` (by default the screen's (B, T)) equal R base
-    and R t_part mod p, with R = R_s (x) I_dim built densely from the
+# ---------------------------------------------------------------------------
+# the class split: a hand-written oracle and the dense masked product
+# ---------------------------------------------------------------------------
+
+def _parity(mask):
+    """Bit l is the parity of |I & {2l + 1, 2l + 2}|, counted by hand."""
+    return sum((bin(mask >> 2 * l & 3).count("1") % 2) << l for l in range(3))
+
+
+# the class label of each coordinate of the builtin modules, by dimension:
+# vector coordinate j is e_(j+1), adjoint coordinate (a, b) is e_a + e_b
+_ORACLE_LABELS = {
+    1: [0],
+    6: [_parity(1 << j) for j in range(6)],
+    15: [_parity(1 << a - 1 | 1 << b - 1) for a, b in XI_PAIRS],
+}
+
+
+def _oracle_classes(block):
+    """(code classes, column classes) of a builtin module's block, by hand:
+    a condition code (L, eta_out) has the class of xi_L eta_out, an S0 code
+    that of its root vector's xi_a xi_b times eta_out, and a column (k, I,
+    c) that of eta_I times coordinate c."""
+    roots = {idx: {_parity(1 << a - 1 | 1 << b - 1) for a, b, _ in combo}
+             for idx, combo in singular._positive_root_pairs()}
+    codes = []
+    for tag, l_field, l_mask, _, _, out_mask, _ in singular._row_keys(
+            block.codes, np.zeros(len(block.codes), dtype=np.int64)):
+        if tag == "S0":
+            (cls,) = roots[l_field]  # one class per root vector
+        else:
+            cls = _parity(l_mask)
+        codes.append(cls ^ _parity(out_mask))
+    labels = _ORACLE_LABELS[block.dim]
+    cols = [_parity(col.mask) ^ labels[col.coord] for col in block.columns]
+    return np.array(codes, dtype=np.int64), np.array(cols, dtype=np.int64)
+
+
+def _dense_images(block):
+    """(B, T) as dense ncols x ncols matrices: R base and R t_part mod p,
+    with R = (R_s masked by the oracle's classes) (x) I_dim built from the
     screen's seeded draws and the block from its cells."""
     from scipy.sparse import coo_matrix
 
@@ -186,29 +230,210 @@ def _dense_product(block, images=None):
     ncodes = len(block.codes)
     rng = np.random.default_rng(0xE16 + 7919 * block.degree + n)
     R_s = rng.integers(1, p, size=(ncodes, n // dim), dtype=np.int64).T
-    R = np.kron(R_s, np.eye(dim, dtype=np.int64))
+    code_class, _ = _oracle_classes(block)
+    mono_class = np.array([_parity(col.mask) for col in block.columns[::dim]])
+    R_s *= mono_class[:, None] == code_class
     # a cell's row is its (code rank, coordinate) row of R's domain
     rows, cols, re, im = block.cells()
-    assert ncodes * dim * (p - 1) ** 2 < 1 << 63  # R @ A stays in int64
-    want = []
+    assert ncodes * (p - 1) ** 2 < 1 << 63  # R @ A stays in int64
+    images = []
     for t_part in (False, True):
         sel = (cols >= n) == t_part
         A = coo_matrix(((re[sel] % p + SCREEN_R * (im[sel] % p)) % p,
-                        (rows[sel], cols[sel] - t_part * n)), shape=(ncodes * dim, n))
-        want.append(np.asarray((A.T.tocsr() @ R.T).T) % p)
+                        (rows[sel], cols[sel] - t_part * n)), shape=(ncodes * dim, n)).tocsr()
+        # row (m, r) of R A is R_s[m] applied to the rows (q, r) of A
+        RA = np.stack([(A[r::dim].T @ R_s.T).T for r in range(dim)], axis=1)
+        images.append(RA.reshape(n, n) % p)
+    return images
+
+
+def _class_columns(block):
+    """The columns of each class, in the screen's order of its class ids."""
+    col_class = singular._block_classes(block)
+    return [np.flatnonzero(col_class == k) for k in np.unique(col_class)]
+
+
+def _dense_product(block, images=None):
+    """True when the dense B and T vanish off the oracle's classes, the
+    screen's classes are the oracle's, and ``images`` (by default the
+    screen's class pencils) are the class blocks of B and T."""
+    B, T = _dense_images(block)
+    _, oracle = _oracle_classes(block)
+    off_class = oracle[:, None] != oracle
+    if B[off_class].any() or T[off_class].any():
+        return False
+    if len(set((singular._block_classes(block) ^ oracle).tolist())) != 1:
+        return False
     got = _block_screen_data(block) if images is None else images
-    return all(np.array_equal(g, w) for g, w in zip(got, want))
+    want = [(B[np.ix_(cols, cols)], T[np.ix_(cols, cols)]) for cols in _class_columns(block)]
+    return len(got) == len(want) and all(
+        np.array_equal(g, w) for pair, w_pair in zip(got, want) for g, w in zip(pair, w_pair))
 
 
 def _swapped_factors(block):
-    """The compression with its Kronecker factors swapped: sum_op M_op (x)
-    (R_s S_op), rows (r, m) and columns (c, m') instead of (m, r) and
-    (m', c)."""
+    """The class pencils with their Kronecker factors swapped: B and T
+    rebuilt from the class blocks, laid out as sum_op M_op (x) (R_s S_op),
+    rows (r, m) and columns (c, m') instead of (m, r) and (m', c), and cut
+    into the same classes."""
     n, dim = block.ncols, block.dim
-    return tuple(
-        image.reshape(n // dim, dim, n // dim, dim).transpose(1, 0, 3, 2).reshape(n, n)
-        for image in _block_screen_data(block)
-    )
+    classes = _class_columns(block)
+    full = np.zeros((2, n, n), dtype=np.int64)
+    for cols, images in zip(classes, _block_screen_data(block)):
+        for whole, image in zip(full, images):
+            whole[np.ix_(cols, cols)] = image
+    swapped = full.reshape(2, n // dim, dim, n // dim, dim).transpose(0, 2, 1, 4, 3)
+    swapped = swapped.reshape(2, n, n)
+    return [tuple(whole[np.ix_(cols, cols)] for whole in swapped) for cols in classes]
+
+
+def _det(m):
+    """det(m) mod p by the screen's forward eliminator."""
+    return _linalg._forward_eliminate((m % SCREEN_P).astype(np.float64))
+
+
+@pytest.mark.parametrize("include_S0", [False, True], ids=["no-S0", "S0"])
+@pytest.mark.parametrize("name,k_max", [
+    ("trivial", 2), ("trivial", 3), ("vector", 2), ("vector", 3), ("adjoint", 2),
+    ("adjoint", 3),
+])
+def test_class_split_equals_the_hand_oracle(name, k_max, include_S0):
+    module = builtin(name, Q(0))
+    gammas = [_gamma(c) for c in (Q(2), Q(7, 3), QI(1, 2))]
+    nonzero = split = 0
+    for degree in range(2 * k_max + 7):
+        block = assemble_degree_block(module, k_max, degree, include_S0=include_S0)
+        if not block.nrows >= block.ncols > 0:
+            continue
+        _, col_class = _oracle_classes(block)
+        # labels are fixed up to one constant: coordinate 0 gets label 0
+        assert len(set((singular._block_classes(block) ^ col_class).tolist())) == 1
+        assert len(_class_columns(block)) == len(set(col_class.tolist())), degree
+        # the masked product vanishes off-class (which checks the oracle's
+        # code classes too), and its class blocks are the screen's
+        assert _dense_product(block), degree
+        B, T = _dense_images(block)
+        classes = _block_screen_data(block)
+        for gamma in gammas:
+            whole = _det(B + gamma * T)
+            product = 1
+            for B_k, T_k in classes:
+                product = product * _det(B_k + gamma * T_k) % SCREEN_P
+            assert whole == product, (degree, gamma)
+            nonzero += whole != 0
+        split += len(classes) > 1
+    assert nonzero and split
+
+
+# ---------------------------------------------------------------------------
+# the one-class fallback
+# ---------------------------------------------------------------------------
+
+def _rotated_vector():
+    """The vector module conjugated by the rotation (3/5, 4/5) in the (1, 3)
+    plane, x -> g x g^T: its matrices join coordinates of different
+    classes, so no labelling is consistent."""
+    g = {(n, n): Q(1) for n in (1, 3, 4, 5)}
+    g.update({(0, 0): Q(3, 5), (0, 2): Q(-4, 5), (2, 0): Q(4, 5), (2, 2): Q(3, 5)})
+    action = {}
+    for pair, mat in builtin("vector", Q(0)).xi_action.items():
+        conj = {}
+        for r in range(6):
+            for c in range(6):
+                v = sum((g.get((r, i), ZERO) * x * g.get((c, j), ZERO)
+                         for (i, j), x in mat.items()), ZERO)
+                if v:
+                    conj[(r, c)] = v
+        action[pair] = conj
+    return ModuleSpec(6, Q(0), action, name="vector_rotated")
+
+
+def _rotated_fixture():
+    return module_from_text((DATA / "vector_rotated.json").read_text())
+
+
+def test_rotated_vector_fixture_is_the_conjugated_module():
+    spec = _rotated_fixture()
+    assert validate(spec)["ok"]
+    assert spec.xi_action == _rotated_vector().xi_action
+    assert any(v.re.denominator == 5 for m in spec.xi_action.values()
+               for v in m.values())
+
+
+def test_rotated_vector_blocks_are_one_class():
+    spec = _rotated_fixture()
+    screened = 0
+    for degree in range(11):
+        block = assemble_degree_block(spec, 2, degree)
+        if not block.nrows >= block.ncols > 0:
+            continue
+        assert singular._block_classes(block) is None, degree
+        [(B, T)] = _block_screen_data(block)
+        assert B.shape == T.shape == (block.ncols, block.ncols)
+        screened += 1
+    assert screened == 10
+
+
+def test_rotated_vector_kernels_equal_vector_kernels():
+    scan = [Q(n) for n in range(-3, 6)]
+    got = verify_bound(_rotated_fixture(), k_max=2, t_scan=scan)
+    want = verify_bound(builtin("vector", Q(0)), k_max=2, t_scan=scan)
+    assert got["ok"] and want["ok"]
+    for c in got["per_c"]:
+        dims = {d: info["kernel_dim"] for d, info in got["per_c"][c]["degrees"].items()}
+        assert dims == {d: info["kernel_dim"]
+                        for d, info in want["per_c"][c]["degrees"].items()}, c
+    assert sum(info["kernel_dim"] for e in got["per_c"].values()
+               for d, info in e["degrees"].items() if d) > 0
+
+
+def test_a_flipped_coordinate_label_is_caught(monkeypatch):
+    labels = singular._coordinate_labels
+    seen = []
+
+    def flipped(dim, edges):
+        out = labels(dim, edges).copy()
+        out[3] ^= 1
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(singular, "_coordinate_labels", flipped)
+    module = builtin("vector", Q(0))
+    for degree in range(1, 11):
+        block = assemble_degree_block(module, 2, degree)
+        assert block.nrows >= block.ncols > 0
+        # the check refuses the split, and the screen runs on one class
+        assert singular._block_classes(block) is None, degree
+        assert len(_block_screen_data(block)) == 1
+        # the flipped labels would have joined two classes through a cell
+        code_class, _ = _oracle_classes(block)
+        mono_class = np.array([_parity(col.mask) for col in block.columns[::6]])
+        rows, cols = block.cells()[:2]
+        cols = cols % block.ncols
+        bad = seen[-1]
+        assert ((code_class[rows // 6] ^ bad[rows % 6])
+                != (mono_class[cols // 6] ^ bad[cols % 6])).any(), degree
+    # degree 1 holds the resonances t = -1 and t = 5: refused exactly there
+    block = assemble_degree_block(module, 2, 1)
+    scan = (Q(-1), Q(0), Q(5), Q(7, 3))
+    assert [screen_block_zero_kernel(block, c) for c in scan] == [
+        not exact_block_kernel(block, c) for c in scan] == [False, True, False, True]
+
+
+def test_a_code_of_two_classes_is_caught():
+    # one structural entry moved from xi_1 xi_2 (class 0) to xi_1 xi_3
+    # (class 3): its code now has entries of two classes
+    block = assemble_degree_block(builtin("vector", Q(0)), 2, 1)
+    structure = block.structure.copy()
+    x12, x13 = (_OPS.index(("x", 1, b)) for b in (2, 3))
+    moved = np.flatnonzero(structure[:, 2] == x12)[0]
+    structure[moved, 2] = x13
+    bent = DegreeBlock(1, block.columns, block.codes, structure, block.op_mats)
+    assert singular._block_classes(block) is not None
+    assert singular._block_classes(bent) is None
+    assert len(_block_screen_data(bent)) == 1
+    scan = (Q(-1), Q(0), Q(5), Q(7, 3))
+    assert [screen_block_zero_kernel(bent, c) for c in scan] == [
+        not exact_block_kernel(bent, c) for c in scan] == [False, True, True, True]
 
 
 @pytest.mark.parametrize("name,k_max,degree", [
@@ -267,17 +492,21 @@ def test_pencil_determinant_with_singular_T_and_singular_base():
 
 def test_pencil_of_trivial_degree_one_has_irregular_zero():
     block = assemble_degree_block(builtin("trivial", Q(0)), 5, 1)
-    B, T = _block_screen_data(block)
-    assert not B.any()  # rank(B) = 0, so gamma = 0 is not a regular point
-    det = _pencil_determinant(B, T, (0, 5))
-    assert det.base == 5
-    for gamma in (0, 1, 2, 5, 7):
-        assert det(gamma) == _sympy_det(B, T, gamma)
-    # through the screen: t = 0 first (a root), the pencil built at t = 1
+    classes = _block_screen_data(block)
+    assert len(classes) == 3  # eta_I, |I| = 5, by the pair that I cuts
+    for B, T in classes:
+        assert not B.any()  # rank(B) = 0, so gamma = 0 is not a regular point
+        det = _pencil_determinant(B, T, (0, 5))
+        assert det.base == 5
+        for gamma in (0, 1, 2, 5, 7):
+            assert det(gamma) == _sympy_det(B, T, gamma)
+    # through the screen: t = 0 first (a root), the pencils built at t = 1
     decisions = [screen_block_zero_kernel(block, Q(n)) for n in (0, 1, 2, 0, -3)]
     assert decisions == [False, True, True, False, True]
-    assert block._screen.det is not None
-    assert block._screen.det.base == _gamma(Q(1))
+    assert len(block._screen) == 3
+    for screen in block._screen:
+        assert screen.det is not None
+        assert screen.det.base == _gamma(Q(1))
 
 
 def test_identically_singular_pencil_refuses_every_t():
@@ -289,12 +518,12 @@ def test_identically_singular_pencil_refuses_every_t():
         (3, 1, 0, 0, 3, 0),
     ]
     block = _coo_block(0, 3, 4, entries)
-    B, T = _block_screen_data(block)
+    [(B, T)] = _block_screen_data(block)  # every column has class 0
     assert _pencil_determinant(B, T, (0, 1, 2, 3)) is None
     for c in SCAN:
         assert not screen_block_zero_kernel(block, c)
         assert len(exact_block_kernel(block, c)) >= 1
-    assert block._screen.det is None
+    assert [screen.det for screen in block._screen] == [None]
 
 
 def _coo_block(degree, ncols, nrows, entries):
@@ -384,6 +613,7 @@ def test_scan_eliminates_once_per_block_then_evaluates(monkeypatch):
     later = Counter()
     in_pencil = Counter()
     pencils = Counter()
+    classes = {}
     seen = set()
 
     screen = singular.screen_block_zero_kernel
@@ -394,7 +624,9 @@ def test_scan_eliminates_once_per_block_then_evaluates(monkeypatch):
         current["block"] = block.degree
         current["first"] = block.degree not in seen
         seen.add(block.degree)
-        return screen(block, c)
+        certified = screen(block, c)
+        classes[block.degree] = len(block._screen or ())
+        return certified
 
     def counted_eliminate(m):
         d = current["block"]
@@ -422,7 +654,10 @@ def test_scan_eliminates_once_per_block_then_evaluates(monkeypatch):
     screened = set(first)
     # every block with at least as many rows as columns reaches the eliminator
     assert screened == set(range(1, 13))
-    assert all(first[d] == 1 for d in screened)
-    assert all(pencils[d] == 1 for d in screened)
-    assert all(in_pencil[d] == 1 for d in screened)
+    # one first elimination and one pencil per class, each built at the
+    # class's regular point
+    assert all(classes[d] > 1 for d in screened)
+    assert all(first[d] == classes[d] for d in screened)
+    assert all(pencils[d] == classes[d] for d in screened)
+    assert all(in_pencil[d] == classes[d] for d in screened)
     assert not later

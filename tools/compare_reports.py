@@ -50,6 +50,11 @@ REPORTS: dict[str, list[str]] = {
     "verify-bound module file --with-s0": [
         "verify-bound", "--module", "tests/data/vector_scaled.json", "--kmax", "1",
         "--t-scan=5", "--with-s0"],
+    # its matrices admit no class labels, so every block is screened as one
+    # class
+    "verify-bound rotated vector module file": [
+        "verify-bound", "--module", "tests/data/vector_rotated.json", "--kmax", "2",
+        "--t-scan=-3..3"],
 }
 
 
