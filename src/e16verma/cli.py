@@ -286,22 +286,32 @@ def _vector_record(c_text: str, v: dict) -> dict:
 @contextlib.contextmanager
 def _bracket_fault():
     """Corrupt one bracket value for the duration: [xi_12, xi_1] gains a
-    sign.  Used by the --inject-fault self-test hook."""
-    orig = contact.contact_bracket
-    bad_x = {(0, mask_of((1, 2))): ONE}
-    bad_y = {(0, mask_of((1,))): ONE}
+    sign, both object-level and in the structure tables' raw brackets.
+    Used by the --inject-fault self-test hook."""
+    orig, orig_raw = contact.contact_bracket, contact._raw_brackets
+    gen_x, gen_y = (0, mask_of((1, 2))), (0, mask_of((1,)))
+    bad_x, bad_y = {gen_x: ONE}, {gen_y: ONE}
+    # the basis elements of these generators are the bare monomials
+    x, y = contact._basis_generators(0).index(gen_x), contact._basis_generators(-1).index(gen_y)
 
-    def corrupted(x, y):
-        out = orig(x, y)
-        if dict(x.data) == bad_x and dict(y.data) == bad_y:
+    def corrupted(f, g):
+        out = orig(f, g)
+        if dict(f.data) == bad_x and dict(g.data) == bad_y:
             return out.scale(Q(-1))
         return out
 
-    contact.contact_bracket = corrupted
+    def corrupted_raw(d1, d2):
+        re, im = orig_raw(d1, d2)
+        if (d1, d2) == (0, -1):
+            re, im = re.copy(), im.copy()
+            re[x, y], im[x, y] = -re[x, y], -im[x, y]
+        return re, im
+
+    contact.contact_bracket, contact._raw_brackets = corrupted, corrupted_raw
     try:
         yield
     finally:
-        contact.contact_bracket = orig
+        contact.contact_bracket, contact._raw_brackets = orig, orig_raw
 
 
 def cmd_check_algebra(ns: argparse.Namespace) -> tuple[list[dict], bool]:

@@ -51,6 +51,7 @@ import numpy as np
 from ._linalg import ExactRREF
 from .exactnum import GaussianRational, IUNIT, ONE, Q, QI, accumulate, scalar_to_text
 from .grassmann import (
+    ALL_MASKS,
     FULL_MASK,
     MASKS_BY_SIZE,
     N_INDICES,
@@ -461,78 +462,144 @@ def _dim(degree: int) -> int:
     return len(_basis_generators(degree))
 
 
+def _absmax(*arrays) -> int:
+    return max((int(np.abs(a).max(initial=0)) for a in arrays), default=0)
+
+
+@cache
+def _mask_signs() -> np.ndarray:
+    """The bracket of monomials t^m xi_I, t^n xi_J as one 64 x 64 integer
+    table ``signs`` over (I, J).  The bracket lands on xi_(I ^ J):
+
+    * ((2-|I|) n - m (2-|J|)) signs[I, J] t^(m+n-1) xi_(I|J) for disjoint I, J;
+    * signs[I, J] t^(m+n) xi_(I^J) = (-1)^|I| (d_i xi_I)(d_i xi_J) t^(m+n)
+      when I and J share the one index i;
+    * zero (signs[I, J] = 0) otherwise."""
+    signs = np.zeros((FULL_MASK + 1,) * 2, dtype=np.int64)
+    for i_mask in ALL_MASKS:
+        for j_mask in ALL_MASKS:
+            shared = i_mask & j_mask
+            if not shared:
+                signs[i_mask, j_mask] = mono_product(i_mask, j_mask)[0]
+            elif shared.bit_count() == 1:
+                s1, rest_i = derive_mask(shared.bit_length(), i_mask)
+                s2, rest_j = derive_mask(shared.bit_length(), j_mask)
+                sign = s1 * s2 * mono_product(rest_i, rest_j)[0]
+                signs[i_mask, j_mask] = -sign if i_mask.bit_count() & 1 else sign
+    return signs
+
+
+@cache
+def _basis_rows(degree: int):
+    """The degree-d basis as Gaussian-integer rows (re, im) over the 64
+    xi-masks, with the mask of each element's generator (``gens``).  At a
+    fixed degree a mask fixes its t-exponent, (degree + 2 - |mask|) / 2.
+
+    Raises AssertionError unless every coefficient is a Gaussian integer
+    (A differentiates in t, never integrates, for |L| <= 3), so that the
+    structure constants are Gaussian integers too."""
+    basis = _basis_elements_at_degree(degree)
+    re, im = (np.zeros((len(basis), FULL_MASK + 1), dtype=np.int64) for _ in range(2))
+    for x, b in enumerate(basis):
+        for (_, mask), c in b.data.items():
+            a, bi, d = c.triple
+            if d != 1:
+                raise AssertionError(f"degree-{degree} basis is not integral")
+            re[x, mask], im[x, mask] = a, bi
+    gens = np.array([mask for _, mask in _basis_generators(degree)], dtype=np.int64)
+    return gens, re, im
+
+
+def _raw_brackets(d1: int, d2: int):
+    """[b_x, b_y] for every basis pair of degrees (d1, d2), from the mask
+    signs: Gaussian integers (re, im) of shape (n1, n2, 64), indexed by the
+    xi-mask at degree d1 + d2.  This is the one stage of the table build
+    that brackets, before membership.  Products are int64 while their bound
+    is below 2**62, Python integers past it."""
+    _, re1, im1 = _basis_rows(d1)
+    _, re2, im2 = _basis_rows(d2)
+    # each basis element has at most two monomial terms (x, i) and (y, j)
+    x, i = (v[:, None] for v in np.nonzero((re1 != 0) | (im1 != 0)))
+    y, j = (v[None, :] for v in np.nonzero((re2 != 0) | (im2 != 0)))
+    size_i, size_j = np.bitwise_count(i).astype(np.int64), np.bitwise_count(j).astype(np.int64)
+    m, n = (d1 + 2 - size_i) // 2, (d2 + 2 - size_j) // 2
+    coef = np.where(i & j, 1, (2 - size_i) * n - m * (2 - size_j)) * _mask_signs()[i, j]
+    # a cell sums at most 2 x 2 term pairs of two products each
+    bound = 8 * _absmax(coef) * _absmax(re1, im1) * _absmax(re2, im2)
+    dtype = np.int64 if bound < 2**62 else object
+    a, b, c, d, coef = (v.astype(dtype) for v in
+                        (re1[x, i], im1[x, i], re2[y, j], im2[y, j], coef))
+    re, im = (np.zeros((re1.shape[0], re2.shape[0], FULL_MASK + 1), dtype=dtype)
+              for _ in range(2))
+    np.add.at(re, (x, y, i ^ j), coef * (a * c - b * d))
+    np.add.at(im, (x, y, i ^ j), coef * (a * d + b * c))
+    return re, im
+
+
 class _StructureTables:
     """Structure constants of E(1,6) in its graded basis for the given
-    ordered degree pairs: each basis pair is bracketed once and decomposed
-    exactly.  ``cells[(d1, d2)]`` maps each basis pair (x, y) with a nonzero
-    bracket to its coordinates {e: value} at degree d1 + d2.  A pair whose
-    bracket is not in E(1,6) at degree d1 + d2 is listed in ``failures`` as
-    (d1, d2, x, y) and has no cell, so a check that reads the degree pair
-    must also read ``failed_pairs``."""
+    ordered degree pairs, built from ``_raw_brackets`` once per pair.
+    ``cells[(d1, d2)]`` is (idx, re, im): the nonzero coordinates at degree
+    d1 + d2 of the brackets [b_x, b_y], with idx rows (x, y, e) in C order
+    and their Gaussian integers (re, im).  The coordinates are the
+    bracket's generator coefficients, and a pair is a member only when its
+    residual bracket - sum_e c_e b_e vanishes.  A pair whose bracket is not
+    in E(1,6) is listed in ``failures`` as (d1, d2, x, y) and has no
+    entries, so a check that reads the degree pair must also read
+    ``failed_pairs``."""
 
     def __init__(self, pairs: Iterable[tuple[int, int]]):
-        self.cells: dict[tuple[int, int], dict[tuple[int, int], dict[int, GaussianRational]]] = {}
+        self.cells: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self.failures: list[tuple[int, int, int, int]] = []
         for d1, d2 in pairs:
-            d_out = d1 + d2
-            cells = self.cells[(d1, d2)] = {}
-            for x, bx in enumerate(_basis_elements_at_degree(d1)):
-                for y, by in enumerate(_basis_elements_at_degree(d2)):
-                    br = contact_bracket(bx, by)
-                    if not br:
-                        continue
-                    res = e16_membership(br, d_out) if d_out >= -2 else None
-                    if res is None or not res.ok or set(res.coords) - {d_out}:
-                        self.failures.append((d1, d2, x, y))
-                        continue
-                    cells[(x, y)] = res.coords[d_out]
+            re, im = _raw_brackets(d1, d2)
+            gens, bre, bim = _basis_rows(d1 + d2)
+            # a residual entry sums 2 * len(gens) + 1 products
+            bound = _absmax(re, im) * max(1, _absmax(bre, bim)) * (2 * gens.size + 1)
+            dtype = np.int64 if bound < 2**62 else object
+            re, im, bre, bim = (v.astype(dtype) for v in (re, im, bre, bim))
+            c_re, c_im = re[:, :, gens], im[:, :, gens]
+            failed = ((re != c_re @ bre - c_im @ bim)
+                      | (im != c_re @ bim + c_im @ bre)).any(axis=2)
+            self.failures += [(d1, d2, int(x), int(y)) for x, y in np.argwhere(failed)]
+            idx = np.argwhere(((c_re != 0) | (c_im != 0)) & ~failed[:, :, None])
+            self.cells[(d1, d2)] = (idx, c_re[tuple(idx.T)], c_im[tuple(idx.T)])
         self.failed_pairs = {f[:2] for f in self.failures}
 
 
-_Grouped = namedtuple("_Grouped", "key a b re im starts absmax den")
+_Grouped = namedtuple("_Grouped", "key a b re im starts absmax")
 
 
 def _grouped_entries(cells, n_key: int, axis: int) -> _Grouped:
-    """The entries (x, y, e) of a cell table, cleared over their common
-    denominator ``den`` into Gaussian integers (re, im) and sorted by their
+    """The entries (x, y, e) of a cell table (idx, re, im), sorted by their
     index ``key`` along ``axis``, with (a, b) their other two indices in
-    axis order: the entries with key e (0 <= e < n_key) are
-    starts[e]:starts[e + 1].  The values are int64 below 2**62 in absolute
+    axis order: the entries with key k (0 <= k < n_key) are
+    starts[k]:starts[k + 1].  The values are int64 below 2**62 in absolute
     value (``absmax``), Python integers (object dtype) past it."""
-    idx = np.array([(x, y, e) for (x, y), cell in cells.items() for e in cell],
-                   dtype=np.int64).reshape(-1, 3)
-    triples = [v.triple for cell in cells.values() for v in cell.values()]
-    den = math.lcm(1, *(d for _, _, d in triples))
-    re = [a * (den // d) for a, _, d in triples]
-    im = [b * (den // d) for _, b, d in triples]
-    absmax = max(map(abs, re + im), default=0)
+    idx, re, im = cells
+    absmax = _absmax(re, im)
     dtype = np.int64 if absmax < 2**62 else object
     order = np.argsort(idx[:, axis], kind="stable")
     key, a, b = (idx[order, k] for k in (axis, *(k for k in range(3) if k != axis)))
     starts = np.searchsorted(key, np.arange(n_key + 1))
-    return _Grouped(key, a, b, np.array(re, dtype=dtype)[order],
-                    np.array(im, dtype=dtype)[order], starts, absmax, den)
+    return _Grouped(key, a, b, re[order].astype(dtype), im[order].astype(dtype), starts, absmax)
 
 
 def _joined_sum(terms, shape: tuple[int, int, int, int]):
     """Exact sum over the terms (left, right, axes, sign) of sign * (left .
-    right) / (left.den * right.den), where left . right pairs the entries of
-    two grouped tables that share a key (Gustavson's row-by-row sparse
-    product) and ``axes`` gives the output axes of left's (a, b) and right's
-    (a, b).  Returns flat (re, im) over ``shape`` in C order and their
-    common denominator.  A cell sums 2 * (contracted length) products per
-    term: int64 while those times left.absmax * right.absmax * |scale| (at
-    least |scale|) sum below 2**62, Python integers (object dtype) past it.
+    right), where left . right pairs the entries of two grouped tables that
+    share a key (Gustavson's row-by-row sparse product) and ``axes`` gives
+    the output axes of left's (a, b) and right's (a, b).  Returns flat (re,
+    im) over ``shape`` in C order.  A cell sums 2 * (contracted length)
+    products per term: int64 while those times left.absmax * right.absmax
+    sum below 2**62, Python integers (object dtype) past it.
     """
-    dens = [left.den * right.den for left, right, _, _ in terms]
-    den = math.lcm(*dens)
-    scales = [sign * (den // d) for (*_, sign), d in zip(terms, dens)]
-    bound = sum(max(2 * (right.starts.size - 1) * left.absmax * right.absmax, 1) * abs(s)
-                for (left, right, *_), s in zip(terms, scales))
+    bound = sum(2 * (right.starts.size - 1) * left.absmax * right.absmax
+                for left, right, *_ in terms)
     dtype = np.int64 if bound < 2**62 else object
     strides = [math.prod(shape[k + 1:]) for k in range(4)]
     acc_re, acc_im = (np.zeros(math.prod(shape), dtype=dtype) for _ in range(2))
-    for (left, right, axes, _), scale in zip(terms, scales):
+    for left, right, axes, sign in terms:
         counts = np.diff(right.starts)[left.key]
         li = np.repeat(np.arange(left.key.size), counts)
         skip = right.starts[left.key] - np.cumsum(counts) + counts
@@ -541,26 +608,26 @@ def _joined_sum(terms, shape: tuple[int, int, int, int]):
                 + (right.a * strides[axes[2]] + right.b * strides[axes[3]])[ri])
         lre, lim = left.re[li].astype(dtype), left.im[li].astype(dtype)
         rre, rim = right.re[ri].astype(dtype), right.im[ri].astype(dtype)
-        np.add.at(acc_re, flat, scale * (lre * rre - lim * rim))
-        np.add.at(acc_im, flat, scale * (lre * rim + lim * rre))
-    return acc_re, acc_im, den
+        np.add.at(acc_re, flat, sign * (lre * rre - lim * rim))
+        np.add.at(acc_im, flat, sign * (lre * rim + lim * rre))
+    return acc_re, acc_im
 
 
 def check_jacobi_closure(jacobi_degree: int = 4, closure_degree: int = 6) -> dict:
     """Criterion suite for the algebra structure, read from one set of exact
     structure-constant cells (``_StructureTables``).  Only the degree pairs
-    some check reads are tabled, and each of their basis pairs is bracketed
-    once:
+    some check reads are tabled, and each is built once from the integer
+    monomial tables:
 
     * closure: every ordered basis pair with degree sum <= closure_degree
       brackets into E(1,6) at that degree (exact membership);
     * super-Jacobi on all ordered basis triples with degrees <=
-      jacobi_degree, by a sparse join over the cells cleared to Gaussian
-      integers (``_grouped_entries``, ``_joined_sum``): T1 - T2 - sgn T3
+      jacobi_degree, by a sparse join over the Gaussian-integer cells
+      (``_grouped_entries``, ``_joined_sum``): T1 - T2 - sgn T3
       summed in one flat accumulator, in int64 or, past its bound, in
       Python integers;
     * super-skew [x, y] = -(-1)^(p(x) p(y)) [y, x] on every degree pair whose
-      two orders are both tabled, comparing the Q(i) cells exactly;
+      two orders are both tabled, comparing the cells exactly;
     * [t, b] = deg(b) b on every basis element of degree <= span =
       max(2 jacobi_degree, closure_degree + 2), read from the cells (0, y)
       of the (0, d) tables (t is the first degree-0 basis element).
@@ -597,28 +664,31 @@ def check_jacobi_closure(jacobi_degree: int = 4, closure_degree: int = 6) -> dic
     for (d1, d2), cells in tables.cells.items():
         if d2 < d1 or (d2, d1) not in tables.cells:
             continue
-        odd = (d1 & 1) and (d2 & 1)
-        swapped = {(y, x): cell if odd else {e: -v for e, v in cell.items()}
-                   for (x, y), cell in tables.cells[(d2, d1)].items()}
-        if {(d1, d2), (d2, d1)} & failed or cells != swapped:
+        sign = 1 if (d1 & 1) and (d2 & 1) else -1
+        idx, re, im = tables.cells[(d2, d1)]
+        order = np.lexsort((idx[:, 2], idx[:, 0], idx[:, 1]))
+        swapped = (idx[order][:, [1, 0, 2]], sign * re[order], sign * im[order])
+        if {(d1, d2), (d2, d1)} & failed or not all(map(np.array_equal, cells, swapped)):
             report["skew_ok"] = False
 
     for d in degrees:
-        want = {y: {y: Q(d)} for y in range(_dim(d))} if d else {}
-        row_of_t = {y: cell for (x, y), cell in tables.cells[(0, d)].items() if x == 0}
-        if (0, d) in failed or row_of_t != want:
+        idx, re, im = tables.cells[(0, d)]
+        row, diag = idx[:, 0] == 0, np.arange(_dim(d) if d else 0)
+        if ((0, d) in failed or (re[row] != d).any() or im[row].any()
+                or not np.array_equal(idx[row, 1:], np.stack([diag, diag], axis=1))):
             report["grading_ok"] = False
 
     # super-Jacobi per ordered degree triple, a sparse join of the cells:
     # [a,[b,c]] - [[a,b],c] - (-1)^(p(a)p(b)) [b,[a,c]] = 0.  Brackets into
     # degree < -2 vanish by the grading, so those tables are empty
+    empty = (np.zeros((0, 3), dtype=np.int64), *(np.zeros(0, dtype=np.int64),) * 2)
     grouped = cache(lambda d1, d2, axis: _grouped_entries(
-        tables.cells[(d1, d2)] if min(d1, d2) >= -2 else {},
+        tables.cells[(d1, d2)] if min(d1, d2) >= -2 else empty,
         (_dim(d1), _dim(d2), _dim(d1 + d2))[axis], axis))
     rng = range(-2, jacobi_degree + 1)
     for d1, d2, d3 in ((a, b, c) for a in rng for b in rng for c in rng):
         sgn = -1 if (d1 & 1) and (d2 & 1) else 1
-        acc_re, acc_im, _ = _joined_sum([
+        acc_re, acc_im = _joined_sum([
             # T1[x,y,z,f] = sum_e C23[y,z,e] C1(23)[x,e,f]
             (grouped(d2, d3, 2), grouped(d1, d2 + d3, 1), (1, 2, 0, 3), 1),
             # T2[x,y,z,f] = sum_e C12[x,y,e] C(12)3[e,z,f]

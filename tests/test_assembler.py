@@ -44,8 +44,8 @@ DATA = Path(__file__).parent / "data"
 # ---------------------------------------------------------------------------
 
 def _xi_fanout(module: ModuleSpec):
-    """fan[(a, b, coord)] -> tuple of (out_coord, GaussianRational), for the
-    ordered action of xi_a xi_b on a unit coordinate."""
+    """fan[(a, b, coord)] -> tuple of (out_coord, re, im), the Gaussian
+    integers of the ordered action of xi_a xi_b on a unit coordinate."""
     fan = {}
     for a in range(1, N_INDICES + 1):
         for b in range(1, N_INDICES + 1):
@@ -53,7 +53,10 @@ def _xi_fanout(module: ModuleSpec):
                 continue
             for coord in range(module.dim):
                 out = module.act_xi_pair(a, b, {coord: ONE})
-                fan[(a, b, coord)] = tuple(sorted(out.items()))
+                if any(val.triple[2] != 1 for val in out.values()):
+                    raise AssertionError(
+                        "non-integral module entries need the exact-only path")
+                fan[(a, b, coord)] = tuple((o, *val.triple[:2]) for o, val in sorted(out.items()))
     return fan
 
 
@@ -102,20 +105,10 @@ def _reference_block(module, k_max, degree, include_S0=False):
                         scatter(key, cpos, c_re * w, c_im * w,
                                 0 if kind == "id" else 1)
                     else:
-                        for out_coord, val in fan[(op[1], op[2], u.coord)]:
-                            if val.re.denominator != 1 or val.im.denominator != 1:
-                                raise AssertionError(
-                                    "non-integral module entries need the "
-                                    "exact-only path"
-                                )
+                        for out_coord, vr, vi in fan[(op[1], op[2], u.coord)]:
                             key = (tag, l_size, l_mask, j_tot, out_k, om, out_coord)
-                            scatter(
-                                key,
-                                cpos,
-                                int(val.re) * c_re * w - int(val.im) * c_im * w,
-                                int(val.re) * c_im * w + int(val.im) * c_re * w,
-                                0,
-                            )
+                            scatter(key, cpos, (vr * c_re - vi * c_im) * w,
+                                    (vr * c_im + vi * c_re) * w, 0)
         if include_S0:
             for idx, combo in root_pairs:
                 for a, b, coeff in combo:
@@ -133,8 +126,7 @@ def _reference_block(module, k_max, degree, include_S0=False):
                             scatter(key, cpos, ga * c, gi * c,
                                     0 if kind == "id" else 1)
                         else:
-                            for out_coord, val in fan[(op[1], op[2], u.coord)]:
-                                vr, vi = int(val.re), int(val.im)
+                            for out_coord, vr, vi in fan[(op[1], op[2], u.coord)]:
                                 key = ("S0", idx, 0, 0, out_k, om, out_coord)
                                 scatter(
                                     key,
@@ -158,14 +150,27 @@ def _reference_block(module, k_max, degree, include_S0=False):
 # ---------------------------------------------------------------------------
 
 def _reference_rows(row_keys, entries, c):
-    """The reference block's rows at t-eigenvalue c, the way ``exact_rows``
-    gives them: zero entries and empty rows dropped."""
+    """The reference block's rows at t-eigenvalue c = (cr + ci i) / cd, the
+    way ``exact_rows`` gives them (zero entries and empty rows dropped), but
+    each value cleared to its Gaussian integer over cd."""
+    cr, ci, cd = c.triple
     rows = {}
     for r, cpos, br, bi, tr, ti in entries:
-        val = QI(br, bi) + c * QI(tr, ti)
-        if val:
-            rows.setdefault(row_keys[r], {})[cpos] = val
+        re, im = br * cd + cr * tr - ci * ti, bi * cd + cr * ti + ci * tr
+        if re or im:
+            rows.setdefault(row_keys[r], {})[cpos] = (re, im)
     return sorted(rows.items())
+
+
+def _cleared(rows, cd):
+    """``exact_rows``' Q(i) rows with each value cleared to its Gaussian
+    integer over cd; a value whose denominator does not divide cd is kept,
+    so it equals no reference value."""
+    def clear(val):
+        a, b, d = val.triple
+        return val if cd % d else (a * (cd // d), b * (cd // d))
+
+    return [(key, {cpos: clear(val) for cpos, val in row.items()}) for key, row in rows]
 
 
 def _assert_same_block(module, k_max, degree, include_S0):
@@ -181,7 +186,7 @@ def _assert_same_block(module, k_max, degree, include_S0):
     # then fixes its t-part
     for c in (Q(0), QI(Fraction(2, 3), -5)):
         got = block.exact_rows(c)
-        assert got == _reference_rows(row_keys, entries, c), (where, c)
+        assert _cleared(got, c.triple[2]) == _reference_rows(row_keys, entries, c), (where, c)
         assert all(type(x) is int for key, _ in got for x in key[1:]), where
 
 

@@ -104,17 +104,20 @@ def test_check_algebra_fault_injection_detected_and_restored(capsys):
 
 
 def test_check_algebra_grading_fault_fails_both_grading_records(capsys, monkeypatch):
-    # [t, b] = 2 b becomes 3 b for one degree-2 basis element, the fault of
+    # [t, b] = 2 b becomes 3 b for one degree-2 basis element in the raw
+    # brackets, the fault of
     # test_contact::test_wrong_grading_eigenvalue_fails_grading
-    t, b = contact._basis_elements_at_degree(0)[0], contact._basis_elements_at_degree(2)[5]
-    assert t == contact.GRADING_T
-    orig = contact.contact_bracket
+    assert contact._basis_elements_at_degree(0)[0] == contact.GRADING_T
+    orig = contact._raw_brackets
 
-    def patched(f, g):
-        out = orig(f, g)
-        return out.scale(Q(3, 2)) if f == t and g == b else out
+    def patched(d1, d2):
+        re, im = orig(d1, d2)
+        if (d1, d2) == (0, 2):
+            re, im = re.copy(), im.copy()
+            re[0, 5], im[0, 5] = re[0, 5] * 3 // 2, im[0, 5] * 3 // 2
+        return re, im
 
-    monkeypatch.setattr(contact, "contact_bracket", patched)
+    monkeypatch.setattr(contact, "_raw_brackets", patched)
     rc, out, _ = run_cli(capsys, ["check-algebra", "--max-degree", "2",
                                   "--format", "json-lines"])
     assert rc == 1

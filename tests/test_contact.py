@@ -254,31 +254,26 @@ def test_so6_dictionary_fault_fails_root_system(monkeypatch, capsys):
 # Jacobi sparse join
 # ---------------------------------------------------------------------------
 
-def _cells(re, im, den):
-    """The cell table {(x, y): {e: (re + i im) / den}} of a dense table."""
-    cells = {}
-    for x, y, e in zip(*np.nonzero((re != 0) | (im != 0))):
-        value = QI(Fraction(int(re[x, y, e]), den), Fraction(int(im[x, y, e]), den))
-        cells.setdefault((int(x), int(y)), {})[int(e)] = value
-    return cells
+def _sparse(re, im):
+    """A dense (re, im) table as cells (idx, re, im) of its nonzero entries."""
+    idx = np.argwhere((re != 0) | (im != 0))
+    return idx, re[tuple(idx.T)], im[tuple(idx.T)]
 
 
 def _dense(cells, shape):
-    """A cell table as dense (re, im, den) int64 arrays over the lcm of its
-    denominators (reference)."""
-    den = math.lcm(1, *(v.triple[2] for cell in cells.values() for v in cell.values()))
-    re, im = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)
-    for (x, y), cell in cells.items():
-        for e, v in cell.items():
-            a, b, d = v.triple
-            re[x, y, e], im[x, y, e] = a * (den // d), b * (den // d)
-    return re, im, den
+    """Cells (idx, re, im) as a dense (re, im) table of the given shape
+    (reference)."""
+    idx, *values = cells
+    dense = tuple(np.zeros(shape, dtype=v.dtype) for v in values)
+    for d, v in zip(dense, values):
+        d[tuple(idx.T)] = v
+    return dense
 
 
 def _einsum_compose(left, right, order):
-    """Dense four-einsum contraction of two (re, im, den) tables (reference)."""
-    lre, lim, lden = left
-    rre, rim, rden = right
+    """Dense four-einsum contraction of two (re, im) tables (reference)."""
+    lre, lim = left
+    rre, rim = right
     lmax = max(int(np.abs(lre).max(initial=0)), int(np.abs(lim).max(initial=0)))
     rmax = max(int(np.abs(rre).max(initial=0)), int(np.abs(rim).max(initial=0)))
     contracted = max(lre.shape[-1], 1)
@@ -287,24 +282,24 @@ def _einsum_compose(left, right, order):
         rre, rim = rre.astype(object), rim.astype(object)
     re = np.einsum(order, lre, rre) - np.einsum(order, lim, rim)
     im = np.einsum(order, lre, rim) + np.einsum(order, lim, rre)
-    return re, im, lden * rden
+    return re, im
 
 
-def _join_compose(left, right, order, lshape, rshape):
-    """left . right of two cell tables of shapes lshape and rshape by
-    _joined_sum, for einsum ``order`` with the left's last axis contracted:
-    one term of sign 1, reshaped to the output axes."""
+def _join_compose(left, right, order):
+    """left . right of two (re, im) tables by _joined_sum, for einsum
+    ``order`` with the left's last axis contracted: one term of sign 1,
+    reshaped to the output axes."""
     inputs, output = order.split("->")
     lsub, rsub = inputs.split(",")
     e_axis = rsub.index(lsub[2])
     kept = lsub[:2] + rsub.replace(lsub[2], "")
-    size = dict(zip(lsub + rsub, lshape + rshape))
+    size = dict(zip(lsub + rsub, left[0].shape + right[0].shape))
     shape = tuple(size[ch] for ch in output)
-    re, im, den = _joined_sum(
-        [(_grouped_entries(left, lshape[2], 2),
-          _grouped_entries(right, rshape[e_axis], e_axis),
+    re, im = _joined_sum(
+        [(_grouped_entries(_sparse(*left), left[0].shape[2], 2),
+          _grouped_entries(_sparse(*right), right[0].shape[e_axis], e_axis),
           tuple(output.index(ch) for ch in kept), 1)], shape)
-    return re.reshape(shape), im.reshape(shape), den
+    return re.reshape(shape), im.reshape(shape)
 
 
 @pytest.mark.parametrize("scale", [1, 2**29])
@@ -312,9 +307,8 @@ def test_joined_sum_matches_einsum_reference(scale):
     rng = np.random.default_rng(6)
 
     def table(shape):
-        re, im = (rng.integers(-40, 40, shape) * (rng.random(shape) < 0.3) * scale
-                  for _ in range(2))
-        return _cells(re, im, int(rng.integers(1, 9)))
+        return tuple(rng.integers(-40, 40, shape) * (rng.random(shape) < 0.3) * scale
+                     for _ in range(2))
 
     cases = [
         ("yze,xef->xyzf", (3, 4, 5), (6, 5, 7)),
@@ -326,10 +320,9 @@ def test_joined_sum_matches_einsum_reference(scale):
     ]
     for order, lshape, rshape in cases:
         left, right = table(lshape), table(rshape)
-        got = _join_compose(left, right, order, lshape, rshape)
-        want = _einsum_compose(_dense(left, lshape), _dense(right, rshape), order)
-        assert got[2] == want[2]
-        for g, w in zip(got[:2], want[:2]):
+        got = _join_compose(left, right, order)
+        want = _einsum_compose(left, right, order)
+        for g, w in zip(got, want):
             assert g.shape == w.shape and g.dtype == w.dtype, order
             assert np.array_equal(g, w), order
     # the large scale drives the 16^3 case onto exact Python integers
@@ -337,34 +330,120 @@ def test_joined_sum_matches_einsum_reference(scale):
 
 
 # ---------------------------------------------------------------------------
-# check_jacobi_closure: one bracket per tabled pair, and every verdict fails
+# structure tables: integer monomial tables against object-level brackets
 # ---------------------------------------------------------------------------
 
-def _patch_bracket(monkeypatch, d1, x, d2, y, value):
-    """contact_bracket returns value(true bracket) on the ordered basis pair
-    (element x of degree d1, element y of degree d2), the true bracket
-    elsewhere."""
-    bx, by = _basis_elements_at_degree(d1)[x], _basis_elements_at_degree(d2)[y]
-    orig = contact.contact_bracket
+def _built_tables(monkeypatch):
+    """The _StructureTables objects that check_jacobi_closure builds."""
+    built = []
+    tables_cls = contact._StructureTables
+    monkeypatch.setattr(contact, "_StructureTables",
+                        lambda pairs: built.append(tables_cls(pairs)) or built[-1])
+    return built
 
-    def patched(f, g):
-        out = orig(f, g)
-        return value(out) if f == bx and g == by else out
 
-    monkeypatch.setattr(contact, "contact_bracket", patched)
+def _patch_raw(monkeypatch, d1, x, d2, y, value):
+    """The raw-bracket stage returns value(re, im) on the cell of the ordered
+    basis pair (element x of degree d1, element y of degree d2), the true
+    cells elsewhere.  A cell is [b_x, b_y] as Gaussian integers over the 64
+    xi-masks at degree d1 + d2."""
+    orig = contact._raw_brackets
+
+    def patched(a, b):
+        re, im = orig(a, b)
+        if (a, b) == (d1, d2):
+            re, im = re.copy(), im.copy()
+            re[x, y], im[x, y] = value(re[x, y], im[x, y])
+        return re, im
+
+    monkeypatch.setattr(contact, "_raw_brackets", patched)
+
+
+def _outside_e16(re, im):
+    """t^4 xi_1: degree 7, but not in E(1,6)."""
+    return np.eye(64, dtype=np.int64)[mask_of((1,))], 0 * im
+
+
+@pytest.mark.parametrize("degrees, fault", [((4, 6), None), ((6, 6), None),
+                                            ((4, 6), "outside")])
+def test_cells_equal_object_level_brackets(monkeypatch, degrees, fault):
+    # every cell of every tabled degree pair equals contact_bracket followed
+    # by e16_membership, and the same pairs fail membership
+    built = _built_tables(monkeypatch)
+    if fault:
+        _patch_raw(monkeypatch, 3, 6, 4, 1, _outside_e16)
+    check_jacobi_closure(*degrees)
+    (tables,) = built
+    failures = []
+    for (d1, d2), (idx, re, im) in tables.cells.items():
+        got = {}
+        for (x, y, e), a, b in zip(idx.tolist(), re, im):
+            got.setdefault((x, y), {})[e] = QI(int(a), int(b))
+        want = {}
+        for x, bx in enumerate(_basis_elements_at_degree(d1)):
+            for y, by in enumerate(_basis_elements_at_degree(d2)):
+                br = C(4, (1,)) if fault and (d1, x, d2, y) == (3, 6, 4, 1) else (
+                    contact_bracket(bx, by))
+                res = e16_membership(br, d1 + d2) if d1 + d2 >= -2 else None
+                if br and (res is None or not res.ok or set(res.coords) - {d1 + d2}):
+                    failures.append((d1, d2, x, y))
+                elif br:
+                    want[(x, y)] = res.coords[d1 + d2]
+        assert got == want, (d1, d2)
+    assert tables.failures == failures == ([(3, 4, 6, 1)] if fault else [])
 
 
 def test_jacobi_closure_brackets_each_read_pair_once(monkeypatch):
-    calls = []
-    orig = contact.contact_bracket
+    # the table build brackets through the raw-bracket stage alone, once per
+    # tabled degree pair, and never object-level
+    calls, raw = [], []
+    orig, orig_raw = contact.contact_bracket, contact._raw_brackets
     monkeypatch.setattr(contact, "contact_bracket",
                         lambda f, g: calls.append(1) or orig(f, g))
+    monkeypatch.setattr(contact, "_raw_brackets",
+                        lambda d1, d2: raw.append((d1, d2)) or orig_raw(d1, d2))
     jc = check_jacobi_closure(4, 6)
     assert jc["ok"]
-    # all ordered basis pairs of degrees -2..8 (151 elements) but the 16
-    # degree pairs in 5..8 x 5..8, which no check reads
-    assert len(calls) == 151**2 - 16 * 16 * 16 == 18705
+    assert not calls
+    # all ordered degree pairs in -2..8 but the 16 in 5..8 x 5..8, which no
+    # check reads
+    assert len(raw) == len(set(raw)) == 11**2 - 16 == 105
+    assert set(raw) == {p for p in product(range(-2, 9), repeat=2) if min(p) < 5}
 
+
+@pytest.mark.parametrize("scale", [2**51, 2**56])
+def test_structure_tables_switch_to_python_integers_past_the_bound(monkeypatch, scale):
+    # mask signs scaled by `scale` scale every bracket: a Lie superalgebra
+    # still (closure, skew and Jacobi hold), with [t, b] = scale deg(b) b.
+    # Its products pass 2**62, which int64 would wrap: at 2**51 in the
+    # membership residual, at 2**56 in the raw brackets too
+    built = _built_tables(monkeypatch)
+    clean = check_jacobi_closure(1, 2)
+    signs, orig_raw = contact._mask_signs(), contact._raw_brackets
+    raw_dtypes = set()
+
+    def raw(d1, d2):
+        out = orig_raw(d1, d2)
+        raw_dtypes.add(out[0].dtype)
+        return out
+
+    monkeypatch.setattr(contact, "_mask_signs", lambda: scale * signs)
+    monkeypatch.setattr(contact, "_raw_brackets", raw)
+    assert check_jacobi_closure(1, 2) == dict(clean, grading_ok=False, ok=False)
+    assert (np.dtype(object) in raw_dtypes) == (scale == 2**56)
+    clean_tables, tables = built
+    assert any(re.dtype == object for _, re, _ in tables.cells.values())
+    assert tables.cells.keys() == clean_tables.cells.keys()
+    for pair, (idx, re, im) in tables.cells.items():
+        clean_idx, clean_re, clean_im = clean_tables.cells[pair]
+        assert np.array_equal(idx, clean_idx), pair
+        assert np.array_equal(re, scale * clean_re.astype(object)), pair
+        assert np.array_equal(im, scale * clean_im.astype(object)), pair
+
+
+# ---------------------------------------------------------------------------
+# check_jacobi_closure: every verdict fails
+# ---------------------------------------------------------------------------
 
 def test_bracket_outside_e16_fails_skew_and_jacobi(monkeypatch):
     # this degree-3 x degree-4 pair brackets to 0; t^4 xi_1 has degree 7 but
@@ -372,7 +451,7 @@ def test_bracket_outside_e16_fails_skew_and_jacobi(monkeypatch):
     # the closure range, so skew and Jacobi must fail on the cell themselves
     b3, b4 = _basis_elements_at_degree(3)[6], _basis_elements_at_degree(4)[1]
     assert not contact_bracket(b3, b4)
-    _patch_bracket(monkeypatch, 3, 6, 4, 1, lambda _: C(4, (1,)))
+    _patch_raw(monkeypatch, 3, 6, 4, 1, _outside_e16)
     jc = check_jacobi_closure(4, 6)
     assert not jc["skew_ok"] and not jc["jacobi_ok"] and not jc["ok"]
     assert jc["closure_ok"] and jc["grading_ok"]
@@ -381,19 +460,25 @@ def test_bracket_outside_e16_fails_skew_and_jacobi(monkeypatch):
 def test_negated_bracket_fails_skew(monkeypatch):
     b1, b2 = _basis_elements_at_degree(1)[0], _basis_elements_at_degree(2)[4]
     assert contact_bracket(b1, b2)
-    _patch_bracket(monkeypatch, 1, 0, 2, 4, lambda out: -out)
+    _patch_raw(monkeypatch, 1, 0, 2, 4, lambda re, im: (-re, -im))
     jc = check_jacobi_closure(1, 2)
     assert not jc["skew_ok"] and not jc["ok"]
     assert jc["closure_ok"] and jc["grading_ok"]
 
 
 def test_wrong_grading_eigenvalue_fails_grading(monkeypatch):
-    # [t, b] = 2 b at degree 2 becomes 3 b for one basis element
+    # [t, b] = 2 b at degree 2 becomes 3 b for one basis element (2 b has
+    # even Gaussian-integer entries, so 3/2 of it is exact), (2 + 2i) b,
+    # whose real part is still right, or 0, which leaves out a coordinate
     assert _basis_elements_at_degree(0)[0] == GRADING_T
-    _patch_bracket(monkeypatch, 0, 0, 2, 5, lambda out: out.scale(Q(3, 2)))
-    jc = check_jacobi_closure(1, 2)
-    assert not jc["grading_ok"] and not jc["ok"]
-    assert jc["closure_ok"]
+    for value in (lambda re, im: (re * 3 // 2, im * 3 // 2),
+                  lambda re, im: (re - im, im + re),
+                  lambda re, im: (0 * re, 0 * im)):
+        with monkeypatch.context() as patch:
+            _patch_raw(patch, 0, 0, 2, 5, value)
+            jc = check_jacobi_closure(1, 2)
+        assert not jc["grading_ok"] and not jc["ok"]
+        assert jc["closure_ok"]
 
 
 def _dense_jacobi_failures(tables, jacobi_degree):
@@ -401,9 +486,11 @@ def _dense_jacobi_failures(tables, jacobi_degree):
     contractions of the same cells (reference for the sparse join)."""
 
     def table(d1, d2):
+        shape = tuple(map(contact._dim, (d1, d2, d1 + d2)))
+        if min(d1, d2) >= -2:
+            return _dense(tables.cells[(d1, d2)], shape)
         # brackets into degree < -2 vanish: an empty table
-        cells = tables.cells[(d1, d2)] if min(d1, d2) >= -2 else {}
-        return _dense(cells, tuple(map(contact._dim, (d1, d2, d1 + d2))))
+        return np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)
 
     failures = []
     for d1, d2, d3 in product(range(-2, jacobi_degree + 1), repeat=3):
@@ -413,11 +500,10 @@ def _dense_jacobi_failures(tables, jacobi_degree):
             (_einsum_compose(table(d1, d2), table(d1 + d2, d3), "xye,ezf->xyzf"), -1),
             (_einsum_compose(table(d1, d3), table(d2, d1 + d3), "xze,yef->xyzf"), -sgn),
         ]
-        lcm = math.lcm(*(den for (_, _, den), _ in terms))
         # a term below the grading floor is an empty array of another shape
-        terms = [(t, s * (lcm // t[2])) for t, s in terms if t[0].size]
-        re = sum(s * t_re for (t_re, _, _), s in terms)
-        im = sum(s * t_im for (_, t_im, _), s in terms)
+        terms = [(t, s) for t, s in terms if t[0].size]
+        re = sum(s * t_re for (t_re, _), s in terms)
+        im = sum(s * t_im for (_, t_im), s in terms)
         nz = np.flatnonzero((re != 0) | (im != 0))
         reads = {(d2, d3), (d1, d2 + d3), (d1, d2), (d1 + d2, d3), (d1, d3),
                  (d2, d1 + d3)}
@@ -430,18 +516,17 @@ def _dense_jacobi_failures(tables, jacobi_degree):
 def test_jacobi_failures_match_dense_reference(monkeypatch, fault):
     # the sparse join names the same failing triples and the same first
     # flat indices as dense einsum contractions of the very same tables
-    built = []
-    tables_cls = contact._StructureTables
-    monkeypatch.setattr(contact, "_StructureTables",
-                        lambda pairs: built.append(tables_cls(pairs)) or built[-1])
+    built = _built_tables(monkeypatch)
     if fault == "cli-hook":
+        raw = contact._raw_brackets
         with cli._bracket_fault():
             jc = check_jacobi_closure(4, 6)
             assert not built[0].failures
+        assert contact._raw_brackets is raw
     else:
         # [xi_12, xi_2] = xi_1 doubled: still in E(1,6), so the table
         # holds the wrong cell and no membership failure flags it
-        _patch_bracket(monkeypatch, 0, 1, -1, 1, lambda out: out.scale(Q(2)))
+        _patch_raw(monkeypatch, 0, 1, -1, 1, lambda re, im: (2 * re, 2 * im))
         jc = check_jacobi_closure(4, 6)
         assert not built[0].failures
     assert len(built) == 1
