@@ -95,10 +95,6 @@ def mask_of(word: Iterable[int]) -> int:
     return mask
 
 
-def word_of(mask: int) -> IndexWord:
-    return tuple(i + 1 for i in range(N_INDICES) if mask >> i & 1)
-
-
 def _cross_inversions(a: int, b: int) -> int:
     """Number of pairs (x in a, y in b) with x > y."""
     inv = 0
@@ -108,11 +104,24 @@ def _cross_inversions(a: int, b: int) -> int:
     return inv
 
 
-# merge_sign[a][b]: sign of reordering the concatenation (sorted a, sorted b)
-# into one sorted word; only meaningful for disjoint masks.
+# Tables that ``verma``'s hot loops index directly: _WORDS[mask] = word_of(mask);
+# _MERGE_SIGN[a][b], the sign of sorting the concatenation (sorted a, sorted
+# b), meaningful for disjoint masks; _DERIVE[i - 1][mask] = derive_mask(i, mask).
+_WORDS: tuple[IndexWord, ...] = tuple(
+    tuple(i + 1 for i in range(N_INDICES) if mask >> i & 1) for mask in ALL_MASKS
+)
 _MERGE_SIGN: list[list[int]] = [
     [1 - 2 * (_cross_inversions(a, b) & 1) for b in ALL_MASKS] for a in ALL_MASKS
 ]
+_DERIVE: tuple[tuple[tuple[int, int], ...], ...] = tuple(
+    tuple((1 - 2 * ((mask & (bit - 1)).bit_count() & 1), mask & ~bit) if mask & bit
+          else (0, 0) for mask in ALL_MASKS)
+    for bit in (1 << i for i in range(N_INDICES))
+)
+
+
+def word_of(mask: int) -> IndexWord:
+    return _WORDS[mask]
 
 
 def merge_sign(a: int, b: int) -> int:
@@ -128,11 +137,9 @@ def mono_product(a: int, b: int) -> tuple[int, int]:
 
 def derive_mask(i: int, mask: int) -> tuple[int, int]:
     """d_i on a canonical monomial: (sign, mask without i), sign 0 if absent."""
-    bit = 1 << (i - 1)
-    if not mask & bit:
-        return 0, 0
-    sign = 1 - 2 * ((mask & (bit - 1)).bit_count() & 1)
-    return sign, mask & ~bit
+    if not 1 <= i <= N_INDICES:
+        raise ValueError(f"index {i} outside 1..{N_INDICES}")
+    return _DERIVE[i - 1][mask]
 
 
 # ---------------------------------------------------------------------------

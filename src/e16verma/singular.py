@@ -38,7 +38,7 @@ import numpy as np
 from . import _linalg
 from ._linalg import ExactRREF, nullspace
 from .contact import root_datum
-from .exactnum import GaussianRational, ONE, Q, QI, ZERO, scalar_to_text
+from .exactnum import GaussianRational, ONE, Q, QI, ZERO, _make, scalar_to_text
 from .gmodule import ModuleSpec
 from .grassmann import (
     ALL_MASKS,
@@ -150,12 +150,9 @@ def _combined_terms(l_mask: int, i_mask: int) -> tuple:
     d_sign, d_mask = hodge_modified(l_mask)
     # -i (-1)^(l(l+1)/2) * (dual sign): purely imaginary integer
     dual_im = -triangle_sign(l) * d_sign
-    rows = []
-    for (j, dth, om, op, c) in action_terms(l_mask, i_mask):
-        rows.append((j, dth, om, op, c, 0))
-    for (j, dth, om, op, c) in action_terms(d_mask, i_mask):
-        rows.append((j + 3 - l, dth, om, op, 0, c * dual_im))
-    return tuple(rows)
+    return tuple([(j, dth, om, op, c, 0) for j, dth, om, op, c in action_terms(l_mask, i_mask)]
+                 + [(j + 3 - l, dth, om, op, 0, c * dual_im)
+                    for j, dth, om, op, c in action_terms(d_mask, i_mask)])
 
 
 def _condition_tag(l_size: int, j_total: int) -> str | None:
@@ -257,22 +254,31 @@ class DegreeBlock:
         return key[np.diff(key, prepend=-1) != 0] // n
 
     def exact_rows(self, c: GaussianRational):
-        """[(row_key, {col_position: GaussianRational})] at t-eigenvalue c,
-        zero entries and empty rows dropped."""
+        """[(row_key, {col_position: GaussianRational})] at t-eigenvalue c =
+        (a + b i)/d, zero entries and empty rows dropped.  Each cell sums to
+        the Gaussian integer d base + (a + b i) t_part over d, on Python
+        integers (t never enters int64); each distinct sum is one value."""
         n = self.ncols
-        per_row: dict[int, dict[int, GaussianRational]] = {}
-        for row, col, re, im in zip(*(a.tolist() for a in self.cells())):
-            val = QI(re, im)
-            if col >= n:  # the t-part of cell (row, col - n)
-                col -= n
-                val = c * val
-            row_vals = per_row.setdefault(row, {})
-            row_vals[col] = row_vals[col] + val if col in row_vals else val
-        rows = np.fromiter(per_row, dtype=np.int64, count=len(per_row))
-        keys = _row_keys(self.codes[rows // self.dim], rows % self.dim)
-        nonzero = [(key, {col: v for col, v in vals.items() if v})
-                   for key, vals in zip(keys, per_row.values())]
-        return [(key, vals) for key, vals in nonzero if vals]
+        a, b, d = c.triple
+        rows, cols, re, im = self.cells()
+        t_part = cols >= n
+        re, im = re.astype(object), im.astype(object)
+        x = np.where(t_part, a * re - b * im, d * re)
+        y = np.where(t_part, a * im + b * re, d * im)
+        key = rows * n + cols % n  # one sum per cell (row, col)
+        order = np.argsort(key, kind="stable")  # two sorted runs a row
+        first = np.flatnonzero(np.diff(key[order], prepend=-1))
+        x, y = (np.add.reduceat(v[order], first) for v in (x, y))
+        keep = (x != 0) | (y != 0)
+        pairs = list(zip(x[keep].tolist(), y[keep].tolist()))
+        value = {pair: _make(*pair, d) for pair in set(pairs)}
+        vals = list(map(value.__getitem__, pairs))
+        rows, cols = np.divmod(key[order[first[keep]]], n)
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        keys = _row_keys(self.codes[rows[starts] // self.dim], rows[starts] % self.dim)
+        cols, bounds = cols.tolist(), np.append(starts, len(rows)).tolist()
+        return [(key, dict(zip(cols[lo:hi], vals[lo:hi])))
+                for key, lo, hi in zip(keys, bounds, bounds[1:])]
 
 
 _T_OP = _OP_INDEX[OP_T]
@@ -301,20 +307,22 @@ def _row_keys(codes: np.ndarray, out_coords: np.ndarray) -> tuple:
     return tuple(zip(*fields, out_coords.tolist()))
 
 
+# per condition monomial L: its S1, S2 and S3 row-code prefixes, and |L|
+_CONDITION_HEADS = np.array([[_row_code(_TAG_INDEX[tag], l.bit_count(), l, 0, 0, 0) for tag in
+                              ("S1", "S2", "S3")] + [l.bit_count()] for l in CONDITION_MASKS])
+
+
 @lru_cache(maxsize=None)
 def _structure_table(i_mask: int) -> np.ndarray:
     """Every condition monomial's ``_combined_terms`` on eta_I, one int64
     row per term: the S1, S2 and S3 row-code prefixes of L, |L|, the lambda
     power j, the Theta power dth, the output mask, the op index, re and im.
     Module-free and read-only."""
-    rows = []
-    for l_mask in CONDITION_MASKS:
-        l_size = l_mask.bit_count()
-        prefixes = [_row_code(_TAG_INDEX[tag], l_size, l_mask, 0, 0, 0)
-                    for tag in ("S1", "S2", "S3")]
-        for (j, dth, om, op, c_re, c_im) in _combined_terms(l_mask, i_mask):
-            rows.append((*prefixes, l_size, j, dth, om, _OP_INDEX[op], c_re, c_im))
-    table = np.array(rows, dtype=np.int64).reshape(-1, 10)
+    per_l = [_combined_terms(l_mask, i_mask) for l_mask in CONDITION_MASKS]
+    j, dth, om, op, c_re, c_im = zip(*(term for terms in per_l for term in terms))
+    op = [_OP_INDEX[o] for o in op]
+    table = np.hstack((np.repeat(_CONDITION_HEADS, [len(terms) for terms in per_l], axis=0),
+                       np.array((j, dth, om, op, c_re, c_im), dtype=np.int64).T))
     table.flags.writeable = False
     return table
 
@@ -480,9 +488,8 @@ def _block_screen_data(block: DegreeBlock) -> list:
 
         R A = sum_op (R_s S_op) (x) M_op,
 
-    so the screen takes one product R_s S_op per op over the structural
-    entries and one int64 contraction over the ops, and never expands the
-    block.  The t op gives T and the others B.
+    so the screen works on the structural entries and the op matrices and
+    never expands the block.  The t op gives T and the others B.
 
     The classes come from the rotations by pi in the planes (1, 2), (3, 4)
     and (5, 6) (``_block_classes``): the block maps a column of class k
@@ -494,8 +501,14 @@ def _block_screen_data(block: DegreeBlock) -> list:
     every masked entry R_s[m, q] meets only rows (q, r) of another class,
     which vanish on the class-k columns.  So the class blocks (B_k, T_k)
     of R A are those of R' A, and det(R' A) is the product of their
-    determinants; R' is never formed, and the off-class entries of R A are
-    not returned.  A block whose classes are contradicted is one class.
+    determinants.  A block whose classes are contradicted is one class.
+
+    Set-up touches only class-compatible pairs: an entry (q, m', op) of
+    S_op has class(q) = class(m') ^ parity(op), so R'_s S_op is formed on
+    that class's monomials only (a slice of R_s, its columns permuted by
+    class), and each entry (r, c) of M_op is contracted into the class
+    blocks alone, at the pairs (m, m') of class(m) ^ label(r) = class(m')
+    ^ label(c).  Neither R' A nor its off-class entries are formed.
     """
     p, r = _linalg.SCREEN_P, _linalg.SCREEN_R
     n, dim = block.ncols, block.dim
@@ -503,41 +516,59 @@ def _block_screen_data(block: DegreeBlock) -> list:
     rank, mono, op, s_re, s_im = block.structure.T
     rng = np.random.default_rng(0xE16 + 7919 * block.degree + n)
     R_sT = rng.integers(1, p, size=(len(block.codes), n_mono), dtype=np.int64)
-    col_class = _block_classes(block)
+    col_class, op_parity = _block_classes(block), _OP_PARITY
     if col_class is None:
-        col_class = np.zeros(n, dtype=np.int64)
+        col_class, op_parity = np.zeros(n, dtype=np.int64), 0 * _OP_PARITY
+    mono_class, labels = col_class[::dim], col_class[:dim] ^ col_class[0]
 
-    # P[o][:, m] sums R_s[:, q] w over the entries (q, m, o, w) of S_o
+    # P[o * n_mono + m', slot(m)] sums R_s[m, q] w over the entries (q, m',
+    # o, w) of S_o, for m of class(q) only; slot(m) is m's place in the
+    # class order
+    by_class = np.argsort(mono_class, kind="stable")
+    R_sT = R_sT[:, by_class]
+    slot = np.argsort(by_class)
+    edges = np.searchsorted(mono_class[by_class], np.arange(9))
     key = op * n_mono + mono
-    order = np.argsort(key)
+    # a block has at most 64 monomials, so key < 2**16 and sorts by radix
+    order = np.argsort(key.astype(np.uint16), kind="stable")
     key, rank = key[order], rank[order]
     w = (s_re[order] % p + r * (s_im[order] % p)) % p
+    target = mono_class[mono[order]] ^ op_parity[op[order]]
     _linalg._check_int64_sum(int(np.bincount(key).max()))
     P = np.zeros((n_ops * n_mono, n_mono), dtype=np.int64)
-    # one op at a time, which bounds the (entries x n_mono) temporaries
-    bounds = np.searchsorted(key, np.arange(n_ops + 1) * n_mono)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        starts = np.flatnonzero(np.diff(key[lo:hi], prepend=-1))
-        terms = R_sT[rank[lo:hi]]
-        terms *= w[lo:hi, None]
-        P[key[lo + starts]] = np.add.reduceat(terms, starts) % p
-    P = P.reshape(n_ops, n_mono, n_mono).transpose(0, 2, 1)
+    for g in np.flatnonzero(np.bincount(target)):
+        sel = np.flatnonzero(target == g)
+        starts = np.flatnonzero(np.diff(key[sel], prepend=-1))
+        lo, hi = edges[g], edges[g + 1]
+        terms = R_sT[rank[sel], lo:hi] * w[sel, None]
+        P[key[sel[starts]], lo:hi] = np.add.reduceat(terms, starts) % p
 
-    # sum_o P[o] (x) M_o over the nonzero entries (out, in) of each M_o,
-    # the t op's into T and every other op's into B
+    # each class block is stored flat, B's then T's: column (m, c) at
+    # position pos within its class k, row (m, r) at offset + pos * n_k
+    sizes = np.bincount(col_class, minlength=8)
+    offsets = np.cumsum(sizes**2) - sizes**2
+    pos = np.cumsum(col_class[:, None] == np.arange(8), axis=0)[np.arange(n), col_class] - 1
+    row_at = offsets[col_class] + pos * sizes[col_class]
+    total = int(sizes @ sizes)
+
+    # sum_o P_o (x) M_o over the nonzero entries (out, in) of each M_o, the
+    # t op's into T and every other op's into B
     o, out, inp, m_re, m_im = _op_entries(block.op_mats).T
-    cell = (o == _T_OP) * dim * dim + out * dim + inp
-    _linalg._check_int64_sum(int(np.bincount(cell).max()))
-    parts = np.zeros((2 * dim * dim, n_mono, n_mono), dtype=np.int64)
-    np.add.at(parts, cell, P[o] * ((m_re % p + r * (m_im % p)) % p)[:, None, None])
-    parts = parts.reshape(2, dim, dim, n_mono, n_mono)
-    # row (m, r) and column (m', c) of a class: parts[:, r, c, m, m']
-    images = []
-    for k in np.flatnonzero(np.bincount(col_class)):  # the classes present
-        m, c = np.divmod(np.flatnonzero(col_class == k), dim)
-        B_k, T_k = parts[:, c[:, None], c, m[:, None], m] % p
-        images.append((B_k, T_k))
-    return images
+    _linalg._check_int64_sum(int(np.bincount((o == _T_OP) * dim * dim + out * dim + inp).max()))
+    m_w = (m_re % p + r * (m_im % p)) % p
+    flat = np.zeros(2 * total, dtype=np.int64)
+    pair_class = mono_class[:, None] ^ mono_class
+    shift = labels[out] ^ labels[inp]
+    for s in np.flatnonzero(np.bincount(shift)):
+        e = np.flatnonzero(shift == s)[:, None]
+        m_row, m_col = np.nonzero(pair_class == s)
+        dest = (row_at[m_row * dim + out[e]] + pos[m_col * dim + inp[e]]
+                + (o[e] == _T_OP) * total)
+        np.add.at(flat, dest, P[o[e] * n_mono + m_col, slot[m_row]] * m_w[e])
+    flat %= p
+    return [tuple(flat[half + offsets[k]:half + offsets[k] + sizes[k] ** 2]
+                  .reshape(sizes[k], sizes[k]) for half in (0, total))
+            for k in np.flatnonzero(sizes)]
 
 
 class _BlockScreen:

@@ -60,11 +60,13 @@ from .grassmann import (
     eta_bar,
     hodge_modified,
     mask_of,
-    merge_sign,
     mono_product,
     normalize,
     triangle_sign,
     word_of,
+    _DERIVE,
+    _MERGE_SIGN,
+    _WORDS,
 )
 
 __all__ = [
@@ -285,84 +287,74 @@ def action_terms(l_mask: int, i_mask: int) -> tuple[tuple[int, int, int, tuple, 
     g_sign = triangle_sign(l) * (-1 if (l * size_i) & 1 else 1)
     minus_l = -1 if l & 1 else 1  # (-1)^l
     terms: list[tuple[int, int, int, tuple, int]] = []
+    l_word, free = _WORDS[l_mask], _WORDS[FULL_MASK & ~l_mask]
+    l_signs = _MERGE_SIGN[l_mask]
 
     disjoint = not l_mask & i_mask
     union = l_mask | i_mask
 
     # (l-2) Theta (xi_L * eta_I) (x) v
     if disjoint and l != 2:
-        c = (l - 2) * merge_sign(l_mask, i_mask) * g_sign
+        c = (l - 2) * l_signs[i_mask] * g_sign
         terms.append((0, 1, union, OP_ID, c))
 
     # -(-1)^l sum_i (d_i xi_L * d_i eta_I) (x) v
-    shared = l_mask & i_mask
-    for i in word_of(shared):
-        s1, lm = derive_mask(i, l_mask)
-        s2, im = derive_mask(i, i_mask)
+    for i in _WORDS[l_mask & i_mask]:
+        s1, lm = _DERIVE[i - 1][l_mask]
+        s2, im = _DERIVE[i - 1][i_mask]
         if lm & im:
             continue
-        c = -minus_l * s1 * s2 * merge_sign(lm, im) * g_sign
+        c = -minus_l * s1 * s2 * _MERGE_SIGN[lm][im] * g_sign
         terms.append((0, 0, lm | im, OP_ID, c))
 
     # -sum_{r<s} (d_r d_s xi_L * eta_I) (x) xi_s xi_r . v
-    l_word = word_of(l_mask)
-    for a in range(len(l_word)):
-        for b in range(a + 1, len(l_word)):
-            r, s = l_word[a], l_word[b]
-            s_s, l1 = derive_mask(s, l_mask)
-            s_r, l2 = derive_mask(r, l1)
+    for a, r in enumerate(l_word):
+        for s in l_word[a + 1:]:
+            s_s, l1 = _DERIVE[s - 1][l_mask]
+            s_r, l2 = _DERIVE[r - 1][l1]
             if l2 & i_mask:
                 continue
-            c = -s_s * s_r * merge_sign(l2, i_mask) * g_sign
+            c = -s_s * s_r * _MERGE_SIGN[l2][i_mask] * g_sign
             terms.append((0, 0, l2 | i_mask, ("x", s, r), c))
 
     # lambda (xi_L * eta_I) (x) t.v
     if disjoint:
-        c = merge_sign(l_mask, i_mask) * g_sign
+        c = l_signs[i_mask] * g_sign
         terms.append((1, 0, union, OP_T, c))
 
     # -lambda (-1)^l sum_i d_i (xi_{L i} * eta_I) (x) v
-    for i in range(1, N_INDICES + 1):
-        bit = 1 << (i - 1)
-        if l_mask & bit or i_mask & bit or (l_mask & i_mask):
-            continue
-        append_sign = merge_sign(l_mask, bit)
-        star_sign = merge_sign(l_mask | bit, i_mask)
-        d_sign, out = derive_mask(i, l_mask | bit | i_mask)
-        c = -minus_l * append_sign * star_sign * d_sign * g_sign
-        terms.append((1, 0, out, OP_ID, c))
+    if disjoint:
+        for i in _WORDS[FULL_MASK & ~union]:
+            bit = 1 << (i - 1)
+            append_sign = l_signs[bit]
+            star_sign = _MERGE_SIGN[l_mask | bit][i_mask]
+            d_sign, out = _DERIVE[i - 1][union | bit]
+            c = -minus_l * append_sign * star_sign * d_sign * g_sign
+            terms.append((1, 0, out, OP_ID, c))
 
     # +lambda (-1)^l sum_{i != j} (d_i xi_{L j} * eta_I) (x) xi_j xi_i . v
-    for j in range(1, N_INDICES + 1):
+    for j in free:
         bit_j = 1 << (j - 1)
-        if l_mask & bit_j:
-            continue
-        append_sign = merge_sign(l_mask, bit_j)
+        append_sign = l_signs[bit_j]
         lj = l_mask | bit_j
-        for i in word_of(l_mask):  # i in L u {j}, i != j  =>  i in L
-            s_i, mj = derive_mask(i, lj)
+        for i in l_word:  # i in L u {j}, i != j  =>  i in L
+            s_i, mj = _DERIVE[i - 1][lj]
             if mj & i_mask:
                 continue
-            c = minus_l * append_sign * s_i * merge_sign(mj, i_mask) * g_sign
+            c = minus_l * append_sign * s_i * _MERGE_SIGN[mj][i_mask] * g_sign
             terms.append((1, 0, mj | i_mask, ("x", j, i), c))
 
     # -lambda^2 sum_{i<j} (xi_{L i j} * eta_I) (x) xi_j xi_i . v
-    for i in range(1, N_INDICES + 1):
-        bit_i = 1 << (i - 1)
-        if l_mask & bit_i:
-            continue
-        for j in range(i + 1, N_INDICES + 1):
-            bit_j = 1 << (j - 1)
-            if l_mask & bit_j:
-                continue
-            lij = l_mask | bit_i | bit_j
+    for a, i in enumerate(free):
+        for j in free[a + 1:]:
+            bits = 1 << (i - 1) | 1 << (j - 1)
+            lij = l_mask | bits
             if lij & i_mask:
                 continue
-            append_sign = merge_sign(l_mask, bit_i | bit_j)
-            c = -append_sign * merge_sign(lij, i_mask) * g_sign
+            c = -l_signs[bits] * _MERGE_SIGN[lij][i_mask] * g_sign
             terms.append((2, 0, lij | i_mask, ("x", j, i), c))
 
-    return tuple((jj, th, om, op, c) for (jj, th, om, op, c) in terms if c)
+    return tuple(term for term in terms if term[4])
 
 
 def _apply_op(module, op: tuple, fvec: Fvec) -> Fvec:
@@ -575,71 +567,62 @@ def _functional_terms(l_mask: int, i_mask: int) -> tuple[tuple[str, int, tuple, 
     g_sign = triangle_sign(l) * (-1 if (l * size_i) & 1 else 1)
     disjoint = not l_mask & i_mask
     union = l_mask | i_mask
+    l_word, free = _WORDS[l_mask], _WORDS[FULL_MASK & ~l_mask]
+    l_signs = _MERGE_SIGN[l_mask]
 
     # a_p: (l-2)(xi_L * eta_I) (x) v
     if disjoint and l != 2:
-        put("a", union, OP_ID, (l - 2) * merge_sign(l_mask, i_mask) * g_sign)
+        put("a", union, OP_ID, (l - 2) * l_signs[i_mask] * g_sign)
 
     # b_p: -(-1)^l sum_i (d_i xi_L * d_i eta_I) (x) v
-    for i in word_of(l_mask & i_mask):
-        s1, lm = derive_mask(i, l_mask)
-        s2, im = derive_mask(i, i_mask)
+    for i in _WORDS[l_mask & i_mask]:
+        s1, lm = _DERIVE[i - 1][l_mask]
+        s2, im = _DERIVE[i - 1][i_mask]
         if lm & im:
             continue
-        put("b", lm | im, OP_ID, -minus_l * s1 * s2 * merge_sign(lm, im) * g_sign)
+        put("b", lm | im, OP_ID, -minus_l * s1 * s2 * _MERGE_SIGN[lm][im] * g_sign)
     #      - sum_{r<s} (d_r d_s xi_L * eta_I) (x) xi_s xi_r . v
-    l_word = word_of(l_mask)
-    for ai in range(len(l_word)):
-        for bi in range(ai + 1, len(l_word)):
-            rr, ss = l_word[ai], l_word[bi]
-            s_s, l1 = derive_mask(ss, l_mask)
-            s_r, l2 = derive_mask(rr, l1)
+    for ai, rr in enumerate(l_word):
+        for ss in l_word[ai + 1:]:
+            s_s, l1 = _DERIVE[ss - 1][l_mask]
+            s_r, l2 = _DERIVE[rr - 1][l1]
             if l2 & i_mask:
                 continue
             put("b", l2 | i_mask, ("x", ss, rr),
-                -s_s * s_r * merge_sign(l2, i_mask) * g_sign)
+                -s_s * s_r * _MERGE_SIGN[l2][i_mask] * g_sign)
 
     # B_p: (xi_L * eta_I) (x) t.v
     if disjoint:
-        put("B", union, OP_T, merge_sign(l_mask, i_mask) * g_sign)
+        put("B", union, OP_T, l_signs[i_mask] * g_sign)
     #      -(-1)^l sum_i d_i(xi_{L i} * eta_I) (x) v
-    for i in range(1, N_INDICES + 1):
-        bit = 1 << (i - 1)
-        if l_mask & bit or i_mask & bit or (l_mask & i_mask):
-            continue
-        append_sign = merge_sign(l_mask, bit)
-        star_sign = merge_sign(l_mask | bit, i_mask)
-        d_sign, om = derive_mask(i, l_mask | bit | i_mask)
-        put("B", om, OP_ID, -minus_l * append_sign * star_sign * d_sign * g_sign)
+    if disjoint:
+        for i in _WORDS[FULL_MASK & ~union]:
+            bit = 1 << (i - 1)
+            append_sign = l_signs[bit]
+            star_sign = _MERGE_SIGN[l_mask | bit][i_mask]
+            d_sign, om = _DERIVE[i - 1][union | bit]
+            put("B", om, OP_ID, -minus_l * append_sign * star_sign * d_sign * g_sign)
     #      +(-1)^l sum_{i != j} (d_i xi_{L j} * eta_I) (x) xi_j xi_i . v
-    for j in range(1, N_INDICES + 1):
+    for j in free:
         bit_j = 1 << (j - 1)
-        if l_mask & bit_j:
-            continue
-        append_sign = merge_sign(l_mask, bit_j)
+        append_sign = l_signs[bit_j]
         lj = l_mask | bit_j
-        for i in word_of(l_mask):
-            s_i, mj = derive_mask(i, lj)
+        for i in l_word:
+            s_i, mj = _DERIVE[i - 1][lj]
             if mj & i_mask:
                 continue
             put("B", mj | i_mask, ("x", j, i),
-                minus_l * append_sign * s_i * merge_sign(mj, i_mask) * g_sign)
+                minus_l * append_sign * s_i * _MERGE_SIGN[mj][i_mask] * g_sign)
 
     # C_p: -sum_{i<j} (xi_{L i j} * eta_I) (x) xi_j xi_i . v
-    for i in range(1, N_INDICES + 1):
-        bit_i = 1 << (i - 1)
-        if l_mask & bit_i:
-            continue
-        for j in range(i + 1, N_INDICES + 1):
-            bit_j = 1 << (j - 1)
-            if l_mask & bit_j:
-                continue
-            lij = l_mask | bit_i | bit_j
+    for ai, i in enumerate(free):
+        for j in free[ai + 1:]:
+            bits = 1 << (i - 1) | 1 << (j - 1)
+            lij = l_mask | bits
             if lij & i_mask:
                 continue
-            append_sign = merge_sign(l_mask, bit_i | bit_j)
             put("C", lij | i_mask, ("x", j, i),
-                -append_sign * merge_sign(lij, i_mask) * g_sign)
+                -l_signs[bits] * _MERGE_SIGN[lij][i_mask] * g_sign)
     return tuple(terms)
 
 

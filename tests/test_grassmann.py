@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
 
 from e16verma.grassmann import (
     ALL_MASKS,
@@ -228,3 +229,39 @@ def test_triangle_sign_is_the_sign_of_reversing_l_plus_one_indices():
     for l in range(N_INDICES):
         assert triangle_sign(l) == normalize(range(l + 1, 0, -1))[0]
     assert [triangle_sign(l) for l in range(4)] == [1, -1, -1, 1]
+
+
+def _bit_word(mask):
+    """The indices of the set bits of mask, lowest first, by a bit loop."""
+    return tuple(i + 1 for i in range(N_INDICES) if mask >> i & 1)
+
+
+def _bit_merge_sign(a, b):
+    """(-1)^(number of pairs (x in a, y in b) with x > y), by a bit loop."""
+    inversions = sum(1 for x in _bit_word(a) for y in _bit_word(b) if x > y)
+    return -1 if inversions & 1 else 1
+
+
+def _bit_derive(i, mask):
+    """d_i by the bit loop: (-1)^(indices of mask below i), i removed."""
+    bit = 1 << (i - 1)
+    if not mask & bit:
+        return 0, 0
+    below = sum(1 for j in range(1, i) if mask >> (j - 1) & 1)
+    return (-1 if below & 1 else 1), mask & ~bit
+
+
+def test_tabulated_helpers_equal_their_bit_loop_definitions():
+    for mask in ALL_MASKS:
+        assert word_of(mask) == _bit_word(mask)
+        for i in range(1, N_INDICES + 1):
+            assert derive_mask(i, mask) == _bit_derive(i, mask), (i, mask)
+        for other in ALL_MASKS:
+            assert merge_sign(mask, other) == _bit_merge_sign(mask, other), (mask, other)
+
+
+def test_derive_mask_refuses_an_index_outside_the_generators():
+    # the table is indexed by i - 1, so index 0 must not wrap to row -1
+    for i in (0, -1, N_INDICES + 1):
+        with pytest.raises(ValueError):
+            derive_mask(i, FULL_MASK)

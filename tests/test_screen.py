@@ -9,6 +9,8 @@ eliminations per class.  The one-class fallback is checked on a rotated
 vector module, whose matrices admit no class labels, and on a corrupted
 labelling."""
 
+import hashlib
+import json
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -456,6 +458,66 @@ def test_swapped_kronecker_factors_fail_the_dense_product(name, k_max, degree):
     assert not _dense_product(block, _swapped_factors(block))
 
 
+@pytest.mark.parametrize("name,k_max,degree", [("vector", 2, 5), ("adjoint", 1, 4)])
+def test_restriction_without_op_parity_fails_the_dense_product(name, k_max, degree, monkeypatch):
+    # the set-up forms R_s S_op on the monomials of class class(m') ^
+    # parity(op) only; with the op parity dropped from that rule (class(m)
+    # = class(m')) while the classes stay right, the images are wrong
+    block = assemble_degree_block(builtin(name, Q(0)), k_max, degree)
+    classes = singular._block_classes(block)
+    assert _dense_product(block)
+    with monkeypatch.context() as patched:
+        patched.setattr(singular, "_block_classes", lambda b: classes)
+        patched.setattr(singular, "_OP_PARITY", np.zeros_like(singular._OP_PARITY))
+        images = _block_screen_data(block)
+    assert [B.shape for B, _ in images] == [B.shape for B, _ in _block_screen_data(block)]
+    assert not _dense_product(block, images)
+
+
+# ---------------------------------------------------------------------------
+# the images, locked by digest
+# ---------------------------------------------------------------------------
+
+# (module, k_max, include_S0) of the locked scans; every block that the
+# screen compresses (nrows >= ncols > 0) is digested
+_DIGESTED = [("trivial", 5, False), ("vector", 5, False), ("adjoint", 4, False),
+             ("vector", 3, True)]
+_DIGEST_FILE = DATA / "screen_images.sha256.json"
+
+
+def _image_digest(images) -> str:
+    """SHA-256 over the class pencils in class order: each B_k, then T_k,
+    as its shape and its little-endian int64 bytes."""
+    h = hashlib.sha256()
+    for pair in images:
+        for image in pair:
+            image = np.ascontiguousarray(image, dtype="<i8")
+            h.update(repr(image.shape).encode())
+            h.update(image.tobytes())
+    return h.hexdigest()
+
+
+def _image_digests() -> dict:
+    """{"name-kmax-S0|no-S0": {degree: digest}}, the content of
+    ``_DIGEST_FILE``.  It was written with this function from the screen
+    that contracted every monomial pair; rewrite it only when the images
+    are meant to change."""
+    out = {}
+    for name, k_max, include_S0 in _DIGESTED:
+        module = builtin(name, Q(0))
+        per_degree = {}
+        for degree in range(2 * k_max + 7):
+            block = assemble_degree_block(module, k_max, degree, include_S0=include_S0)
+            if block.nrows >= block.ncols > 0:
+                per_degree[str(degree)] = _image_digest(_block_screen_data(block))
+        out[f"{name}-{k_max}-{'S0' if include_S0 else 'no-S0'}"] = per_degree
+    return out
+
+
+def test_screen_images_match_their_golden_digests():
+    assert _image_digests() == json.loads(_DIGEST_FILE.read_text())
+
+
 # ---------------------------------------------------------------------------
 # the pencil determinant against sympy
 # ---------------------------------------------------------------------------
@@ -601,6 +663,22 @@ def test_int64_guard_raises_on_overflowing_sums(monkeypatch):
     ):
         with pytest.raises(OverflowError):
             step()
+
+
+def test_screen_set_up_guards_both_product_sums(monkeypatch):
+    # R_s S_op sums R_s[m, q] w over the entries of one (op, monomial); the
+    # contraction sums P_op M_op over the op entries of one (t?, out, in)
+    # cell: each sum is guarded with its largest number of terms
+    block = assemble_degree_block(builtin("adjoint", Q(0)), 1, 4)
+    _, mono, op = block.structure[:, :3].T
+    per_key = int(np.bincount(op * (block.ncols // block.dim) + mono).max())
+    per_cell = Counter((o == _OPS.index(("t",)), out, inp)
+                       for o, mat in enumerate(block.op_mats) for out, inp, *_ in mat)
+    seen = []
+    monkeypatch.setattr(_linalg, "_check_int64_sum", seen.append)
+    _block_screen_data(block)
+    assert seen == [per_key, max(per_cell.values())]
+    assert per_key > 1 and max(per_cell.values()) > 1
 
 
 # ---------------------------------------------------------------------------
