@@ -7,7 +7,7 @@ from a hand-written class oracle (the pair-parity of I plus that of the
 coordinate), against sympy determinants and exact kernels, and by counting
 eliminations per class.  The one-class fallback is checked on a rotated
 vector module, whose matrices admit no class labels, and on a corrupted
-labelling."""
+labelling.  A golden file holds a SHA-256 of every image of four scans."""
 
 import hashlib
 import json
