@@ -44,6 +44,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
+from itertools import groupby
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -79,7 +80,6 @@ __all__ = [
     "root_datum",
     "check_root_system",
     "check_jacobi_closure",
-    "name_jacobi_failures",
 ]
 
 
@@ -320,30 +320,24 @@ def e16_membership(x: ContactElement, max_degree: int) -> MembershipResult:
 # ---------------------------------------------------------------------------
 
 def check_L1_L2_L3(max_degree: int) -> dict:
-    """Check that [Theta, g_i] spans g_(i-2) for 0 <= i <= max_degree (by
-    exact rank).  The grading [t, b] = deg(b) b is read from the structure
-    tables by ``check_jacobi_closure``."""
-    report: dict = {"max_degree": max_degree, "theta_ok": True, "failures": []}
-    for i in range(0, max_degree + 1):
-        target_dim = len(_basis_generators(i - 2))
-        images = [contact_bracket(THETA, b) for b in _basis_elements_at_degree(i)]
+    """Check that [Theta, g_i] spans g_(i-2) for 0 <= i <= max_degree, by
+    exact rank of the structure cells (-2, i): Theta = -1/2 b_(-2), with
+    b_(-2) = 1.  An image outside E(1,6) adds no row and is listed as
+    ("theta_image_outside", i); a cell only holds degree d1 + d2, so no image
+    lands in another degree.  ``check_jacobi_closure`` reads the grading."""
+    tables = _StructureTables((-2, i) for i in range(max_degree + 1))
+    failures: list[tuple] = []
+    for i in range(max_degree + 1):
+        failures += [("theta_image_outside", i) for f in tables.failures if f[1] == i]
+        idx, re, im = tables.cells[(-2, i)]
         rref = ExactRREF()
-        for img in images:
-            res = e16_membership(img, max_degree)
-            if not res.ok:
-                report["theta_ok"] = False
-                report["failures"].append(("theta_image_outside", i))
-                continue
-            for key, coef in list(res.coords.items()):
-                if key != i - 2 and coef:
-                    report["theta_ok"] = False
-                    report["failures"].append(("theta_image_wrong_degree", i))
-            rref.add_row(res.coords.get(i - 2, {}))
-        if rref.rank != target_dim:
-            report["theta_ok"] = False
-            report["failures"].append(("theta_rank", i, rref.rank, target_dim))
-    report["ok"] = report["theta_ok"]
-    return report
+        # cells are in C order (x, y, e), so each image [b_(-2), b_y] is one run
+        for _, row in groupby(zip(idx.tolist(), re.tolist(), im.tolist()), lambda c: c[0][1]):
+            rref.add_row({e: QI(a, b) for (_, _, e), a, b in row})
+        if rref.rank != _dim(i - 2):
+            failures.append(("theta_rank", i, rref.rank, _dim(i - 2)))
+    return {"max_degree": max_degree, "theta_ok": not failures, "failures": failures,
+            "ok": not failures}
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +619,9 @@ def check_jacobi_closure(jacobi_degree: int = 4, closure_degree: int = 6) -> dic
       jacobi_degree, by a sparse join over the Gaussian-integer cells
       (``_grouped_entries``, ``_joined_sum``): T1 - T2 - sgn T3
       summed in one flat accumulator, in int64 or, past its bound, in
-      Python integers;
+      Python integers.  The first three distinct basis triples whose
+      Jacobi sum is nonzero, in degree-triple order and then C order, are
+      named in ``jacobi_named`` as the text of their basis elements;
     * super-skew [x, y] = -(-1)^(p(x) p(y)) [y, x] on every degree pair whose
       two orders are both tabled, comparing the cells exactly;
     * [t, b] = deg(b) b on every basis element of degree <= span =
@@ -654,6 +650,7 @@ def check_jacobi_closure(jacobi_degree: int = 4, closure_degree: int = 6) -> dic
         "closure_failures": closure_failures,
         "jacobi_ok": True,
         "jacobi_failures": [],
+        "jacobi_named": [],
         "skew_ok": True,
         "grading_ok": True,
         "triples_checked": 0,
@@ -703,31 +700,11 @@ def check_jacobi_closure(jacobi_degree: int = 4, closure_degree: int = 6) -> dic
         if nz.size or reads & failed:
             report["jacobi_ok"] = False
             report["jacobi_failures"].append(((d1, d2, d3), nz[:5].tolist()))
+            # nz is sorted, so its basis triples (x, y, z) come in C order
+            named = report["jacobi_named"]
+            xyz = np.unique(nz // _dim(d1 + d2 + d3))[:3 - len(named)]
+            named += [tuple(repr(_basis_elements_at_degree(d)[k]) for d, k in zip((d1, d2, d3), t))
+                      for t in zip(*np.unravel_index(xyz, (_dim(d1), _dim(d2), _dim(d3))))]
     report["ok"] = all(report[k] for k in ("jacobi_ok", "closure_ok", "skew_ok",
                                            "grading_ok"))
     return report
-
-
-def name_jacobi_failures(
-    degree_triples: Iterable[tuple[int, int, int]]
-) -> list[tuple[str, str, str]]:
-    """Rescan the given degree triples object-level and name basis triples
-    violating super-Jacobi, as readable monomial strings (at most three).
-
-    Uses the module-level bracket at call time, so it sees the same function
-    the tensor suite saw (including any test instrumentation).
-    """
-    named: list[tuple[str, str, str]] = []
-    for (d1, d2, d3) in degree_triples:
-        sgn = -1 if (d1 & 1) and (d2 & 1) else 1
-        for bx in _basis_elements_at_degree(d1):
-            for by in _basis_elements_at_degree(d2):
-                for bz in _basis_elements_at_degree(d3):
-                    lhs = contact_bracket(bx, contact_bracket(by, bz))
-                    m1 = contact_bracket(contact_bracket(bx, by), bz)
-                    m2 = contact_bracket(by, contact_bracket(bx, bz))
-                    if lhs != m1 + m2.scale(Q(sgn)):
-                        named.append((repr(bx), repr(by), repr(bz)))
-                        if len(named) == 3:
-                            return named
-    return named

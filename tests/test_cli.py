@@ -141,6 +141,19 @@ def test_check_algebra_rejects_a_max_degree_below_the_grading(capsys):
     assert checks["jacobi"]["counts"] == {"degree": -2, "triples_checked": 1}
 
 
+@pytest.mark.parametrize("argv, target, reason", [
+    (["check-algebra", "--max-degree", "-2"], "missing/dir/x.txt", "No such file or directory"),
+    (["reproduce-proof"], ".", "Is a directory"),
+])
+def test_unwritable_out_path_is_a_usage_error(capsys, tmp_path, argv, target, reason):
+    # exit 1 means a check failed, so a report that cannot be written exits 2
+    path = str(tmp_path / target)
+    rc, out, err = run_cli(capsys, [*argv, "--out", path])
+    assert rc == 2 and not out
+    assert err.startswith(f"error: cannot write report to {path!r}: ")
+    assert reason in err
+
+
 def _checkout_env():
     """The environment of a fresh interpreter that imports this checkout's
     ``e16verma``."""

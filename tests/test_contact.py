@@ -182,23 +182,31 @@ def test_basis_brackets_stay_inside():
 
 
 def test_theta_is_lowering_element():
+    # check_L1_L2_L3 reads the cells of b_-2 = 1, whose images span as Theta's
+    assert THETA == _basis_elements_at_degree(-2)[0].scale(Q(-1, 2))
     report = check_L1_L2_L3(4)
     assert report["ok"], report["failures"]
 
 
 def test_theta_rank_check_catches_a_repeated_image(monkeypatch):
-    # [Theta, b1] := [Theta, b0] on the degree-2 basis: the 16 images span
-    # only 15 dimensions of g_0, which an eliminator must see
-    b0, b1 = _basis_elements_at_degree(2)[:2]
-    orig = contact.contact_bracket
-
-    def repeated(x, y):
-        return orig(x, b0 if x == THETA and y == b1 else y)
-
-    monkeypatch.setattr(contact, "contact_bracket", repeated)
+    # [b_-2, b1] := [b_-2, b0] on the degree-2 basis in the raw brackets: the
+    # 16 images span only 15 dimensions of g_0, which an eliminator must see
+    re0, im0 = (v[0, 0] for v in contact._raw_brackets(-2, 2))
+    _patch_raw(monkeypatch, -2, 0, 2, 1, lambda re, im: (re0, im0))
     report = check_L1_L2_L3(4)
     assert not report["theta_ok"]
     assert report["failures"] == [("theta_rank", 2, 15, 16)]
+
+
+def test_theta_check_lists_an_image_outside_e16(monkeypatch):
+    # [b_-2, b0] := xi_1234 on the degree-4 basis: a degree-2 monomial with
+    # no generator coefficient, so not in E(1,6).  The image adds no row,
+    # and the other 15 span 15 of g_2's 16 dimensions
+    _patch_raw(monkeypatch, -2, 0, 4, 0,
+               lambda re, im: (np.eye(64, dtype=np.int64)[mask_of((1, 2, 3, 4))], 0 * im))
+    report = check_L1_L2_L3(4)
+    assert not report["theta_ok"] and not report["ok"]
+    assert report["failures"] == [("theta_image_outside", 4), ("theta_rank", 4, 15, 16)]
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +491,9 @@ def test_wrong_grading_eigenvalue_fails_grading(monkeypatch):
 
 def _dense_jacobi_failures(tables, jacobi_degree):
     """check_jacobi_closure's Jacobi verdict recomputed by dense einsum
-    contractions of the same cells (reference for the sparse join)."""
+    contractions of the same cells (reference for the sparse join), and the
+    text of the first three basis triples (x, y, z) whose Jacobi sum is
+    nonzero, in degree-triple order and then in C order."""
 
     def table(d1, d2):
         shape = tuple(map(contact._dim, (d1, d2, d1 + d2)))
@@ -492,7 +502,7 @@ def _dense_jacobi_failures(tables, jacobi_degree):
         # brackets into degree < -2 vanish: an empty table
         return np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)
 
-    failures = []
+    failures, triples = [], []
     for d1, d2, d3 in product(range(-2, jacobi_degree + 1), repeat=3):
         sgn = -1 if (d1 & 1) and (d2 & 1) else 1
         terms = [
@@ -509,10 +519,15 @@ def _dense_jacobi_failures(tables, jacobi_degree):
                  (d2, d1 + d3)}
         if nz.size or reads & tables.failed_pairs:
             failures.append(((d1, d2, d3), nz[:5].tolist()))
-    return failures
+        if nz.size:
+            nonzero = ((re != 0) | (im != 0)).any(axis=3)
+            triples += [((d1, d2, d3), xyz) for xyz in np.argwhere(nonzero)]
+    named = [tuple(repr(_basis_elements_at_degree(d)[k]) for d, k in zip(degrees, xyz))
+             for degrees, xyz in triples[:3]]
+    return failures, named
 
 
-@pytest.mark.parametrize("fault", ["cli-hook", "doubled-cell"])
+@pytest.mark.parametrize("fault", ["cli-hook", "doubled-cell", "two-term-cell"])
 def test_jacobi_failures_match_dense_reference(monkeypatch, fault):
     # the sparse join names the same failing triples and the same first
     # flat indices as dense einsum contractions of the very same tables
@@ -520,15 +535,26 @@ def test_jacobi_failures_match_dense_reference(monkeypatch, fault):
     if fault == "cli-hook":
         raw = contact._raw_brackets
         with cli._bracket_fault():
+            # the hook corrupts the raw-bracket stage only
+            assert contact.contact_bracket is contact_bracket
             jc = check_jacobi_closure(4, 6)
             assert not built[0].failures
         assert contact._raw_brackets is raw
     else:
-        # [xi_12, xi_2] = xi_1 doubled: still in E(1,6), so the table
-        # holds the wrong cell and no membership failure flags it
-        _patch_raw(monkeypatch, 0, 1, -1, 1, lambda re, im: (2 * re, 2 * im))
+        # [xi_12, xi_2] = xi_1 doubled, or xi_1 + xi_3 + xi_5: still in
+        # E(1,6), so the table holds the wrong cell and no membership failure
+        # flags it.  The second gives the first failing basis triple two
+        # nonzero coordinates, so it is named once, not twice
+        xi35 = np.eye(64, dtype=np.int64)[[mask_of((3,)), mask_of((5,))]].sum(axis=0)
+        _patch_raw(monkeypatch, 0, 1, -1, 1, {
+            "doubled-cell": lambda re, im: (2 * re, 2 * im),
+            "two-term-cell": lambda re, im: (re + xi35, im)}[fault])
         jc = check_jacobi_closure(4, 6)
         assert not built[0].failures
     assert len(built) == 1
     assert not jc["jacobi_ok"]
-    assert jc["jacobi_failures"] == _dense_jacobi_failures(built[0], 4)
+    failures, named = _dense_jacobi_failures(built[0], 4)
+    assert jc["jacobi_failures"] == failures
+    # the names are the first three distinct failing basis triples
+    assert len(named) == 3
+    assert jc["jacobi_named"] == named

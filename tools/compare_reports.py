@@ -39,6 +39,11 @@ REPORTS: dict[str, list[str]] = {
     # other Jacobi degrees split the tables into other closure and Jacobi reads
     "check-algebra --max-degree 6": ["check-algebra", "--max-degree", "6"],
     "check-algebra --max-degree 0": ["check-algebra", "--max-degree", "0"],
+    # the failure names at a second Jacobi range
+    "check-algebra --inject-fault --max-degree 2": [
+        "check-algebra", "--inject-fault", "--max-degree", "2"],
+    # the smallest Jacobi range, beside the full Theta-onto check
+    "check-algebra --max-degree -2": ["check-algebra", "--max-degree", "-2"],
     # repeated t, then a new one: a report that pairs its results with the
     # scan before duplicates are dropped shifts every t after the repeats
     "verify-bound vector, repeated t": [
