@@ -228,6 +228,20 @@ def render_report(records: list[dict], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_writable(path: str) -> None:
+    """Raise UsageError unless the report can be written to ``path``, before
+    the run: an existing file keeps its contents, and a new one is removed
+    again until ``emit`` writes it."""
+    out = Path(path)
+    existed = out.exists()
+    try:
+        out.open("a").close()
+    except OSError as e:
+        raise UsageError(f"cannot write report to {path!r}: {e}") from None
+    if not existed:
+        out.unlink()
+
+
 def emit(records: list[dict], ns: argparse.Namespace, ok: bool) -> int:
     text = render_report(records, ns.format)
     if ns.out:
@@ -473,6 +487,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
+        if ns.out:
+            _check_writable(ns.out)
         records, ok = ns.func(ns)
         return emit(records, ns, ok)
     except UsageError as e:

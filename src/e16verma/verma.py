@@ -265,13 +265,19 @@ def _kronecker_cells(op_mats: list[list[tuple]], row, col, op, s_re, s_im) -> tu
                       (sr * m_re - si * m_im).ravel(), (sr * m_im + si * m_re).ravel()))
     rows, cols, re, im = map(np.concatenate, zip(*parts))
     width = int(cols.max(initial=0)) + 1
-    key = rows * width + cols
+    key, re, im = _summed(rows * width + cols, re, im)
+    return (*np.divmod(key, width), re, im)
+
+
+def _summed(key, re, im) -> tuple:
+    """(keys, re, im) of the terms summed per key, sorted by key, with the
+    keys whose sum is 0 dropped."""
     order = np.argsort(key)
     key = key[order]
     starts = np.flatnonzero(np.diff(key, prepend=-1))
     re, im = np.add.reduceat(np.stack((re, im))[:, order], starts, axis=1)
     keep = (re != 0) | (im != 0)
-    return (*np.divmod(key[starts[keep]], width), re[keep], im[keep])
+    return key[starts[keep]], re[keep], im[keep]
 
 
 @lru_cache(maxsize=None)
@@ -800,17 +806,15 @@ class ActionMatrixSlice:
     """Integer matrices of the lambda-action coefficients on the slice of
     Ind(F) of m-degree <= max_mdeg, for a matrix-backed module F.
 
-    Columns/rows are indexed by (monomial index, F-coordinate); matrices are
-    (re, im) scipy CSR int64 pairs, scaled by ``den`` (which clears the xi
-    entries and t, see ``_op_matrices``): the true matrix is (re + i im)/den.
-    The columns of m-degree <= d (``columns_upto(d)``) never truncate as
-    long as d + 2 <= max_mdeg.
+    Columns/rows are indexed by (monomial index, F-coordinate); a matrix is
+    given by its nonzero cells (rows, cols, re, im), int64 arrays sorted by
+    (row, col) and scaled by ``den`` (which clears the xi entries and t, see
+    ``_op_matrices``): the true entry is (re + i im)/den.  The columns of
+    m-degree <= d (``columns_upto(d)``) never truncate as long as d + 2 <=
+    max_mdeg.
     """
 
     def __init__(self, module, max_mdeg: int = 8):
-        from scipy.sparse import csr_matrix  # deferred import
-
-        self._csr = csr_matrix
         self.module = module
         self.max_mdeg = max_mdeg
         self.monomials = ind_monomials(max_mdeg)
@@ -829,12 +833,12 @@ class ActionMatrixSlice:
         return np.nonzero(keep)[0]
 
     def matrices(self, l_mask: int) -> dict[int, tuple]:
-        """{lambda-power: (re_csr, im_csr)} of xi_L on the slice, scaled by
-        den; an all-zero part is an empty CSR.  Structure (x) module ops:
-        rows (lambda power, out monomial, in monomial, op, weight) from
-        ``action_terms``, expanded into cells by ``_kronecker_cells``.
-        Raises OverflowError when an entry could leave int64
-        (``_check_expansion``)."""
+        """{lambda-power: cells (rows, cols, re, im)} of xi_L on the slice,
+        scaled by den; a power with no nonzero cell is left out.  Structure
+        (x) module ops: rows (lambda power, out monomial, in monomial, op,
+        weight) from ``action_terms``, expanded into cells by
+        ``_kronecker_cells``.  Raises OverflowError when an entry could leave
+        int64 (``_check_expansion``)."""
         got = self._cache.get(l_mask)
         if got is not None:
             return got
@@ -855,17 +859,14 @@ class ActionMatrixSlice:
         out = {}
         for jj in np.unique(power).tolist():
             sel = power == jj
-            out[jj] = tuple(self._csr((m[sel], (rows[sel], cols[sel])),
-                                      shape=(self.dim, self.dim))
-                            for m in (re, im))
-            for part in out[jj]:
-                part.eliminate_zeros()  # a cell's re or im alone may be 0
+            out[jj] = (rows[sel], cols[sel], re[sel], im[sel])
         self._cache[l_mask] = out
         return out
 
 
-# g-matrix entries stacked per batch of commutator_suite, bounding its memory
-_SUITE_BATCH = 12000
+# partial products summed at once by commutator_suite, bounding its memory
+# (about 80 bytes each at the peak)
+_SUITE_BATCH = 100_000
 
 
 def _rhs_weights(f_mask: int, g_mask: int, powers) -> Iterator[tuple]:
@@ -891,19 +892,20 @@ def _rhs_weights(f_mask: int, g_mask: int, powers) -> Iterator[tuple]:
                     yield km, n, a, n - a, (-1) ** r * s1 * s2 * s3 * comb(n, a)
 
 
-def _complex_products(A: tuple, B: tuple) -> list[tuple]:
-    """A @ B for (re, im) pairs as sparse products (part, sign, product), part
-    0 real and 1 imaginary; a product with an all-zero factor is skipped."""
-    (ar, ai), (br, bi) = A, B
-    return [(part, sign, x @ y) for part, sign, x, y in (
-        (0, 1, ar, br), (0, -1, ai, bi), (1, 1, ar, bi), (1, 1, ai, br)
-    ) if x.nnz and y.nnz]
-
-
-def _entries(m, n_row: int, n_col: int) -> tuple:
-    """(row // n_row, row % n_row, col // n_col, col % n_col, value) of m."""
-    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-    return (*np.divmod(rows, n_row), *np.divmod(m.indices, n_col), m.data)
+def _complex_products(A: tuple, B: tuple) -> tuple:
+    """The unsummed terms (rows, cols, re, im) of A @ B for complex matrices
+    given as cells (rows, cols, re, im), B's sorted by row: each cell (r, k)
+    of A meets each cell (k, c) of B in a term at (r, c), the product of
+    their values."""
+    (a_row, a_col, ar, ai), (b_row, b_col, br, bi) = A, B
+    # B's row k holds its cells ptr[k]..ptr[k + 1] - 1
+    ptr = np.searchsorted(b_row, np.arange(int(a_col.max(initial=0)) + 2))
+    lo = ptr[a_col]
+    count = ptr[a_col + 1] - lo
+    a = np.repeat(np.arange(len(a_col)), count)
+    b = np.arange(len(a)) + np.repeat(lo - np.cumsum(count) + count, count)
+    ar, ai, br, bi = ar[a], ai[a], br[b], bi[b]
+    return a_row[a], b_col[b], ar * br - ai * bi, ar * bi + ai * br
 
 
 def commutator_suite(module, max_input_mdeg: int = 4, max_size: int = 3) -> dict:
@@ -916,36 +918,43 @@ def commutator_suite(module, max_input_mdeg: int = 4, max_size: int = 3) -> dict
 
     Per f and batch of g's, three products give every M_f^(a) M_g^(b),
     every M_g^(b) M_f^(a) and every right-hand side (the restricted slice
-    matrices times kron(C_f, I), C_f the ``_rhs_weights``), scattered into
-    one difference matrix with a column block per (g, a, b): an ordered pair
-    fails iff one of its blocks is nonzero.  Raises OverflowError when an
-    int64 sum could wrap."""
-    from scipy.sparse import csr_matrix, hstack, vstack
-
+    matrices times kron(C_f, I), C_f the ``_rhs_weights``).  Their terms are
+    summed once, into one difference matrix with a column block per (g, a,
+    b): an ordered pair fails iff one of its blocks is nonzero.  Raises
+    OverflowError when an int64 sum could wrap."""
     sl = ActionMatrixSlice(module, max_mdeg=max_input_mdeg + 4)
     in_cols = sl.columns_upto(max_input_mdeg)
     n_in, dim, den = len(in_cols), sl.dim, sl.den
     masks = [m for size in range(max_size + 1) for m in MASKS_BY_SIZE[size]]
+    n = len(masks)
     # per f, rows (g, K mask, power n, a, b, weight) of its right-hand sides
     weights = [np.array([(g_idx, *term) for g_idx, g in enumerate(masks)
                          for term in _rhs_weights(f, g, sl.matrices)],
                         dtype=np.int64).reshape(-1, 6) for f in masks]
     k_masks = set(np.concatenate([x[:, 1] for x in weights]).tolist()) - set(masks)
     mats = {m: sl.matrices(m) for m in masks + sorted(k_masks)}
-    # one block per (mask, power), the f/g masks' first and in mask order
-    blocks = [(m, n, mats[m][n]) for m in mats for n in sorted(mats[m])]
+    # one block per (mask, power), the f/g masks' first and in mask order;
+    # `rest` holds each block's cells in the input columns, renumbered
+    blocks = [(m, p) for m in mats for p in sorted(mats[m])]
+    full = [mats[m][p] for m, p in blocks]
+    in_pos = np.full(dim, -1)
+    in_pos[in_cols] = np.arange(n_in)
+    rest = []
+    for rows, cols, re, im in full:
+        keep = in_pos[cols] >= 0
+        rest.append((rows[keep], in_pos[cols[keep]], re[keep], im[keep]))
     starts = np.cumsum([0] + [len(mats[m]) for m in masks])
-    block_power = np.array([n for _, n, _ in blocks], dtype=np.int64)
+    block_power = np.array([p for _, p in blocks], dtype=np.int64)
     n_ab = int(block_power.max()) + 2  # cell powers a, b < n_ab
     block_of = np.zeros((FULL_MASK + 1, n_ab), dtype=np.int64)
-    block_of[[m for m, *_ in blocks], block_power] = np.arange(len(blocks))
+    block_of[[m for m, _ in blocks], block_power] = np.arange(len(blocks))
 
-    # |entry| <= max_m, a product entry sums at most max_row terms, and a
-    # difference entry two products and right-hand-side weights <= max_w
-    max_m = max(sum(int(abs(x.data).max(initial=0)) for x in xy)
-                for *_, xy in blocks)
-    max_row = max(sum(int(np.diff(x.indptr).max()) for x in xy)
-                  for *_, xy in blocks[:starts[-1]])
+    # |entry| <= max_m, a product entry sums at most max_row terms (one per
+    # cell of a row of the left factor), and a difference entry two products
+    # and right-hand-side weights <= max_w
+    max_m = max(int(abs(re).max(initial=0)) + int(abs(im).max(initial=0))
+                for *_, re, im in full)
+    max_row = max(int(np.bincount(rows).max(initial=0)) for rows, *_ in full[:starts[-1]])
     max_w = 0
     for g, _, _, a, b, w in (x.T for x in weights):
         cell_of = np.unique((g * n_ab + a) * n_ab + b, return_inverse=True)[1]
@@ -954,40 +963,50 @@ def commutator_suite(module, max_input_mdeg: int = 4, max_size: int = 3) -> dict
         raise OverflowError(
             f"commutator suite sums of module {module.name!r} can overflow int64")
 
-    # batches of consecutive g's holding at most _SUITE_BATCH entries: their
-    # full matrices on top of each other, their restricted ones side by side
-    cuts, size = [0], 0
-    for g_idx, m in enumerate(masks):
-        nnz = sum(x.nnz + y.nnz for x, y in mats[m].values())
-        if g_idx > cuts[-1] and size + nnz > _SUITE_BATCH:
-            cuts, size = cuts + [g_idx], 0
-        size += nnz
-    batches = []
-    for lo, hi in zip(cuts, cuts[1:] + [len(masks)]):
-        own = [xy for *_, xy in blocks[starts[lo]:starts[hi]]]
-        batches.append((
-            lo, hi, [vstack([xy[p] for xy in own], format="csr") for p in (0, 1)],
-            [hstack([xy[p][:, in_cols] for xy in own], format="csr") for p in (0, 1)]))
+    # n_terms[f, g]: the partial products of (f, g), as many as cells of a
+    # left factor's column meet cells of the right factor's row
+    col_count, row_count = np.zeros((2, n, dim), dtype=np.int64)
+    for g_idx in range(n):
+        for blk in range(starts[g_idx], starts[g_idx + 1]):
+            col_count[g_idx] += np.bincount(full[blk][1], minlength=dim)
+            row_count[g_idx] += np.bincount(rest[blk][0], minlength=dim)
+    fg = col_count @ row_count.T
+    rest_nnz = np.array([len(x[0]) for x in rest])
+    n_terms = fg + fg.T + np.array([
+        np.bincount(w[:, 0], rest_nnz[block_of[w[:, 1], w[:, 2]]], minlength=n)
+        for w in weights], dtype=np.int64)
+    # batches of consecutive g's whose terms with any one f stay within
+    # _SUITE_BATCH
+    cuts, run = [0], 0
+    for g_idx in range(n):
+        if g_idx > cuts[-1] and np.max(run + n_terms[:, g_idx]) > _SUITE_BATCH:
+            cuts, run = cuts + [g_idx], 0
+        run = run + n_terms[:, g_idx]
+
+    def stacked(b_lo: int, b_hi: int) -> tuple:
+        """The cells of blocks b_lo..b_hi-1: their full matrices on top of
+        each other, and their restricted ones side by side, sorted by row."""
+        top = [(r + k * dim, c, re, im) for k, (r, c, re, im) in enumerate(full[b_lo:b_hi])]
+        side = [(r, c + k * n_in, re, im) for k, (r, c, re, im) in enumerate(rest[b_lo:b_hi])]
+        side = tuple(map(np.concatenate, zip(*side)))
+        order = np.argsort(side[0], kind="stable")
+        return tuple(map(np.concatenate, zip(*top))), tuple(x[order] for x in side)
+
+    batches = [(lo, hi, *stacked(starts[lo], starts[hi]))
+               for lo, hi in zip(cuts, cuts[1:] + [n])]
     # each restricted matrix flattened into a row: [restricted matrices side
     # by side] @ kron(C, I) is C^T @ flat_rest, rows and columns exchanged
-    flat_rest = []
-    for p in (0, 1):
-        side = hstack([xy[p][:, in_cols] for *_, xy in blocks], format="csr")
-        _, row, blk, i, v = _entries(side, dim, n_in)
-        flat_rest.append(csr_matrix((v, (blk, row * n_in + i)),
-                                    shape=(len(blocks), dim * n_in)))
-    del sl, mats, blocks  # the stacks are now the only copies
+    flat_rest = tuple(map(np.concatenate, zip(*(
+        (np.full(len(r), blk), r * n_in + c, re, im)
+        for blk, (r, c, re, im) in enumerate(rest)))))
 
     cell = n_ab * n_ab * n_in  # difference columns (g, a, b, input column)
-    block_g = np.repeat(np.arange(len(masks)), np.diff(starts))
+    block_g = np.repeat(np.arange(n), np.diff(starts))
     block_odd = np.array([masks[g].bit_count() & 1 for g in block_g], dtype=bool)
-    fails = np.zeros((len(masks), len(masks)), dtype=bool)
+    fails = np.zeros((n, n), dtype=bool)
     for f_idx, f_mask in enumerate(masks):
         f_lo, f_hi = starts[f_idx], starts[f_idx + 1]
-        lo, _, g_full, g_rest = next(b for b in batches if b[0] <= f_idx < b[1])
-        o_lo, o_hi = f_lo - starts[lo], f_hi - starts[lo]
-        f_full = [x[o_lo * dim:o_hi * dim] for x in g_full]
-        f_rest = [x[:, o_lo * n_in:o_hi * n_in] for x in g_rest]
+        f_full, f_rest = stacked(f_lo, f_hi)
         f_shift = block_power[f_lo:f_hi] * n_ab * n_in
         for lo, hi, g_full, g_rest in batches:
             b_lo, b_hi = starts[lo], starts[hi]
@@ -995,30 +1014,24 @@ def commutator_suite(module, max_input_mdeg: int = 4, max_size: int = 3) -> dict
             # -(-1)^{p(f)p(g)}, the sign of M_g^(b) M_f^(a)
             sign_gf = np.where(block_odd[b_lo:b_hi] & bool(f_mask.bit_count() & 1),
                                1, -1)
-            g, k_mask, n, a, b, w = weights[f_idx][
+            g, k_mask, p, a, b, w = weights[f_idx][
                 (weights[f_idx][:, 0] >= lo) & (weights[f_idx][:, 0] < hi)].T
-            c = csr_matrix(
-                (w * den, (((g - lo) * n_ab + a) * n_ab + b, block_of[k_mask, n])),
-                shape=((hi - lo) * n_ab * n_ab, flat_rest[0].shape[0]))
-            terms = ([], [])  # per part: (rows, difference columns, values)
-            for part, sign, p in _complex_products(f_full, g_rest):
-                a, row, blk, i, v = _entries(p, dim, n_in)
-                terms[part].append((row, base[blk] + f_shift[a] + i, sign * v))
-            for part, sign, p in _complex_products(g_full, f_rest):
-                blk, row, a, i, v = _entries(p, dim, n_in)
-                terms[part].append((row, base[blk] + f_shift[a] + i,
-                                    sign * sign_gf[blk] * v))
-            for part, sign, p in _complex_products(
-                    (c, csr_matrix(c.shape, dtype=np.int64)), flat_rest):
-                _, cells, row, i, v = _entries(p, c.shape[0], n_in)
-                terms[part].append((row, cells * n_in + i, -sign * v))
-            for got in filter(None, terms):
-                row, col, v = map(np.concatenate, zip(*got))
-                diff = csr_matrix((v, (row, col)), shape=(dim, (hi - lo) * cell))
-                diff.eliminate_zeros()  # construction summed the duplicates
-                fails[f_idx, lo + diff.indices // cell] = True
+            c = (((g - lo) * n_ab + a) * n_ab + b, block_of[k_mask, p], w * den,
+                 np.zeros_like(w))
+            parts = []  # (difference column * dim + row, re, im) of every term
+            r, col, re, im = _complex_products(f_full, g_rest)
+            (a, row), (blk, i) = np.divmod(r, dim), np.divmod(col, n_in)
+            parts.append(((base[blk] + f_shift[a] + i) * dim + row, re, im))
+            r, col, re, im = _complex_products(g_full, f_rest)
+            (blk, row), (a, i) = np.divmod(r, dim), np.divmod(col, n_in)
+            s = sign_gf[blk]
+            parts.append(((base[blk] + f_shift[a] + i) * dim + row, s * re, s * im))
+            r, col, re, im = _complex_products(c, flat_rest)
+            row, i = np.divmod(col, n_in)
+            parts.append(((r * n_in + i) * dim + row, -re, -im))
+            key = _summed(*map(np.concatenate, zip(*parts)))[0]
+            fails[f_idx, lo + key // (cell * dim)] = True
 
-    n = len(masks)
     order = [p for f in range(n) for g in range(f, n)
              for p in dict.fromkeys([(f, g), (g, f)])]
     failures = [(word_of(masks[x]), word_of(masks[y])) for x, y in order if fails[x, y]]

@@ -154,6 +154,26 @@ def test_unwritable_out_path_is_a_usage_error(capsys, tmp_path, argv, target, re
     assert reason in err
 
 
+def test_unwritable_out_path_fails_before_the_run(capsys, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "reproduce_proof_steps", lambda **kw: calls.append(kw))
+    rc, out, err = run_cli(capsys, ["reproduce-proof", "--out", str(tmp_path)])
+    assert rc == 2 and not out and not calls
+    assert err.startswith(f"error: cannot write report to {str(tmp_path)!r}: ")
+
+
+def test_out_path_check_leaves_files_as_they_were(capsys, tmp_path):
+    # a run that fails after the check neither truncates an existing report
+    # nor leaves a new empty one behind
+    old, new = tmp_path / "old.txt", tmp_path / "new.txt"
+    old.write_text("kept\n")
+    for path in (old, new):
+        rc, _, err = run_cli(capsys, ["check-algebra", "--max-degree", "-3",
+                                      "--out", str(path)])
+        assert rc == 2 and "--max-degree -3 is below -2" in err
+    assert old.read_text() == "kept\n" and not new.exists()
+
+
 def _checkout_env():
     """The environment of a fresh interpreter that imports this checkout's
     ``e16verma``."""
@@ -163,14 +183,15 @@ def _checkout_env():
     return env
 
 
-def _scipy_modules_after(commands):
+def _scipy_modules_after(commands, then=""):
     """Run cli.main on each argv in a fresh interpreter, writing to the null
-    device; returns the last stdout line: the exit codes and every scipy
-    module then loaded."""
+    device, then the statements ``then``; returns the last stdout line: the
+    exit codes and every scipy module then loaded."""
     script = (
         "import sys\n"
         "from e16verma import cli\n"
         f"codes = [cli.main(argv + ['--out', sys.argv[1]]) for argv in {commands!r}]\n"
+        f"{then}\n"
         "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     proc = subprocess.run(
@@ -182,8 +203,8 @@ def _scipy_modules_after(commands):
 
 def test_algebra_and_proof_commands_never_import_scipy():
     # importing scipy.sparse raises check-algebra's peak RSS by about 20 MB;
-    # only the matrix slices of the commutator suite need it, and they
-    # import it late
+    # the package depends on numpy alone, and scipy serves only the tests'
+    # references
     assert _scipy_modules_after([["check-algebra"], ["reproduce-proof"]]) == "[0, 0] []"
 
 
@@ -193,6 +214,22 @@ def test_scan_commands_never_import_scipy():
     scan = ["--module", "vector", "--kmax", "2", "--t-scan=-1..1"]
     commands = [["verify-bound", *scan], ["find-singular", *scan]]
     assert _scipy_modules_after(commands) == "[0, 0] []"
+
+
+def test_commands_and_commutator_suite_never_import_scipy():
+    # the suite's action slices and products are numpy cells, so nothing the
+    # package runs needs scipy
+    scan = ["--module", "vector", "--kmax", "1", "--t-scan=-1..1"]
+    commands = [["check-algebra"], ["reproduce-proof"],
+                ["verify-bound", *scan], ["find-singular", *scan]]
+    suite = (
+        "from e16verma.exactnum import Q\n"
+        "from e16verma.gmodule import builtin\n"
+        "from e16verma.verma import commutator_suite\n"
+        "assert commutator_suite(builtin('vector', Q(7, 3)), max_input_mdeg=1,"
+        " max_size=1)['ok']"
+    )
+    assert _scipy_modules_after(commands, suite) == "[0, 0, 0, 0] []"
 
 
 # ---------------------------------------------------------------------------

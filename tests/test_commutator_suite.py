@@ -293,10 +293,14 @@ def test_slice_matrices_equal_reference(name, t, max_mdeg):
         g, w = got.matrices(l_mask), want.matrices(l_mask)
         assert sorted(g) == sorted(w), l_mask
         for j in w:
-            for part in (0, 1):
-                assert g[j][part].dtype == np.int64
-                assert np.array_equal(g[j][part].toarray(), w[j][part].toarray()), \
-                    (l_mask, j, part)
+            rows, cols, *parts = g[j]
+            # sorted by (row, col), one cell each
+            assert np.all(np.diff(rows * got.dim + cols) > 0), (l_mask, j)
+            for part, values in enumerate(parts):
+                assert values.dtype == np.int64
+                dense = np.zeros((got.dim, got.dim), dtype=np.int64)
+                dense[rows, cols] = values
+                assert np.array_equal(dense, w[j][part].toarray()), (l_mask, j, part)
         assert got.matrices(l_mask) is g  # cached per mask
 
 
@@ -398,3 +402,21 @@ def test_products_grow_with_f_not_with_pairs(monkeypatch):
         report = commutator_suite(module, max_input_mdeg=1, max_size=max_size)
         assert report["ok"] and report["pairs_checked"] == n_masks ** 2
         assert len(calls) == 3 * n_masks
+
+
+def test_one_g_per_batch_gives_the_same_report(monkeypatch, flipped_xi12):
+    # the default batch holds every g of these small cases, so the batch
+    # offsets are exercised here: one g per batch, three products per pair
+    module = builtin("vector", QI(1, 2))
+    want = commutator_suite(module, max_input_mdeg=1, max_size=2)
+    monkeypatch.setattr(verma, "_SUITE_BATCH", 1)
+    calls = []
+    real = verma._complex_products
+
+    def counted(A, B):
+        calls.append(1)
+        return real(A, B)
+
+    monkeypatch.setattr(verma, "_complex_products", counted)
+    assert commutator_suite(module, max_input_mdeg=1, max_size=2) == want
+    assert len(calls) == 3 * 22 * 22 and not want["ok"]

@@ -2,6 +2,7 @@
 report differs is caught."""
 
 import importlib.util
+import json
 import shutil
 from pathlib import Path
 
@@ -30,3 +31,16 @@ def test_a_changed_report_is_different(tmp_path):
     assert dict(compare_reports.compare(ROOT, tmp_path, CHEAP)) == {
         "verify-bound trivial": False}
     assert compare_reports.src_lines(tmp_path) == compare_reports.src_lines(ROOT)
+
+
+def test_suite_reports_run():
+    # a program that fails prints nothing on both sides, which would compare
+    # as identical; each suite report is the suite's clean JSON report
+    suites = {name: program for name, program in compare_reports.REPORTS.items()
+              if isinstance(program, str)}
+    assert len(suites) == 3
+    for name, program in suites.items():
+        rc, out = compare_reports.run_report(ROOT, program)
+        assert rc == 0, name
+        report = json.loads(out)
+        assert report["ok"] and not report["failures"], name

@@ -582,16 +582,13 @@ def test_matrix_slice_matches_object_action():
         mats = sl.matrices(L_mask)
         P = lambda_action_T(word_of(L_mask), VermaVector.unit(m, k, i_mask, coord))
         for j, vv in P.coeffs.items():
-            re, im = mats[j]
-            col_re = re.getcol(col).toarray().ravel()
-            col_im = im.getcol(col).toarray().ravel()
+            rows, cols, re, im = mats[j]
+            sel = cols == col
             rebuilt = {}
-            for flat_idx in col_re.nonzero()[0].tolist() + col_im.nonzero()[0].tolist():
+            for flat_idx, x, y in zip(rows[sel].tolist(), re[sel].tolist(),
+                                      im[sel].tolist()):
                 kk, mm = sl.monomials[flat_idx // 6]
-                cc = flat_idx % 6
-                rebuilt[(kk, mm, cc)] = QI(
-                    int(col_re[flat_idx]), int(col_im[flat_idx])
-                ) / Q(sl.den)
+                rebuilt[(kk, mm, flat_idx % 6)] = QI(x, y) / Q(sl.den)
             expect = {
                 (kk, mm, cc): v
                 for (kk, mm), fv in vv.data.items()
@@ -603,20 +600,19 @@ def test_matrix_slice_matches_object_action():
 
 @pytest.mark.parametrize("name", ["vector", "vector_scaled.json"])
 def test_matrix_slice_stores_no_explicit_zero(name):
-    # a cell's re can be nonzero while its im is 0, and the commutator suite
-    # skips a product only when a factor stores nothing; a non-real t gives
-    # the t op both parts
+    # a cell's re can be nonzero while its im is 0, but a cell whose parts
+    # both cancel is dropped, so the commutator suite joins no zero term; a
+    # non-real t gives the t op both parts
     if name == "vector":
         module = builtin("vector", QI(1, 2))
     else:
         spec = module_from_text((Path(__file__).parent / "data" / name).read_text())
         module = ModuleSpec(spec.dim, C + QI(0, 1), spec.xi_action, name=spec.name)
     sl = ActionMatrixSlice(module, max_mdeg=4)
-    parts = [part for l_mask in ALL_MASKS
-             for pair in sl.matrices(l_mask).values() for part in pair]
-    assert parts
-    for part in parts:
-        assert part.nnz == np.count_nonzero(part.data)
+    cells = [c for l_mask in ALL_MASKS for c in sl.matrices(l_mask).values()]
+    assert cells
+    for _, _, re, im in cells:
+        assert np.all((re != 0) | (im != 0))
 
 
 def test_commutator_suite_small():

@@ -1,11 +1,13 @@
-"""Compare the CLI reports of two source checkouts byte for byte.
+"""Compare the reports of two source checkouts byte for byte.
 
     python3 tools/compare_reports.py PARENT_DIR CHANGE_DIR
 
 Each report of ``REPORTS`` runs in a fresh interpreter with
 ``PYTHONPATH=<dir>/src`` and ``<dir>`` as working directory, once per
-checkout, as json-lines on stdout; a module file is named relative to it.  A
-report is identical when both its stdout bytes and its exit code agree.
+checkout, on stdout: a list is a CLI command, run with ``--format
+json-lines``, and a string a Python program (``suite_report``); a module
+file is named relative to the checkout.  A report is identical when both
+its stdout bytes and its exit code agree.
 Prints one line per report and the ``src/`` line count of each side; exits
 1 when any report differs, 0 otherwise.
 """
@@ -19,7 +21,22 @@ from pathlib import Path
 from typing import Iterator
 
 SCAN = ["--kmax", "5", "--t-scan=-10..10"]
-REPORTS: dict[str, list[str]] = {
+
+
+def suite_report(module: str, max_input_mdeg: int, max_size: int) -> str:
+    """A program printing ``json.dumps`` of the commutator suite's report on
+    ``module``, an expression over ``builtin``, ``module_from_text`` and
+    ``Q``."""
+    return (
+        "import json\n"
+        "from e16verma.exactnum import Q\n"
+        "from e16verma.gmodule import builtin, module_from_text\n"
+        "from e16verma.verma import commutator_suite\n"
+        f"print(json.dumps(commutator_suite({module}, {max_input_mdeg}, {max_size})))\n"
+    )
+
+
+REPORTS: dict[str, list[str] | str] = {
     "verify-bound trivial": ["verify-bound", "--module", "trivial", *SCAN],
     "verify-bound vector": ["verify-bound", "--module", "vector", *SCAN],
     "verify-bound adjoint": ["verify-bound", "--module", "adjoint", *SCAN],
@@ -60,16 +77,25 @@ REPORTS: dict[str, list[str]] = {
     "verify-bound rotated vector module file": [
         "verify-bound", "--module", "tests/data/vector_rotated.json", "--kmax", "2",
         "--t-scan=-3..3"],
+    # the commutator suite is no CLI command; its reports as JSON
+    "commutator suite vector 7/3": suite_report('builtin("vector", Q(7, 3))', 2, 3),
+    "commutator suite adjoint 2": suite_report('builtin("adjoint", Q(2))', 1, 2),
+    "commutator suite module file": suite_report(
+        'module_from_text(open("tests/data/vector_scaled.json").read())', 2, 1),
 }
 
 
-def run_report(tree: Path, argv: list[str]) -> tuple[int, bytes]:
-    """(exit code, stdout) of one json-lines report of the checkout."""
+def run_report(tree: Path, argv: list[str] | str) -> tuple[int, bytes]:
+    """(exit code, stdout) of one report of the checkout: a json-lines CLI
+    report for a list, the output of the Python program for a string."""
     env = {**os.environ, "PYTHONPATH": str(Path(tree).resolve() / "src")}
+    if isinstance(argv, str):
+        args = ["-c", argv]
+    else:
+        args = ["-m", "e16verma.cli", *argv, "--format", "json-lines"]
     proc = subprocess.run(
-        [sys.executable, "-m", "e16verma.cli", *argv, "--format", "json-lines"],
-        cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-        check=False)
+        [sys.executable, *args], cwd=tree, env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL, check=False)
     return proc.returncode, proc.stdout
 
 
@@ -80,7 +106,7 @@ def src_lines(tree: Path) -> int:
 
 
 def compare(parent: Path, change: Path,
-            reports: dict[str, list[str]] = REPORTS) -> Iterator[tuple[str, bool]]:
+            reports: dict[str, list[str] | str] = REPORTS) -> Iterator[tuple[str, bool]]:
     """(report name, identical) per report, as each pair of runs ends."""
     for name, argv in reports.items():
         yield name, run_report(parent, argv) == run_report(change, argv)
