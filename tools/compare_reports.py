@@ -25,10 +25,11 @@ SCAN = ["--kmax", "5", "--t-scan=-10..10"]
 
 def suite_report(module: str, max_input_mdeg: int, max_size: int) -> str:
     """A program printing ``json.dumps`` of the commutator suite's report on
-    ``module``, an expression over ``builtin``, ``module_from_text`` and
-    ``Q``."""
+    ``module``, an expression over ``builtin``, ``module_from_text``, ``Q``
+    and ``Path``."""
     return (
         "import json\n"
+        "from pathlib import Path\n"
         "from e16verma.exactnum import Q\n"
         "from e16verma.gmodule import builtin, module_from_text\n"
         "from e16verma.verma import commutator_suite\n"
@@ -81,7 +82,7 @@ REPORTS: dict[str, list[str] | str] = {
     "commutator suite vector 7/3": suite_report('builtin("vector", Q(7, 3))', 2, 3),
     "commutator suite adjoint 2": suite_report('builtin("adjoint", Q(2))', 1, 2),
     "commutator suite module file": suite_report(
-        'module_from_text(open("tests/data/vector_scaled.json").read())', 2, 1),
+        'module_from_text(Path("tests/data/vector_scaled.json").read_text())', 2, 1),
 }
 
 
